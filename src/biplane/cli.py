@@ -3,8 +3,7 @@
 Exit codes: 0 success / verified, 1 a verification or certification failed
 (the failing check is named), 2 input or usage error. Every subcommand takes
 --json for machine-readable output; table output is deterministic, so
-identical inputs give byte-identical results. BIPLANE_THREADS caps worker
-count for the difference-set scan (default 1).
+identical inputs give byte-identical results.
 """
 
 from __future__ import annotations
@@ -181,6 +180,10 @@ def _cmd_ds(args) -> int:
 
 def _cmd_fix(args) -> int:
     d = _load_design(args.design)
+    report = design.verify_symmetric_design(d)
+    if not report.ok:
+        raise InputError(f"not a symmetric ({d.v},{d.k},{d.lam}) design; "
+                         f"first violation {report.violations[0]}")
     x = perm.Permutation.from_cycles(args.perm, d.v)
     rep = fixcert.fix_report(d, x)
     result = fixcert.certify_fix_lemmas(d, x)

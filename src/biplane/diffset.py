@@ -8,10 +8,7 @@ Lander witness scan is the arithmetic route to nonexistence.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 from typing import NamedTuple
 
@@ -22,6 +19,10 @@ from .perm import Permutation
 
 ASSOCIATIVITY_CHECK_CAP = 64
 SEARCH_SUBSET_CAP = 10**8
+# Largest group order the table constructors build. At 1024 an n x n table
+# of Python ints peaks near 40 MB and builds in under 2 s; every named tag
+# fits (c121ab has order 121).
+GROUP_ORDER_CAP = 1024
 
 
 @dataclass(frozen=True)
@@ -66,9 +67,15 @@ def _build_table(name: str, mul) -> GroupTable:
     return GroupTable(name=name, mul=mul, inv=tuple(inv))
 
 
+def _check_order(n: int) -> None:
+    if n > GROUP_ORDER_CAP:
+        raise ScaleError(f"group order {n} exceeds the cap {GROUP_ORDER_CAP}")
+
+
 def cyclic(n: int) -> GroupTable:
     if n < 1:
         raise InputError("cyclic group order must be positive")
+    _check_order(n)
     mul = [[(a + b) % n for b in range(n)] for a in range(n)]
     return _build_table(f"cyclic({n})", mul)
 
@@ -77,6 +84,7 @@ def direct_product(a: GroupTable, b: GroupTable) -> GroupTable:
     """Direct product with elements enumerated as x*|b| + y."""
     nb = b.n
     n = a.n * nb
+    _check_order(n)
 
     def pair(x, y):
         return x * nb + y
@@ -116,7 +124,12 @@ def quaternion8() -> GroupTable:
 
 def elementary_abelian(p: int, k: int) -> GroupTable:
     """(C_p)^k with elements written in base p."""
+    if p < 2 or k < 1:
+        raise InputError("elementary abelian group needs p >= 2 and k >= 1")
+    if k >= GROUP_ORDER_CAP.bit_length():  # p**k >= 2**k > cap; skip the power
+        raise ScaleError(f"group order {p}**{k} exceeds the cap {GROUP_ORDER_CAP}")
     n = p**k
+    _check_order(n)
     mul = [[0] * n for _ in range(n)]
     for a in range(n):
         for b in range(n):
@@ -206,59 +219,81 @@ def develop(ds: DifferenceSet) -> Design:
 def _canonical_rep(g: GroupTable, subset: tuple[int, ...],
                    automorphisms: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     """Least representative of the subset's class under translation (and
-    the supplied group automorphisms, if any)."""
-    mul = g.mul
-    best = None
+    the supplied group automorphisms, if any).
+
+    A sorted tuple starting with 0 beats any tuple without 0, so only the k
+    right translates by e^-1, e in the image, can be least.
+    """
+    mul, inv = g.mul, g.inv
     images = [subset]
     if automorphisms:
         images = [tuple(a[e] for e in subset) for a in automorphisms]
-    for img in images:
-        for x in g.elements():
-            cand = tuple(sorted(mul[e][x] for e in img))
-            if best is None or cand < best:
-                best = cand
-    return best
+    return min(tuple(sorted(mul[f][inv[e]] for f in img))
+               for img in images for e in img)
 
 
-def _scan_chunk(g: GroupTable, k: int, lam: int, chunk) -> list[tuple[int, ...]]:
-    found = []
-    for rest in chunk:
-        subset = (0,) + rest
-        if is_difference_set(g, subset, lam):
-            found.append(subset)
+def _zero_sets(g: GroupTable, k: int, lam: int) -> list[tuple[int, ...]]:
+    """Every (n,k,lam) difference set in g that contains 0, ascending.
+
+    Backtracks over the elements after 0 in increasing order, keeping the
+    count of each difference x^-1 y (both orders of every pair) in one array.
+    A branch is cut when a count exceeds lam or too few elements remain to
+    fill the set. Since k(k-1) = lam(n-1), a full set with no count above
+    lam has every count equal to lam.
+    """
+    n, mul, inv = g.n, g.mul, g.inv
+    # left[y][x] = x^-1 y and right[y][x] = y^-1 x: the two differences of
+    # the pair {x, y}, read from the rows of the element being added
+    right = [mul[inv[y]] for y in range(n)]
+    left = [[mul[inv[x]][y] for x in range(n)] for y in range(n)]
+    counts = [0] * n
+    chosen = [0]
+    found: list[tuple[int, ...]] = []
+
+    def extend(start: int) -> None:
+        depth = len(chosen)
+        if depth == k:
+            found.append(tuple(chosen))
+            return
+        for y in range(start, n - k + depth + 1):
+            ly, ry = left[y], right[y]
+            added = 0
+            for x in chosen:
+                a, b = ly[x], ry[x]
+                counts[a] += 1
+                counts[b] += 1
+                added += 1
+                if counts[a] > lam or counts[b] > lam:
+                    break
+            else:
+                chosen.append(y)
+                extend(y + 1)
+                chosen.pop()
+            for x in chosen[:added]:
+                counts[ly[x]] -= 1
+                counts[ry[x]] -= 1
+
+    extend(1)
     return found
 
 
 def search_difference_sets(g: GroupTable, k: int, lam: int,
-                           automorphisms=None, threads: int | None = None
-                           ) -> list[DifferenceSet]:
+                           automorphisms=None) -> list[DifferenceSet]:
     """All (n,k,lam) difference sets in g, up to translation (and up to the
     supplied automorphisms of g, given as image tables).
 
-    Every translation class has a member containing the identity, so the scan
-    runs over subsets containing 0. Results are in ascending representative
-    order; the order is independent of how the scan is sharded.
+    Every translation class has a member containing the identity, so the
+    search runs over subsets containing 0, at most C(n-1,k-1) of them.
+    Results are in ascending representative order.
     """
-    if comb(g.n, k) > SEARCH_SUBSET_CAP:
-        raise ScaleError(f"C({g.n},{k}) exceeds the search cap {SEARCH_SUBSET_CAP}")
-    if threads is None:
-        threads = max(1, int(os.environ.get("BIPLANE_THREADS", "1")))
+    if k < 2:
+        raise InputError("difference set needs at least two elements")
+    if comb(g.n - 1, k - 1) > SEARCH_SUBSET_CAP:
+        raise ScaleError(f"C({g.n - 1},{k - 1}) exceeds the search cap {SEARCH_SUBSET_CAP}")
+    if k * (k - 1) != lam * (g.n - 1):
+        return []
     autos = tuple(tuple(a) for a in automorphisms) if automorphisms else ()
-    combos = combinations(range(1, g.n), k - 1)
-    if threads <= 1:
-        hits = _scan_chunk(g, k, lam, combos)
-    else:
-        chunks: list[list] = [[] for _ in range(threads)]
-        for i, rest in enumerate(combos):
-            chunks[i % threads].append(rest)
-        hits = []
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            for part in ex.map(lambda ch: _scan_chunk(g, k, lam, ch), chunks):
-                hits.extend(part)
-    reps: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for subset in hits:
-        rep = _canonical_rep(g, subset, autos)
-        reps.setdefault(rep, rep)
+    reps = {_canonical_rep(g, subset, autos) for subset in _zero_sets(g, k, lam)}
     return [DifferenceSet(group=g, elements=rep, lam=lam) for rep in sorted(reps)]
 
 

@@ -9,7 +9,6 @@ identical certificates.
 from __future__ import annotations
 
 import re
-import threading
 from dataclasses import dataclass
 
 from .errors import InputError, ScaleError
@@ -283,8 +282,8 @@ class _Chain:
 class PermGroup:
     """Permutation group on {1..degree} given by generators.
 
-    The stabilizer chain is computed once on demand, guarded by a lock;
-    afterwards all queries are read-only.
+    The stabilizer chain is computed once on demand and cached; afterwards
+    all queries are read-only.
     """
 
     def __init__(self, degree: int, generators):
@@ -296,7 +295,6 @@ class PermGroup:
         self.degree = degree
         self.generators = tuple(g for g in generators if not g.is_identity())
         self._chain: _Chain | None = None
-        self._lock = threading.Lock()
 
     @classmethod
     def from_cycles(cls, degree: int, cycle_strings) -> "PermGroup":
@@ -312,12 +310,11 @@ class PermGroup:
             for g in self.generators:
                 c.add(g)
             return c
-        with self._lock:
-            if self._chain is None:
-                c = _Chain(self.degree, ())
-                for g in self.generators:
-                    c.add(g)
-                self._chain = c
+        if self._chain is None:
+            c = _Chain(self.degree, ())
+            for g in self.generators:
+                c.add(g)
+            self._chain = c
         return self._chain
 
     def order(self) -> int:

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 from biplane import catalog
 from biplane.cli import run
+from biplane.diffset import GROUP_ORDER_CAP
 
 OK, CHECK_FAILED, USAGE = 0, 1, 2
 
@@ -96,6 +100,36 @@ def test_fix_command(tmp_path, capsys):
 def test_fix_rejects_non_automorphism(tmp_path, capsys):
     path = _design_file(tmp_path, "fano_complement")
     assert run(["fix", "--design", path, "--perm", "(1,2)"]) == USAGE
+
+
+def test_fix_rejects_unverified_design(tmp_path, capsys):
+    # translates of {0,1,15,2,14,8} mod 16 repeat some differences 4 times
+    base = (0, 1, 15, 2, 14, 8)
+    blocks = sorted(sorted((b + x) % 16 + 1 for b in base) for x in range(16))
+    path = tmp_path / "bad16.json"
+    path.write_text(json.dumps({"v": 16, "k": 6, "lambda": 2, "blocks": blocks}))
+    assert run(["verify", str(path)]) == CHECK_FAILED
+    capsys.readouterr()
+    negate = "".join(f"({i + 1},{17 - i})" for i in range(1, 8))  # x -> -x
+    assert run(["fix", "--design", str(path), "--perm", negate]) == USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not a symmetric (16,6,2) design" in captured.err
+
+
+def test_ds_search_oversized_group(capsys):
+    tag = f"c{GROUP_ORDER_CAP + 1}"
+    assert run(["ds", "search", "--group", tag, "--k", "6"]) == USAGE
+    assert f"exceeds the cap {GROUP_ORDER_CAP}" in capsys.readouterr().err
+
+
+def test_python_dash_m_entry_point():
+    src = os.path.dirname(os.path.dirname(catalog.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "biplane", "catalog", "list"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == OK
+    assert "biplane16_primitive" in proc.stdout
 
 
 def test_cert121(capsys):

@@ -1,12 +1,14 @@
 import random
+from itertools import combinations
 
 import pytest
 
 from biplane import catalog, diffset
 from biplane.aut import are_isomorphic, canonical_form
 from biplane.design import DesignParams, verify_symmetric_design
-from biplane.diffset import (DifferenceSet, LanderWitness, cyclic, develop,
-                             direct_product, elementary_abelian, from_tag,
+from biplane.diffset import (GROUP_ORDER_CAP, DifferenceSet, LanderWitness,
+                             cyclic, develop, direct_product,
+                             elementary_abelian, from_tag,
                              is_difference_set, lander_excluded, quaternion8,
                              search_difference_sets, table_automorphisms)
 from biplane.errors import InputError, ScaleError
@@ -131,11 +133,90 @@ def test_search_scale_cap():
         search_difference_sets(from_tag("c121ab"), 16, 2)
 
 
-def test_threaded_search_matches_sequential():
-    g = from_tag("c2xc8")
-    seq = search_difference_sets(g, 6, 2, threads=1)
-    par = search_difference_sets(g, 6, 2, threads=4)
-    assert [ds.elements for ds in seq] == [ds.elements for ds in par]
+def _table(tag):
+    c2, c4 = cyclic(2), cyclic(4)
+    if tag == "c4xc4":
+        return direct_product(c4, c4)
+    if tag == "c2xc2xc4":
+        return direct_product(direct_product(c2, c2), c4)
+    return from_tag(tag)
+
+
+def _scan(g, k, lam):
+    """Oracle: every 0-containing difference set, by testing all subsets."""
+    return [(0,) + rest for rest in combinations(range(1, g.n), k - 1)
+            if is_difference_set(g, (0,) + rest, lam)]
+
+
+def _classes(g, hits, automorphisms=()):
+    """Oracle: the least member of each hit's full orbit under translation
+    and automorphisms."""
+    autos = automorphisms or [tuple(range(g.n))]
+    seen, reps = set(), []
+    for subset in hits:
+        if subset in seen:
+            continue
+        orbit = {tuple(sorted(g.mul[a[e]][x] for e in subset))
+                 for a in autos for x in range(g.n)}
+        seen |= orbit
+        reps.append(min(orbit))
+    return sorted(reps)
+
+
+ORACLE_CASES = [("c7", 4, 2), ("c11", 5, 2), ("c13", 4, 1), ("c31", 6, 1),
+                ("c16", 6, 2), ("c2xc8", 6, 2), ("q8xc2", 6, 2), ("e16", 6, 2),
+                ("c4xc4", 6, 2), ("c2xc2xc4", 6, 2)]
+
+
+@pytest.mark.parametrize("tag,k,lam", ORACLE_CASES)
+def test_search_matches_subset_scan(tag, k, lam):
+    g = _table(tag)
+    hits = _scan(g, k, lam)
+    assert diffset._zero_sets(g, k, lam) == hits
+    found = [ds.elements for ds in search_difference_sets(g, k, lam)]
+    assert found == _classes(g, hits)
+
+
+@pytest.mark.parametrize("tag", ["c2xc8", "q8xc2", "c4xc4", "c2xc2xc4"])
+def test_search_mod_aut_matches_subset_scan(tag):
+    g = _table(tag)
+    autos = table_automorphisms(g)
+    found = [ds.elements for ds in search_difference_sets(g, 6, 2, automorphisms=autos)]
+    assert found == _classes(g, _scan(g, 6, 2), autos)
+
+
+def test_c37_k9_classes():
+    g = from_tag("c37")
+    found = search_difference_sets(g, 9, 2)
+    assert len(found) == 4
+    quartic = {pow(x, 4, 37) for x in range(1, 37)}
+    translates = {tuple(sorted((q + x) % 37 for q in quartic)) for x in range(37)}
+    assert sum(ds.elements in translates for ds in found) == 1
+    assert all(is_difference_set(g, ds.elements, 2) for ds in found)
+
+
+def test_lander_none_where_search_finds_sets():
+    for tag, k, lam in ORACLE_CASES:
+        g = _table(tag)
+        if search_difference_sets(g, k, lam):
+            assert lander_excluded(DesignParams(g.n, k, lam)) is None, tag
+
+
+@pytest.mark.parametrize("k", [1, 0, -1])
+def test_search_rejects_fewer_than_two_elements(k):
+    with pytest.raises(InputError):
+        search_difference_sets(cyclic(7), k, 0)
+
+
+def test_group_order_cap():
+    with pytest.raises(ScaleError):
+        cyclic(GROUP_ORDER_CAP + 1)
+    with pytest.raises(ScaleError):
+        direct_product(cyclic(32), cyclic(GROUP_ORDER_CAP // 32 + 1))
+    with pytest.raises(ScaleError):
+        elementary_abelian(2, GROUP_ORDER_CAP.bit_length())
+    with pytest.raises(ScaleError):
+        elementary_abelian(2, 10**9)
 
 
 def test_lander_witness_121():
