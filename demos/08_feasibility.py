@@ -2,7 +2,8 @@
 
 Biplane parameters are rigid: k determines v. The BRC obstruction is
 decided by exact integer Hilbert symbols, cross-checked by a bounded
-search for a solution of the ternary form.
+search for a solution of the ternary form; by Holzer's bound that search
+is complete, so its "no" is a proof too.
 """
 
 from biplane.design import (DesignParams, brc_brute_force, brc_feasible,

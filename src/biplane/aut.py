@@ -206,31 +206,25 @@ class _Search:
         return sorted(out, key=lambda g: g.images)
 
 
-def _checked(d: Design) -> Design:
+def _searched(d: Design) -> _Search:
+    """The finished search over d, which must verify."""
     if not verify_symmetric_design(d).ok:
         raise InputError("design does not verify; refusing to search")
-    return d
+    s = _Search(d)
+    s.run()
+    return s
 
 
 def automorphism_group(d: Design) -> AutResult:
     """Full automorphism group of a verified design, acting on points."""
-    s = _Search(_checked(d))
-    s.run()
+    s = _searched(d)
     group = PermGroup(d.v, s.point_generators())
     return AutResult(group=group, order=group.order())
 
 
 def canonical_form(d: Design) -> CanonicalCertificate:
     """Certificate invariant under point relabeling: the least leaf block list."""
-    s = _Search(_checked(d))
-    s.run()
-    return CanonicalCertificate.from_blocks(s.best_cert)
-
-
-def _canonical_ranks(d: Design) -> dict[int, int]:
-    s = _Search(_checked(d))
-    s.run()
-    return s._point_ranks(s.best_pos)
+    return CanonicalCertificate.from_blocks(_searched(d).best_cert)
 
 
 def are_isomorphic(a: Design, b: Design) -> Permutation | None:
@@ -241,10 +235,11 @@ def are_isomorphic(a: Design, b: Design) -> Permutation | None:
     """
     if a.params != b.params:
         raise InputError(f"parameter mismatch: {a.params} vs {b.params}")
-    if canonical_form(a) != canonical_form(b):
+    sa, sb = _searched(a), _searched(b)
+    if sa.best_cert != sb.best_cert:
         return None
-    ranks_a = _canonical_ranks(a)
-    ranks_b = _canonical_ranks(b)
+    ranks_a = sa._point_ranks(sa.best_pos)
+    ranks_b = sb._point_ranks(sb.best_pos)
     inv_b = {lab: p for p, lab in ranks_b.items()}
     sigma = Permutation(inv_b[ranks_a[p]] for p in range(1, a.v + 1))
     image = {sigma.apply_set(blk) for blk in a.blocks}

@@ -419,9 +419,6 @@ def run(argv=None) -> int:
         return USAGE if exc.code not in (0, None) else OK
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
     except BiplaneError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
@@ -429,3 +426,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

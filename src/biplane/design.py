@@ -8,12 +8,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import isqrt
-
-import numpy as np
+from math import gcd, isqrt
 
 from .errors import InputError
-from .ntheory import is_square, ternary_isotropic
+from .ntheory import is_square, square_free_part, ternary_isotropic
 
 
 @dataclass(frozen=True)
@@ -198,41 +196,56 @@ def brc_feasible(p: DesignParams) -> bool:
     return ternary_isotropic(n, m)
 
 
-def brc_brute_force(p: DesignParams, bound: int | None = None) -> bool:
-    """Independent oracle for brc_feasible: bounded search for a solution.
+def _signed_square_free(t: int) -> int:
+    return (1 if t > 0 else -1) * square_free_part(abs(t))
 
-    Scans |x|, |y|, |z| <= bound (default 4*(k-lambda)*lambda*v) of the same
-    ternary form; returns True iff a nontrivial solution is found in the box.
+
+def _legendre_form_solvable(a: int, b: int, c: int) -> bool:
+    """Does a x^2 + b y^2 + c z^2 = 0 have a nontrivial integer solution?
+
+    Exact integer search, independent of the Hilbert symbols; the
+    coefficients must be nonzero. They are first made square-free and
+    pairwise coprime, which keeps solvability: a prime g dividing a and b
+    goes to (a/g, b/g, g c). Then Holzer's theorem (Holzer 1950; Cochrane &
+    Mitchell 1998) says a solution exists iff one exists with
+    |x| <= sqrt|bc| and |y| <= sqrt|ac|, so the bounded scan is complete.
+    """
+    f = [_signed_square_free(t) for t in (a, b, c)]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(3):
+            g = gcd(f[i - 1], f[i - 2])
+            if g > 1:
+                f[i - 1] //= g
+                f[i - 2] //= g
+                f[i] = _signed_square_free(f[i] * g)
+                changed = True
+    a, b, c = f
+    if (a > 0) == (b > 0) == (c > 0):
+        return False
+    for x in range(isqrt(abs(b * c)) + 1):
+        for y in range(isqrt(abs(a * c)) + 1):
+            num = -(a * x * x + b * y * y)
+            if (x or y) and num % c == 0 and is_square(num // c):
+                return True
+    return False
+
+
+def brc_brute_force(p: DesignParams) -> bool:
+    """Independent oracle for brc_feasible: a complete search for a solution.
+
+    v odd: searches z^2 = (k-lambda) x^2 + (-1)^((v-1)/2) lambda y^2 within
+    Holzer's bound, so False is a proof that no solution exists.
     """
     if not p.symmetric_feasible:
         raise InputError(f"{p} is not symmetric-feasible")
     n = p.k - p.lam
     if p.v % 2 == 0:
-        # the form degenerates; existence requires n to be a square, which the
-        # bounded scan reproduces via z^2 = n x^2
+        # the form degenerates; existence requires n to be a square
         return is_square(n)
     m = p.lam if ((p.v - 1) // 2) % 2 == 0 else -p.lam
-    if bound is None:
-        bound = 4 * n * p.lam * p.v
-    zmax2 = bound * bound
-    ys = np.arange(0, bound + 1, dtype=np.int64)
-    my2 = m * ys * ys
-    for x in range(0, bound + 1):
-        base = n * x * x
-        if m > 0 and base > zmax2:
-            break
-        vals = base + my2
-        if x == 0:
-            vals = vals.copy()
-            vals[0] = -1  # (x, y, z) = (0, 0, 0) is the trivial solution
-        mask = (vals >= 0) & (vals <= zmax2)
-        if not mask.any():
-            continue
-        cand = vals[mask]
-        roots = np.sqrt(cand.astype(np.float64)).astype(np.int64)
-        if ((roots * roots == cand) | ((roots + 1) * (roots + 1) == cand)).any():
-            return True
-    return False
+    return _legendre_form_solvable(n, m, -1)
 
 
 def subdesign_constraint(k: int, lam: int, k_prime: int) -> bool:

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .design import Design, DesignParams
 from .errors import InputError, ScaleError
-from .ntheory import divisors, factorize, square_free_part
+from .ntheory import divisors, factorize, multiplicative_order, square_free_part
 from .perm import Permutation
 
 ASSOCIATIVITY_CHECK_CAP = 64
@@ -375,11 +375,8 @@ def lander_excluded(p: DesignParams) -> LanderWitness | None:
         for q in qs:
             if pdiv % q == 0:
                 continue
-            power, j, seen = q % pdiv, 1, set()
-            while power not in seen:
-                if power == pdiv - 1 and pdiv > 2:
-                    return LanderWitness(pdiv=pdiv, q=q, j=j)
-                seen.add(power)
-                power = power * q % pdiv
-                j += 1
+            # q**j = -1 needs an even order e, and then j = e/2 is the least
+            e = multiplicative_order(q, pdiv)
+            if e % 2 == 0 and pow(q, e // 2, pdiv) == pdiv - 1:
+                return LanderWitness(pdiv=pdiv, q=q, j=e // 2)
     return None

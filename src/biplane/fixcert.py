@@ -104,6 +104,11 @@ def fix_report(d: Design, x: Permutation) -> FixReport:
     <x>-orbits on B. For every fixed point a: the same counts on the set of
     blocks through a (in the induced block action).
     """
+    return _report_and_block_action(d, x)[0]
+
+
+def _report_and_block_action(d: Design, x: Permutation) -> tuple[FixReport, Permutation]:
+    """fix_report together with the induced block permutation it is built from."""
     if x.degree != d.v:
         raise InputError(f"permutation degree {x.degree} != v = {d.v}")
     bx = induced_block_permutation(d, x)  # rejects non-automorphisms
@@ -129,7 +134,7 @@ def fix_report(d: Design, x: Permutation) -> FixReport:
         r_point=r_point,
         s_block=s_block,
         r_block=r_block,
-    )
+    ), bx
 
 
 def _bound_holds(f: int, k: int) -> bool:
@@ -141,11 +146,11 @@ def certify_fix_lemmas(d: Design, x: Permutation) -> CertResult:
     """Run every applicable fixed-point check for one automorphism of a biplane."""
     if d.lam != 2 or d.k < 4:
         raise InputError("fixed-point certification applies to biplanes with k >= 4")
-    rep = fix_report(d, x)
-    bx = induced_block_permutation(d, x)
+    rep, bx = _report_and_block_action(d, x)
+    tp = cycle_type(x)
     k = d.k
     f = rep.f_points
-    order = x.order()
+    order = tp.order
     checks: list[Check] = []
 
     def add(name, status, detail=""):
@@ -157,7 +162,7 @@ def certify_fix_lemmas(d: Design, x: Permutation) -> CertResult:
         f"points={rep.f_points} blocks={rep.f_blocks}")
 
     # identical cycle structure on points and on blocks
-    tp, tb = cycle_type(x), cycle_type(bx)
+    tb = cycle_type(bx)
     add("matching-cycle-structure", PASS if tp == tb else FAIL,
         f"points={tp} blocks={tb}")
 
@@ -211,7 +216,7 @@ def certify_fix_lemmas(d: Design, x: Permutation) -> CertResult:
 
     # with no 2-cycles anywhere: tails of fixed blocks are pairwise disjoint,
     # s is constant, and v >= f (k - s + 1)
-    has_two_cycle = 2 in cycle_type(x).as_dict()
+    has_two_cycle = 2 in tp.as_dict()
     if rep.f_blocks == 0:
         add("no-two-cycle-tails", NA, "no fixed blocks")
     elif has_two_cycle:

@@ -45,7 +45,7 @@ def divisors(n: int) -> list[int]:
 
 
 def square_free_part(n: int) -> int:
-    """Largest square-free divisor of n."""
+    """The square-free s with n = s * m**2 for some integer m (n > 0)."""
     out = 1
     for p, e in factorize(n).items():
         if e % 2 == 1:
@@ -79,7 +79,7 @@ def legendre(a: int, p: int) -> int:
     return 1 if r == 1 else -1
 
 
-def _two_adic_split(n: int, p: int) -> tuple[int, int]:
+def _p_adic_split(n: int, p: int) -> tuple[int, int]:
     """Write n = p**e * u with p not dividing u; return (e, u)."""
     e = 0
     while n % p == 0:
@@ -95,8 +95,8 @@ def hilbert_symbol(a: int, b: int, p: int) -> int:
     """
     if a == 0 or b == 0:
         raise InputError("hilbert symbol needs nonzero arguments")
-    alpha, u = _two_adic_split(abs(a), p)
-    beta, w = _two_adic_split(abs(b), p)
+    alpha, u = _p_adic_split(abs(a), p)
+    beta, w = _p_adic_split(abs(b), p)
     u = u if a > 0 else -u
     w = w if b > 0 else -w
     if p == 2:

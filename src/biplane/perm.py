@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from math import gcd, lcm
 
 from .errors import InputError, ScaleError
 
@@ -118,9 +119,7 @@ class Permutation:
         return tuple(p for p in range(1, self.degree + 1) if self(p) == p)
 
     def order(self) -> int:
-        from math import lcm
-
-        return lcm(*(length for length, _ in cycle_type(self).counts))
+        return cycle_type(self).order
 
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.images == other.images
@@ -149,10 +148,13 @@ class CycleType:
     def degree(self) -> int:
         return sum(l * m for l, m in self.counts)
 
+    @property
+    def order(self) -> int:
+        """Order of any permutation of this type: the lcm of the cycle lengths."""
+        return lcm(*(l for l, _ in self.counts))
+
     def power(self, e: int) -> "CycleType":
         """Cycle type of x**e given the type of x."""
-        from math import gcd
-
         out: dict[int, int] = {}
         for l, m in self.counts:
             g = gcd(l, e)
@@ -485,27 +487,6 @@ def closure(generators, degree: int, cap: int = 10**6) -> set[Permutation]:
                     nxt.append(c)
         frontier = nxt
     return els
-
-
-def group_order(group: PermGroup) -> int:
-    """Exact group order via the stabilizer chain."""
-    return group.order()
-
-
-def orbits(group: PermGroup, domain=None) -> list[tuple[int, ...]]:
-    return group.orbits(domain)
-
-
-def stabilizer(group: PermGroup, alpha: int) -> PermGroup:
-    return group.stabilizer(alpha)
-
-
-def is_semiregular(group: PermGroup, domain) -> bool:
-    return group.is_semiregular(domain)
-
-
-def conjugacy_counts(group: PermGroup, x: Permutation, alpha: int) -> tuple[int, int]:
-    return group.conjugacy_counts(x, alpha)
 
 
 def group_to_json_dict(group: PermGroup) -> dict:

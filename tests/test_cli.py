@@ -123,13 +123,24 @@ def test_ds_search_oversized_group(capsys):
     assert f"exceeds the cap {GROUP_ORDER_CAP}" in capsys.readouterr().err
 
 
+def _src_env():
+    return dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(catalog.__file__)))
+
+
 def test_python_dash_m_entry_point():
-    src = os.path.dirname(os.path.dirname(catalog.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-m", "biplane", "catalog", "list"],
-                          capture_output=True, text=True, env=env, timeout=60)
+    for module in ("biplane", "biplane.cli"):
+        proc = subprocess.run([sys.executable, "-m", module, "catalog", "list"],
+                              capture_output=True, text=True, env=_src_env(), timeout=60)
+        assert proc.returncode == OK, module
+        assert "biplane16_primitive" in proc.stdout, module
+
+
+def test_cli_import_leaves_numpy_out():
+    code = "import sys, biplane.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=_src_env(), timeout=60)
     assert proc.returncode == OK
-    assert "biplane16_primitive" in proc.stdout
+    assert proc.stdout.strip() == "False"
 
 
 def test_cert121(capsys):

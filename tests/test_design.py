@@ -3,11 +3,13 @@ import random
 import pytest
 
 from biplane import catalog
-from biplane.design import (Design, DesignParams, brc_brute_force, brc_feasible,
-                            dual, k_for_point_power, params_from_k,
+from biplane.design import (Design, DesignParams, _legendre_form_solvable,
+                            brc_brute_force, brc_feasible, dual,
+                            k_for_point_power, params_from_k,
                             restrict_subdesign, subdesign_constraint,
                             verify_symmetric_design)
 from biplane.errors import InputError
+from biplane.ntheory import ternary_isotropic
 from biplane.perm import Permutation
 
 
@@ -114,6 +116,41 @@ def test_brc_agrees_with_bounded_oracle_small():
     for k in (4, 5, 8, 12):
         p = params_from_k(k)
         assert brc_feasible(p) == brc_brute_force(p)
+
+
+def test_brc_search_matches_hilbert_symbols_k_below_2000():
+    odd_rows = 0
+    for k in range(3, 2000):
+        p = params_from_k(k)
+        odd_rows += p.v % 2
+        assert brc_brute_force(p) == brc_feasible(p), k
+    assert odd_rows == 998
+
+
+@pytest.mark.parametrize("a, b, c, witness", [
+    (1, 1, -3, None),        # x^2 + y^2 = 3z^2: descent mod 3
+    (2, 3, -5, (1, 1, 1)),
+    (8, 9, -17, (1, 1, 1)),  # square factors 4 and 9 drop out
+    (3, 6, -1, (1, 1, 3)),   # 3 divides two coefficients
+    (2, 6, -3, None),        # descent mod 3, then mod 2, then mod 3 again
+    (1, 2, 3, None),         # definite
+    (-1, -1, -1, None),
+])
+def test_legendre_form_hand_checked(a, b, c, witness):
+    if witness is not None:
+        x, y, z = witness
+        assert a * x * x + b * y * y + c * z * z == 0
+    assert _legendre_form_solvable(a, b, c) is (witness is not None)
+
+
+def test_legendre_form_matches_hilbert_symbols():
+    # a x^2 + b y^2 + c z^2 = 0 iff (cz)^2 = -ac x^2 - bc y^2
+    coeffs = [t for t in range(-10, 11) if t]
+    for a in coeffs:
+        for b in coeffs:
+            for c in coeffs:
+                assert (_legendre_form_solvable(a, b, c)
+                        == ternary_isotropic(-a * c, -b * c)), (a, b, c)
 
 
 def test_restrict_identity():

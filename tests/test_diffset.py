@@ -5,13 +5,14 @@ import pytest
 
 from biplane import catalog, diffset
 from biplane.aut import are_isomorphic, canonical_form
-from biplane.design import DesignParams, verify_symmetric_design
+from biplane.design import DesignParams, params_from_k, verify_symmetric_design
 from biplane.diffset import (GROUP_ORDER_CAP, DifferenceSet, LanderWitness,
                              cyclic, develop, direct_product,
                              elementary_abelian, from_tag,
                              is_difference_set, lander_excluded, quaternion8,
                              search_difference_sets, table_automorphisms)
 from biplane.errors import InputError, ScaleError
+from biplane.ntheory import is_prime, square_free_part
 from biplane.perm import Permutation
 
 QR11 = (1, 3, 4, 5, 9)
@@ -222,6 +223,27 @@ def test_group_order_cap():
 def test_lander_witness_121():
     assert lander_excluded(DesignParams(121, 16, 2)) == LanderWitness(11, 2, 5)
     assert pow(2, 5, 11) == 11 - 1
+
+
+def _lander_scan(p):
+    # the first (pdiv, q, j) with q**j = -1 (mod pdiv), scanning every j
+    sf = square_free_part(p.k - p.lam)
+    qs = [q for q in range(2, sf + 1) if sf % q == 0 and is_prime(q)]
+    for pdiv in range(3, p.v + 1):
+        if p.v % pdiv:
+            continue
+        for q in qs:
+            if pdiv % q:
+                for j in range(1, pdiv):
+                    if pow(q, j, pdiv) == pdiv - 1:
+                        return LanderWitness(pdiv, q, j)
+    return None
+
+
+def test_lander_matches_exponent_scan():
+    for k in range(3, 200):
+        p = params_from_k(k)
+        assert lander_excluded(p) == _lander_scan(p), k
 
 
 def test_lander_none_where_sets_exist():

@@ -46,6 +46,9 @@ def test_cycle_type_examples():
     assert cycle_type(a1).as_dict() == {1: 1, 3: 5}
     ident = Permutation.identity(121)
     assert cycle_type(ident).as_dict() == {1: 121}
+    assert cycle_type(a1).order == a1.order() == 3
+    assert CycleType.from_dict({1: 2, 4: 3, 6: 1}).order == 12
+    assert cycle_type(ident).order == 1
 
 
 def test_cycle_type_conjugation_invariant():
