@@ -20,7 +20,7 @@ for g in group.elements():
         continue
     result = certify_fix_lemmas(d, g)
     assert result.ok, (g, result.failures())
-    worst = max(worst, fix_report(d, g).f_points)
+    worst = max(worst, result.report.f_points)
 print(f"all checks pass; the largest fixed-point count seen is {worst}")
 print(f"(the bound k + sqrt(k-2) = {d.k} + 2 = 8 is attained by involutions)")
 

@@ -161,7 +161,7 @@ def block_coordinate_pairs(d: Design, cd: CartesianDecomposition,
                 if coords[p][0] == coords[q][0] or coords[p][1] == coords[q][1])
         counts.append(n)
     if group is not None:
-        if not PermGroup(group.degree, group.generators).is_transitive():
+        if not group.is_transitive():
             raise InputError("supplied group is not transitive")
         expected = 2 * (c - 1)
         if any(n != expected for n in counts):

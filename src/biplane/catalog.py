@@ -23,7 +23,7 @@ from itertools import combinations
 from . import diffset
 from .design import Design, DesignParams, verify_symmetric_design
 from .errors import InputError
-from .perm import PermGroup
+from .perm import PermGroup, Permutation, orbit
 
 # Generators of the flag-transitive, point-primitive rank-3 subgroup (order
 # 1152, index 10 in the full group of order 11520) of the third (16,6,2)
@@ -79,18 +79,8 @@ def _fano_complement() -> Design:
 
 def _biplane16_primitive() -> Design:
     group = primitive16_group()
-    orbit = {frozenset(BASE_BLOCK_16)}
-    frontier = list(orbit)
-    while frontier:
-        nxt = []
-        for b in frontier:
-            for g in group.generators:
-                image = g.apply_set(b)
-                if image not in orbit:
-                    orbit.add(image)
-                    nxt.append(image)
-        frontier = nxt
-    blocks = sorted(tuple(sorted(b)) for b in orbit)
+    block_orbit = orbit(frozenset(BASE_BLOCK_16), group.generators, Permutation.apply_set)
+    blocks = sorted(tuple(sorted(b)) for b in block_orbit)
     return Design(DesignParams(16, 6, 2), blocks)
 
 
@@ -240,20 +230,13 @@ def flag_orbit_count(d: Design, group: PermGroup) -> int:
     if group.degree != d.v:
         raise InputError("group degree does not match the design")
     index = d.block_index()
-    flags = [(p, j) for j, b in enumerate(d.blocks) for p in b]
-    flag_id = {f: i for i, f in enumerate(flags)}
-    parent = list(range(len(flags)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for g in group.generators:
-        for (p, j), i in flag_id.items():
-            image = (g(p), index[g.apply_set(d.blocks[j])])
-            ri, rj = find(i), find(flag_id[image])
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-    return len({find(i) for i in range(len(flags))})
+    # each generator paired with the block permutation it induces
+    actions = [(g, [index[g.apply_set(b)] for b in d.blocks]) for g in group.generators]
+    remaining = {(p, j) for j, b in enumerate(d.blocks) for p in b}
+    count = 0
+    while remaining:
+        flag = remaining.pop()
+        remaining.difference_update(
+            orbit(flag, actions, lambda gb, f: (gb[0](f[0]), gb[1][f[1]])))
+        count += 1
+    return count

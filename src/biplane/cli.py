@@ -1,7 +1,9 @@
 """Command-line entry point.
 
 Exit codes: 0 success / verified, 1 a verification or certification failed
-(the failing check is named), 2 input or usage error. Every subcommand takes
+(the failing check is named), 2 input or usage error (including input over a
+documented size cap), 3 internal error: an internal invariant failed, which
+is a software bug. Every subcommand takes
 --json for machine-readable output; table output is deterministic, so
 identical inputs give byte-identical results.
 """
@@ -15,7 +17,7 @@ import sys
 from . import aut, cartdecomp, catalog, design, diffset, fixcert, perm
 from .errors import BiplaneError, InputError
 
-OK, CHECK_FAILED, USAGE = 0, 1, 2
+OK, CHECK_FAILED, USAGE, INTERNAL = 0, 1, 2, 3
 
 
 def format_report(payload: dict, lines: list[str], as_json: bool) -> str:
@@ -185,8 +187,8 @@ def _cmd_fix(args) -> int:
         raise InputError(f"not a symmetric ({d.v},{d.k},{d.lam}) design; "
                          f"first violation {report.violations[0]}")
     x = perm.Permutation.from_cycles(args.perm, d.v)
-    rep = fixcert.fix_report(d, x)
     result = fixcert.certify_fix_lemmas(d, x)
+    rep = result.report
     payload = {
         "f_points": rep.f_points, "f_blocks": rep.f_blocks,
         "fixed_points": list(rep.fixed_points),
@@ -422,6 +424,9 @@ def run(argv=None) -> int:
     except BiplaneError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return INTERNAL
 
 
 def main() -> None:

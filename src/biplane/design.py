@@ -8,10 +8,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import gcd, isqrt
+from math import comb, gcd, isqrt
 
-from .errors import InputError
+from .errors import InputError, ScaleError
 from .ntheory import is_square, square_free_part, ternary_isotropic
+
+# Largest number of pair operations verify_symmetric_design performs: point
+# pairs C(v,2), block pairs C(b,2) and the C(|B|,2) pairs inside each block.
+# A biplane on v points costs about 2v^2, so every biplane up to about 700
+# points fits. At the cap a verification takes about a second, and a design
+# whose every pair is a violation holds about 170 MB of violation tuples.
+VERIFY_PAIR_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -119,8 +126,14 @@ def verify_symmetric_design(d: Design) -> VerifyReport:
 
     Violations are (kind, subject, observed, expected) tuples; kinds are
     "block-count", "block-size", "pair-count" and "block-intersection".
+    Raises ScaleError, before any pair work, when the check would take more
+    than VERIFY_PAIR_CAP pair operations.
     """
     v, k, lam = d.params.as_tuple()
+    work = comb(v, 2) + comb(len(d.blocks), 2) + sum(comb(len(b), 2) for b in d.blocks)
+    if work > VERIFY_PAIR_CAP:
+        raise ScaleError(f"verification needs {work} pair operations; "
+                         f"the cap is {VERIFY_PAIR_CAP}")
     violations: list[tuple] = []
     if len(d.blocks) != v:
         violations.append(("block-count", None, len(d.blocks), v))

@@ -37,6 +37,8 @@ class Check:
 @dataclass(frozen=True)
 class CertResult:
     checks: tuple[Check, ...]
+    # the fixed-point report the checks were computed from (certify_fix_lemmas)
+    report: FixReport | None = field(default=None, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -300,7 +302,7 @@ def certify_fix_lemmas(d: Design, x: Permutation) -> CertResult:
     else:
         add("prime-square-fixed-point-free", PASS if f == 0 else FAIL, f"f={f}")
 
-    return CertResult(tuple(checks))
+    return CertResult(tuple(checks), rep)
 
 
 def fixed_subdesign(d: Design, x: Permutation) -> tuple[Design | None, str]:

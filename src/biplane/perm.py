@@ -1,9 +1,11 @@
 """Permutations of {1..n}, cycle types, and permutation groups.
 
-Groups are given by generators; exact orders, orbits and stabilizers come
-from a deterministic Schreier-Sims stabilizer chain (fixed base order
-1, 2, 3, ... unless a base prefix is requested), so repeated runs produce
-identical certificates.
+Groups are given by generators; exact orders and membership come from one
+deterministic Schreier-Sims stabilizer chain, whose base points are taken in
+increasing order and which keeps only generators that sift to a non-identity
+residue. Point stabilizers come from Schreier's lemma, and every orbit (of
+points, conjugates, blocks or flags) from one breadth-first routine, so
+repeated runs produce identical certificates.
 """
 
 from __future__ import annotations
@@ -182,6 +184,25 @@ def cycle_type(x: Permutation) -> CycleType:
     return CycleType.from_dict(lengths)
 
 
+def orbit(seed, generators, act, cap: int | None = None) -> list:
+    """Breadth-first orbit of seed, where act(g, x) is the image of x under g.
+
+    The orbit is listed in discovery order, seed first. With a cap, an orbit
+    that would grow past cap elements raises ScaleError.
+    """
+    out = [seed]
+    seen = {seed}
+    for x in out:
+        for g in generators:
+            y = act(g, x)
+            if y not in seen:
+                if cap is not None and len(out) >= cap:
+                    raise ScaleError(f"orbit exceeds the enumeration cap {cap}")
+                seen.add(y)
+                out.append(y)
+    return out
+
+
 def _orbit_transversal(beta: int, gens: list[Permutation], degree: int):
     """BFS orbit of beta with coset representatives u_p satisfying u_p(beta) = p."""
     transversal = {beta: Permutation.identity(degree)}
@@ -202,49 +223,33 @@ def _orbit_transversal(beta: int, gens: list[Permutation], degree: int):
 class _Chain:
     """One level of a stabilizer chain; `child` stabilizes this level's base point."""
 
-    __slots__ = ("degree", "hint", "beta", "gens", "transversal", "child")
+    __slots__ = ("degree", "beta", "gens", "transversal", "child")
 
-    def __init__(self, degree: int, hint: tuple[int, ...]):
+    def __init__(self, degree: int):
         self.degree = degree
-        self.hint = hint
         self.beta: int | None = None
         self.gens: list[Permutation] = []
         self.transversal: dict[int, Permutation] = {}
         self.child: _Chain | None = None
 
-    def _pick_beta(self, g: Permutation) -> int:
-        # hint points are consumed unconditionally (redundant base points are
-        # harmless and make stabilizer queries exact); otherwise take the
-        # smallest point moved by g
-        if self.hint:
-            return self.hint[0]
-        for b in range(1, self.degree + 1):
-            if g(b) != b:
-                return b
-        raise AssertionError("identity reached _pick_beta")
-
     def add(self, g: Permutation) -> None:
-        if g.is_identity():
+        """Extend the group by g; a member of the group changes nothing."""
+        if self.sift(g).is_identity():
             return
         if self.beta is None:
-            self.beta = self._pick_beta(g)
-            self.transversal = {self.beta: Permutation.identity(self.degree)}
-            self.child = _Chain(self.degree, tuple(h for h in self.hint if h != self.beta))
+            self.beta = next(b for b in range(1, self.degree + 1) if g(b) != b)
+            self.child = _Chain(self.degree)
         self.gens.append(g)
         self._close()
 
     def _close(self) -> None:
-        # Rebuild the orbit, then push every Schreier generator into the child;
+        # Rebuild the orbit, then offer every Schreier generator to the child;
         # the recursion keeps each child chain complete for its own generators.
         self.transversal = _orbit_transversal(self.beta, self.gens, self.degree)
         for p in sorted(self.transversal):
             u = self.transversal[p]
             for s in self.gens:
-                rep = self.transversal[s(p)]
-                schreier = rep.inverse() * s * u
-                residue = self.child.sift(schreier)
-                if not residue.is_identity():
-                    self.child.add(residue)
+                self.child.add(self.transversal[s(p)].inverse() * s * u)
 
     def sift(self, x: Permutation) -> Permutation:
         node = self
@@ -306,14 +311,9 @@ class PermGroup:
     def trivial(cls, degree: int) -> "PermGroup":
         return cls(degree, [])
 
-    def chain(self, base_prefix: tuple[int, ...] = ()) -> _Chain:
-        if base_prefix:
-            c = _Chain(self.degree, tuple(base_prefix))
-            for g in self.generators:
-                c.add(g)
-            return c
+    def chain(self) -> _Chain:
         if self._chain is None:
-            c = _Chain(self.degree, ())
+            c = _Chain(self.degree)
             for g in self.generators:
                 c.add(g)
             self._chain = c
@@ -331,18 +331,7 @@ class PermGroup:
         return self.chain().elements()
 
     def orbit(self, point: int) -> frozenset:
-        orb = {point}
-        frontier = [point]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for g in self.generators:
-                    q = g(p)
-                    if q not in orb:
-                        orb.add(q)
-                        nxt.append(q)
-            frontier = nxt
-        return frozenset(orb)
+        return frozenset(orbit(point, self.generators, Permutation.__call__))
 
     def orbits(self, domain=None) -> list[tuple[int, ...]]:
         """Orbit partition of the domain, listed by least element."""
@@ -364,14 +353,14 @@ class PermGroup:
         return len(self.orbit(1)) == self.degree if self.degree else True
 
     def stabilizer(self, alpha: int) -> "PermGroup":
-        """The point stabilizer G_alpha, from a chain with base starting at alpha."""
+        """The point stabilizer G_alpha, generated by the Schreier generators
+        u_{g(p)}^-1 g u_p over the orbit of alpha (Schreier's lemma)."""
         if not 1 <= alpha <= self.degree:
             raise InputError(f"point {alpha} out of range 1..{self.degree}")
-        c = self.chain(base_prefix=(alpha,))
-        if c.beta != alpha:
-            # alpha fixed by every generator: the stabilizer is the whole group
-            return PermGroup(self.degree, self.generators)
-        return PermGroup(self.degree, _collect_gens(c.child))
+        transversal = _orbit_transversal(alpha, self.generators, self.degree)
+        schreier = (transversal[g(p)].inverse() * g * u
+                    for p, u in transversal.items() for g in self.generators)
+        return PermGroup(self.degree, dict.fromkeys(schreier))
 
     def is_semiregular(self, domain) -> bool:
         """True iff every point stabilizer on the domain is trivial."""
@@ -395,20 +384,9 @@ class PermGroup:
         """All G-conjugates of x, by closure under conjugation by generators."""
         if x not in self:
             raise InputError("element is not in the group")
-        cls = {x}
-        frontier = [x]
-        while frontier:
-            nxt = []
-            for y in frontier:
-                for g in self.generators:
-                    z = g * y * g.inverse()
-                    if z not in cls:
-                        if len(cls) >= CONJUGACY_ENUMERATION_CAP:
-                            raise ScaleError("conjugacy class exceeds enumeration cap")
-                        cls.add(z)
-                        nxt.append(z)
-            frontier = nxt
-        return cls
+        pairs = [(g, g.inverse()) for g in self.generators]
+        return set(orbit(x, pairs, lambda gi, y: gi[0] * y * gi[1],
+                         CONJUGACY_ENUMERATION_CAP))
 
     def conjugacy_counts(self, x: Permutation, alpha: int) -> tuple[int, int]:
         """(u, u1): number of G-conjugates of x, and of those fixing alpha."""
@@ -459,15 +437,6 @@ class PermGroup:
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, ngens={len(self.generators)})"
-
-
-def _collect_gens(node: _Chain) -> list[Permutation]:
-    out: list[Permutation] = []
-    while node is not None and node.beta is not None:
-        out.extend(node.gens)
-        node = node.child
-    # generators of deeper levels are elements of this level's group too
-    return out
 
 
 def closure(generators, degree: int, cap: int = 10**6) -> set[Permutation]:

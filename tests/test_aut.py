@@ -10,19 +10,34 @@ from biplane.design import Design, DesignParams, dual
 from biplane.errors import InputError
 from biplane.perm import Permutation
 
-EXPECTED_ORDERS = {
-    "fano_complement": 168,
-    "hadamard11": 660,
-    "biplane16_primitive": 11520,
-    "biplane16_c2c8": 768,
-    "biplane16_q8c2": 384,
-    "biplane37_qr": 333,
+# Per catalog design: the group order, the number of automorphisms the search
+# offers as generators, and the SHA-256 canonical digest. Changes to the
+# search or to Schreier-Sims must leave all three unchanged.
+CATALOG_GATE = {
+    "fano_complement": (
+        168, 17, "dd55c94cfb858c5d420e0cedcf39b5a02eceb2c23a6a00c91c12e503e6c24555"),
+    "hadamard11": (
+        660, 24, "7cb586fa16e3d678a0a1a458b1cda874f499e1cccfc7b47e541b8f1ddffd2fdf"),
+    "biplane16_primitive": (
+        11520, 30, "fbb72876fc0d8e6cd1a5f28daf3ee4ed06750e979830ed3e7d917127ab2e8682"),
+    "biplane16_c2c8": (
+        768, 19, "9e77d7fbedb6e485c65e29cdda91a18cd677888de9e97f76af9f833dc6397de7"),
+    "biplane16_q8c2": (
+        384, 13, "461be88da56bf80331f175ff7d52383f3b548019e6266d6703876fc452cec440"),
+    "biplane37_qr": (
+        333, 10, "9f5e1aa0bde7428bb37087ab6b5bf63d5446841589ca34230be42c2838251bcd"),
 }
 
 
 def test_automorphism_orders(aut_results):
-    for name, expected in EXPECTED_ORDERS.items():
-        assert aut_results[name].order == expected, name
+    for name, (order, ngens, _) in CATALOG_GATE.items():
+        assert aut_results[name].order == order, name
+        assert len(aut_results[name].group.generators) == ngens, name
+
+
+def test_canonical_digests_pinned():
+    for name, (_, _, digest) in CATALOG_GATE.items():
+        assert canonical_form(catalog.build(name)).digest == digest, name
 
 
 def test_fano_order_against_brute_force(aut_results):

@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 
-from biplane import catalog
+from biplane import catalog, cli
 from biplane.cli import run
+from biplane.design import VERIFY_PAIR_CAP
 from biplane.diffset import GROUP_ORDER_CAP
 
-OK, CHECK_FAILED, USAGE = 0, 1, 2
+OK, CHECK_FAILED, USAGE, INTERNAL = 0, 1, 2, 3
 
 
 def _capture(capsys, argv):
@@ -121,6 +123,28 @@ def test_ds_search_oversized_group(capsys):
     tag = f"c{GROUP_ORDER_CAP + 1}"
     assert run(["ds", "search", "--group", tag, "--k", "6"]) == USAGE
     assert f"exceeds the cap {GROUP_ORDER_CAP}" in capsys.readouterr().err
+
+
+def test_verify_oversized_design(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"v": 100000, "k": 3, "lambda": 2, "blocks": []}))
+    start = time.perf_counter()
+    assert run(["verify", str(path)]) == USAGE
+    assert time.perf_counter() - start < 5.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"the cap is {VERIFY_PAIR_CAP}" in captured.err
+
+
+def test_internal_error_exit_code(monkeypatch, capsys):
+    def broken(args):
+        raise AssertionError("invariant broken")
+
+    monkeypatch.setattr(cli, "_cmd_pell", broken)
+    assert run(["pell", "--n", "3"]) == INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: invariant broken\n"
 
 
 def _src_env():

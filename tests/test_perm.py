@@ -2,10 +2,12 @@ import random
 
 import pytest
 
+from biplane import perm
 from biplane.catalog import PRIMITIVE16_GENERATORS
-from biplane.errors import InputError
+from biplane.errors import InputError, ScaleError
 from biplane.perm import (CycleType, PermGroup, Permutation, closure,
-                          cycle_type, group_from_json_dict, group_to_json_dict)
+                          cycle_type, group_from_json_dict, group_to_json_dict,
+                          orbit)
 
 ALPHA = PRIMITIVE16_GENERATORS  # the five 16-point generators used throughout
 
@@ -114,6 +116,46 @@ def test_orbits_deterministic():
     assert triv.orbits() == [(1,), (2,), (3,), (4,)]
     g = PermGroup.from_cycles(16, ALPHA)
     assert g.orbits() == [tuple(range(1, 17))]
+
+
+def test_stabilizer_matches_closure(aut_results):
+    # every point of every catalog group, plus an intransitive group with a
+    # point no generator moves
+    groups = [r.group for r in aut_results.values()]
+    groups.append(PermGroup.from_cycles(8, ["(1,2,3,4)(5,6)", "(1,2)"]))
+    for g in groups:
+        elements = closure(g.generators, g.degree)
+        for alpha in range(1, g.degree + 1):
+            fixing = {x for x in elements if x(alpha) == alpha}
+            stab = g.stabilizer(alpha)
+            assert stab.order() == len(fixing), (g, alpha)
+            assert set(stab.elements()) == fixing, (g, alpha)
+
+
+def test_chain_keeps_only_non_member_generators(aut_results):
+    group = aut_results["biplane16_primitive"].group
+    assert len(group.generators) == 30
+    assert len(group.chain().gens) == 6
+
+
+def test_orbit_routine():
+    c = Permutation.from_cycles("(1,2,3,4,5)", 6)
+    assert orbit(1, [c], Permutation.__call__) == [1, 2, 3, 4, 5]
+    assert orbit(6, [c], Permutation.__call__) == [6]
+    assert orbit(1, [c], Permutation.__call__, cap=5) == [1, 2, 3, 4, 5]
+    with pytest.raises(ScaleError):
+        orbit(1, [c], Permutation.__call__, cap=4)
+
+
+def test_conjugate_class_cap(monkeypatch):
+    s4 = PermGroup.from_cycles(4, ["(1,2)", "(1,2,3,4)"])
+    x = Permutation.from_cycles("(1,2)", 4)
+    assert len(s4.conjugate_class(x)) == 6
+    monkeypatch.setattr(perm, "CONJUGACY_ENUMERATION_CAP", 6)
+    assert len(s4.conjugate_class(x)) == 6
+    monkeypatch.setattr(perm, "CONJUGACY_ENUMERATION_CAP", 5)
+    with pytest.raises(ScaleError):
+        s4.conjugate_class(x)
 
 
 def test_stabilizer_of_untouched_point_is_whole_group():
