@@ -40,39 +40,54 @@ class AutResult:
     order: int
 
 
-def _equitable(cells: list[tuple[int, ...]], adj: list[int]) -> list[tuple[int, ...]]:
+def _equitable(cells: list[tuple[int, ...]], adj: list[int],
+               fresh: list[int]) -> list[tuple[int, ...]]:
     """Refine an ordered partition until every cell is equitable.
 
-    Split fragments are ordered by their neighbor-count signature, which is
-    independent of the vertex labels; cells stay sorted internally.
+    The input must already be equitable towards every cell not listed in
+    `fresh`. Each round then counts neighbors in the cells that the previous
+    round created, and only in those that some vertex of the cell reaches: a
+    cell is equitable towards every cell that did not split, and a count that
+    is constant on a cell cannot split it or reorder its fragments (McKay &
+    Piperno, Practical Graph Isomorphism II, 2014). Split fragments are
+    ordered by their neighbor-count signature, which is independent of the
+    vertex labels; cells stay sorted internally.
     """
-    while True:
-        masks = [0] * len(cells)
-        for i, cell in enumerate(cells):
-            m = 0
-            for u in cell:
+    while fresh:
+        masks, reach = [], []
+        for i in fresh:
+            m = r = 0
+            for u in cells[i]:
                 m |= 1 << u
-            masks[i] = m
+                r |= adj[u]
+            masks.append(m)
+            reach.append(r)
         new_cells: list[tuple[int, ...]] = []
-        changed = False
+        fresh = []
         for cell in cells:
             if len(cell) == 1:
+                new_cells.append(cell)
+                continue
+            cm = 0
+            for u in cell:
+                cm |= 1 << u
+            splitters = [m for m, r in zip(masks, reach) if r & cm]
+            if not splitters:
                 new_cells.append(cell)
                 continue
             sigs: dict[tuple[int, ...], list[int]] = {}
             for u in cell:
                 au = adj[u]
-                sig = tuple((au & m).bit_count() for m in masks)
+                sig = tuple((au & m).bit_count() for m in splitters)
                 sigs.setdefault(sig, []).append(u)
             if len(sigs) == 1:
                 new_cells.append(cell)
-            else:
-                changed = True
-                for sig in sorted(sigs):
-                    new_cells.append(tuple(sorted(sigs[sig])))
-        if not changed:
-            return new_cells
+                continue
+            for sig in sorted(sigs):
+                fresh.append(len(new_cells))
+                new_cells.append(tuple(sigs[sig]))
         cells = new_cells
+    return cells
 
 
 def _individualize(cells, idx: int, u: int):
@@ -108,7 +123,7 @@ class _Search:
         cells = [tuple(range(self.v)), tuple(range(self.v, self.n))]
         if self.nblocks == 0:
             cells = cells[:1]
-        self._recurse(cells, ())
+        self._recurse(cells, (), list(range(len(cells))))
 
     # -- tree walk ---------------------------------------------------------
 
@@ -119,8 +134,8 @@ class _Search:
                 best, best_size = i, len(cell)
         return best
 
-    def _recurse(self, cells, prefix: tuple[int, ...]) -> None:
-        cells = _equitable(cells, self.adj)
+    def _recurse(self, cells, prefix: tuple[int, ...], fresh: list[int]) -> None:
+        cells = _equitable(cells, self.adj, fresh)
         tgt = self._target(cells)
         if tgt is None:
             self._leaf(cells)
@@ -136,7 +151,7 @@ class _Search:
                 if find is not None and any(find[u] == find[e] for e in explored):
                     continue
             explored.append(u)
-            self._recurse(_individualize(cells, tgt, u), prefix + (u,))
+            self._recurse(_individualize(cells, tgt, u), prefix + (u,), [tgt, tgt + 1])
 
     def _prefix_orbit_find(self, prefix) -> list[int] | None:
         """Flat union-find table over vertices, from autos fixing the prefix pointwise."""

@@ -3,9 +3,9 @@ import random
 import pytest
 
 from biplane import catalog
-from biplane.aut import (are_isomorphic, automorphism_group,
-                         brute_force_automorphism_order, canonical_form,
-                         is_automorphism)
+from biplane.aut import (_equitable, _individualize, _Search, are_isomorphic,
+                         automorphism_group, brute_force_automorphism_order,
+                         canonical_form, is_automorphism)
 from biplane.design import Design, DesignParams, dual
 from biplane.errors import InputError
 from biplane.perm import Permutation
@@ -125,3 +125,34 @@ def test_small_design_brute_force_agreement():
     # the complete (4,3,2) design has the whole of S4 as automorphisms
     complete4 = Design(DesignParams(4, 3, 2), [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)])
     assert automorphism_group(complete4).order == 24 == brute_force_automorphism_order(complete4)
+
+
+def _equitable_full_rounds(cells, adj):
+    """Reference refinement: every round counts neighbors in every cell."""
+    while True:
+        masks = [sum(1 << u for u in cell) for cell in cells]
+        new_cells = []
+        for cell in cells:
+            sigs = {}
+            for u in cell:
+                sigs.setdefault(tuple((adj[u] & m).bit_count() for m in masks), []).append(u)
+            new_cells += [tuple(sorted(sigs[sig])) for sig in sorted(sigs)]
+        if new_cells == cells:
+            return cells
+        cells = new_cells
+
+
+def test_fresh_cell_refinement_matches_full_rounds():
+    rng = random.Random(17)
+    for name in catalog.constructible_names():
+        s = _Search(catalog.build(name))
+        root = [tuple(range(s.v)), tuple(range(s.v, s.n))]
+        start = _equitable(root, s.adj, [0, 1])
+        assert start == _equitable_full_rounds(root, s.adj), name
+        for _ in range(6):
+            cells = start
+            while len(cells) < s.n:
+                tgt = rng.choice([i for i, c in enumerate(cells) if len(c) > 1])
+                split = _individualize(cells, tgt, rng.choice(cells[tgt]))
+                cells = _equitable(split, s.adj, [tgt, tgt + 1])
+                assert cells == _equitable_full_rounds(split, s.adj), name
