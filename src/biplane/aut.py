@@ -3,10 +3,14 @@
 The search is individualization-refinement backtracking on the bipartite
 point/block incidence graph. Points and blocks carry distinct initial colors,
 so dualities are never counted as automorphisms. Refinement is iterated
-degree-in-color-class counting (equitable partition); the target cell is the
-first smallest non-singleton; children are taken in ascending vertex order.
-Automorphisms found during the search prune sibling branches through the
-orbits of the prefix-fixing generators found so far (weak pruning only).
+degree-in-color-class counting (equitable partition) against the cells that
+the previous round created only; the target cell is the first smallest
+non-singleton; children are taken in ascending vertex order. A child is
+pruned when it lies in the orbit of an explored sibling under the pointwise
+stabilizer of the prefix in the group of the automorphisms found so far
+(McKay & Piperno, Practical Graph Isomorphism II, 2014). Pruning never skips
+the first leaf or the first leaf with the least certificate, so canonical
+forms and isomorphisms do not depend on it.
 """
 
 from __future__ import annotations
@@ -118,6 +122,10 @@ class _Search:
         self.best_cert = None
         self.autos: list[tuple[int, ...]] = []  # 0-based full-vertex image tuples
         self._auto_set: set[tuple[int, ...]] = set()
+        # (vertex fixed at this depth, pointwise stabilizer of the path so far)
+        self._path: list[tuple[int | None, PermGroup]] = []
+        self._path_autos = -1
+        self.nodes = self.leaves = 0
 
     def run(self) -> None:
         cells = [tuple(range(self.v)), tuple(range(self.v, self.n))]
@@ -135,47 +143,51 @@ class _Search:
         return best
 
     def _recurse(self, cells, prefix: tuple[int, ...], fresh: list[int]) -> None:
+        self.nodes += 1
         cells = _equitable(cells, self.adj, fresh)
         tgt = self._target(cells)
         if tgt is None:
             self._leaf(cells)
             return
         explored: list[int] = []
-        nautos = -1
-        find = None
+        nautos = 0
         for u in cells[tgt]:
-            if explored:
+            if explored and self.autos:
                 if len(self.autos) != nautos:
                     nautos = len(self.autos)
-                    find = self._prefix_orbit_find(prefix)
-                if find is not None and any(find[u] == find[e] for e in explored):
+                    orbit_of = {p - 1: orb[0] for orb in self._prefix_stabilizer(prefix).orbits()
+                                for p in orb}
+                if any(orbit_of[u] == orbit_of[e] for e in explored):
                     continue
             explored.append(u)
             self._recurse(_individualize(cells, tgt, u), prefix + (u,), [tgt, tgt + 1])
 
-    def _prefix_orbit_find(self, prefix) -> list[int] | None:
-        """Flat union-find table over vertices, from autos fixing the prefix pointwise."""
-        gens = [a for a in self.autos if all(a[p] == p for p in prefix)]
-        if not gens:
-            return None
-        parent = list(range(self.n))
+    def _prefix_stabilizer(self, prefix) -> PermGroup:
+        """Pointwise stabilizer of prefix in the group of the automorphisms found
+        so far, acting on all vertices (1-based).
 
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for g in gens:
-            for i in range(self.n):
-                ri, rj = find(i), find(g[i])
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-        return [find(i) for i in range(self.n)]
+        The stabilizers of the current path are cached, one per depth, and all
+        are rebuilt when an automorphism is recorded. PermGroup.stabilizer
+        filters its Schreier generators, so generator lists do not grow with
+        depth.
+        """
+        path = self._path
+        if self._path_autos != len(self.autos):
+            self._path_autos = len(self.autos)
+            gens = [Permutation(x + 1 for x in a) for a in self.autos]
+            path[:] = [(None, PermGroup(self.n, gens))]
+        for depth, u in enumerate(prefix, start=1):
+            if depth < len(path) and path[depth][0] == u:
+                continue
+            del path[depth:]
+            stab = path[-1][1].stabilizer(u + 1)
+            path.append((u, stab))
+        return path[len(prefix)][1]
 
     # -- leaves ------------------------------------------------------------
 
     def _leaf(self, cells) -> None:
+        self.leaves += 1
         pos = {cell[0]: i for i, cell in enumerate(cells)}
         cert = self._certificate(pos)
         if self.first_cert is None:

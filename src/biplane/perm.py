@@ -33,6 +33,13 @@ class Permutation:
             raise InputError(f"not a permutation of 1..{n}: {images}")
         object.__setattr__(self, "images", images)
 
+    @classmethod
+    def _trusted(cls, images: tuple) -> "Permutation":
+        """Wrap an image tuple that is a permutation by construction, unchecked."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "images", images)
+        return x
+
     @property
     def degree(self) -> int:
         return len(self.images)
@@ -71,13 +78,15 @@ class Permutation:
     def __mul__(self, other: "Permutation") -> "Permutation":
         # (a*b)(x) = a(b(x))
         a, b = self.images, other.images
-        return Permutation(a[x - 1] for x in b)
+        if len(a) != len(b):
+            raise InputError(f"degrees differ: {len(a)} and {len(b)}")
+        return Permutation._trusted(tuple([a[x - 1] for x in b]))
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.images)
         for i, j in enumerate(self.images, start=1):
             inv[j - 1] = i
-        return Permutation(inv)
+        return Permutation._trusted(tuple(inv))
 
     def __pow__(self, n: int) -> "Permutation":
         if n < 0:
@@ -92,7 +101,7 @@ class Permutation:
         return out
 
     def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images, start=1))
+        return self.images == tuple(range(1, len(self.images) + 1))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its least point, sorted by that point."""
@@ -218,6 +227,24 @@ def _orbit_transversal(beta: int, gens: list[Permutation], degree: int):
                     nxt.append(q)
         frontier = sorted(nxt)
     return transversal
+
+
+def _sims_filter(generators) -> list[Permutation]:
+    """A generating set of the same group with at most one element per pair
+    (i, g(i)), i the first point g moves (Sims' filter).
+
+    A generator that meets a kept element h with the same pair is replaced by
+    h^-1 g, which fixes i as well, until it is kept or becomes the identity.
+    """
+    kept: dict[tuple[int, int], Permutation] = {}
+    for g in generators:
+        while not g.is_identity():
+            i = next(p for p, q in enumerate(g.images, start=1) if p != q)
+            h = kept.setdefault((i, g(i)), g)
+            if h is g:
+                break
+            g = h.inverse() * g
+    return list(kept.values())
 
 
 class _Chain:
@@ -360,7 +387,7 @@ class PermGroup:
         transversal = _orbit_transversal(alpha, self.generators, self.degree)
         schreier = (transversal[g(p)].inverse() * g * u
                     for p, u in transversal.items() for g in self.generators)
-        return PermGroup(self.degree, dict.fromkeys(schreier))
+        return PermGroup(self.degree, _sims_filter(schreier))
 
     def is_semiregular(self, domain) -> bool:
         """True iff every point stabilizer on the domain is trivial."""

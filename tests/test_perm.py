@@ -39,6 +39,8 @@ def test_composition_convention():
     c = Permutation.from_cycles("(1,2,3)", 3)
     assert c**3 == Permutation.identity(3)
     assert c**-1 == c * c
+    with pytest.raises(InputError):
+        a * Permutation.identity(4)
 
 
 def test_cycle_type_examples():
@@ -132,10 +134,25 @@ def test_stabilizer_matches_closure(aut_results):
             assert set(stab.elements()) == fixing, (g, alpha)
 
 
-def test_chain_keeps_only_non_member_generators(aut_results):
-    group = aut_results["biplane16_primitive"].group
-    assert len(group.generators) == 30
-    assert len(group.chain().gens) == 6
+def test_chain_keeps_only_non_member_generators():
+    gens = [Permutation.from_cycles(c, 16) for c in ALPHA]
+    products = [a * b for a in gens for b in gens]
+    redundant = PermGroup(16, gens + products)
+    assert len(redundant.generators) == 27  # the identities a*a are dropped
+    assert redundant.order() == 1152
+    # every product is a member by the time it is offered, so none is kept
+    assert redundant.chain().gens == gens
+
+
+def test_sims_filter_keeps_the_group():
+    gens = [Permutation.from_cycles(c, 16) for c in ALPHA]
+    kept = perm._sims_filter(gens + [a * b for a in gens for b in gens])
+    pairs = set()
+    for g in kept:
+        i = next(p for p in range(1, 17) if g(p) != p)
+        pairs.add((i, g(i)))
+    assert len(pairs) == len(kept)
+    assert PermGroup(16, kept).order() == 1152
 
 
 def test_orbit_routine():
