@@ -13,8 +13,9 @@ from .design import (Design, DesignParams, VerifyReport, brc_brute_force,
                      restrict_subdesign, verify_symmetric_design)
 from .errors import BiplaneError, InputError, ScaleError
 from .perm import CycleType, PermGroup, Permutation, cycle_type
-from .aut import (AutResult, CanonicalCertificate, are_isomorphic,
-                  automorphism_group, canonical_form)
+from .aut import (AutResult, CanonicalCertificate, IsoResult, SearchStats,
+                  are_isomorphic, automorphism_group, canonical_form,
+                  isomorphism)
 from .diffset import (DifferenceSet, GroupTable, develop, is_difference_set,
                       lander_excluded, search_difference_sets)
 from .fixcert import (CertResult, FixReport, admissible_cycle_types_121,
@@ -32,8 +33,8 @@ __all__ = [
     "dual", "params_from_k", "k_for_point_power", "brc_feasible",
     "brc_brute_force", "restrict_subdesign",
     "Permutation", "PermGroup", "CycleType", "cycle_type",
-    "AutResult", "CanonicalCertificate", "automorphism_group",
-    "canonical_form", "are_isomorphic",
+    "AutResult", "CanonicalCertificate", "IsoResult", "SearchStats",
+    "automorphism_group", "canonical_form", "are_isomorphic", "isomorphism",
     "GroupTable", "DifferenceSet", "is_difference_set", "develop",
     "search_difference_sets", "lander_excluded",
     "FixReport", "CertResult", "fix_report", "certify_fix_lemmas",

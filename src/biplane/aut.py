@@ -39,9 +39,29 @@ class CanonicalCertificate:
 
 
 @dataclass(frozen=True)
+class SearchStats:
+    """Counters of one search: tree nodes visited (leaves included), leaves,
+    and distinct non-identity automorphisms recorded."""
+
+    nodes: int
+    leaves: int
+    automorphisms: int
+
+
+@dataclass(frozen=True)
 class AutResult:
     group: PermGroup
     order: int
+    stats: SearchStats | None = None
+
+
+@dataclass(frozen=True)
+class IsoResult:
+    """A point bijection carrying the blocks of a onto those of b, or None,
+    with the counters of the searches over a and b."""
+
+    mapping: Permutation | None
+    stats: tuple[SearchStats, SearchStats]
 
 
 def _equitable(cells: list[tuple[int, ...]], adj: list[int],
@@ -226,6 +246,9 @@ class _Search:
             self._auto_set.add(full_t)
             self.autos.append(full_t)
 
+    def stats(self) -> SearchStats:
+        return SearchStats(self.nodes, self.leaves, len(self.autos))
+
     def point_generators(self) -> list[Permutation]:
         out = []
         for a in self.autos:
@@ -246,7 +269,7 @@ def automorphism_group(d: Design) -> AutResult:
     """Full automorphism group of a verified design, acting on points."""
     s = _searched(d)
     group = PermGroup(d.v, s.point_generators())
-    return AutResult(group=group, order=group.order())
+    return AutResult(group=group, order=group.order(), stats=s.stats())
 
 
 def canonical_form(d: Design) -> CanonicalCertificate:
@@ -260,11 +283,17 @@ def are_isomorphic(a: Design, b: Design) -> Permutation | None:
     Consistent with canonical_form equality: a mapping exists iff the
     certificates agree.
     """
+    return isomorphism(a, b).mapping
+
+
+def isomorphism(a: Design, b: Design) -> IsoResult:
+    """are_isomorphic, together with the counters of both searches."""
     if a.params != b.params:
         raise InputError(f"parameter mismatch: {a.params} vs {b.params}")
     sa, sb = _searched(a), _searched(b)
+    stats = (sa.stats(), sb.stats())
     if sa.best_cert != sb.best_cert:
-        return None
+        return IsoResult(None, stats)
     ranks_a = sa._point_ranks(sa.best_pos)
     ranks_b = sb._point_ranks(sb.best_pos)
     inv_b = {lab: p for p, lab in ranks_b.items()}
@@ -272,7 +301,7 @@ def are_isomorphic(a: Design, b: Design) -> Permutation | None:
     image = {sigma.apply_set(blk) for blk in a.blocks}
     if image != set(b.block_sets()):
         raise AssertionError("canonical forms agree but mapping failed")
-    return sigma
+    return IsoResult(sigma, stats)
 
 
 def is_automorphism(d: Design, x: Permutation) -> bool:

@@ -226,12 +226,20 @@ def constructible_names() -> list[str]:
 
 
 def flag_orbit_count(d: Design, group: PermGroup) -> int:
-    """Number of group orbits on incident (point, block) flags."""
+    """Number of group orbits on incident (point, block) flags.
+
+    Raises InputError when a generator does not map the blocks onto blocks.
+    """
     if group.degree != d.v:
         raise InputError("group degree does not match the design")
     index = d.block_index()
     # each generator paired with the block permutation it induces
-    actions = [(g, [index[g.apply_set(b)] for b in d.blocks]) for g in group.generators]
+    actions = []
+    for g in group.generators:
+        images = [index.get(g.apply_set(b)) for b in d.blocks]
+        if None in images:
+            raise InputError(f"generator {g.cycle_string()} is not an automorphism")
+        actions.append((g, images))
     remaining = {(p, j) for j, b in enumerate(d.blocks) for p in b}
     count = 0
     while remaining:

@@ -5,7 +5,9 @@ Exit codes: 0 success / verified, 1 a verification or certification failed
 documented size cap), 3 internal error: an internal invariant failed, which
 is a software bug. Every subcommand takes
 --json for machine-readable output; table output is deterministic, so
-identical inputs give byte-identical results.
+identical inputs give byte-identical results. `aut` and `iso` also take
+--stats, which adds the search counters: on standard error, or under a
+separate `stats` key with --json, so the rest of the output is unchanged.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import aut, cartdecomp, catalog, design, diffset, fixcert, perm
 from .errors import BiplaneError, InputError
@@ -63,6 +66,16 @@ def _write_design(d: design.Design, path: str | None) -> None:
         with open(path, "w") as fh:
             json.dump(d.to_json_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
+
+
+def _add_stats(args, payload: dict, stats: dict) -> None:
+    """Under --stats, the search counters: under the `stats` key of the JSON
+    payload, or as one line of JSON on stderr."""
+    if args.stats:
+        if args.json:
+            payload["stats"] = stats
+        else:
+            print(f"stats: {json.dumps(stats, sort_keys=True)}", file=sys.stderr)
 
 
 def _checks_payload(result: fixcert.CertResult) -> list[dict]:
@@ -130,6 +143,7 @@ def _cmd_aut(args) -> int:
                "generators": [g.cycle_string() for g in result.group.generators]}
     lines = [f"automorphism group order {result.order}"]
     lines += [f"  {g.cycle_string()}" for g in result.group.generators]
+    _add_stats(args, payload, asdict(result.stats))
     _emit(payload, args.json, lines)
     return OK
 
@@ -137,10 +151,13 @@ def _cmd_aut(args) -> int:
 def _cmd_iso(args) -> int:
     a = _load_design(args.design_a)
     b = _load_design(args.design_b)
-    sigma = aut.are_isomorphic(a, b)
+    result = aut.isomorphism(a, b)
+    sigma = result.mapping
     payload = {"isomorphic": sigma is not None,
                "mapping": sigma.cycle_string() if sigma else None}
     lines = ["isomorphic: " + ("yes " + sigma.cycle_string() if sigma else "no")]
+    _add_stats(args, payload, {"design_a": asdict(result.stats[0]),
+                               "design_b": asdict(result.stats[1])})
     _emit(payload, args.json, lines)
     return OK if sigma is not None else CHECK_FAILED
 
@@ -329,15 +346,21 @@ def build_parser() -> argparse.ArgumentParser:
     add_json(p)
     p.set_defaults(func=_cmd_dual)
 
+    def add_stats(p):
+        p.add_argument("--stats", action="store_true",
+                       help="report search counters (stderr, or a stats key with --json)")
+
     p = sub.add_parser("aut", help="automorphism group (point action)")
     p.add_argument("design")
     add_json(p)
+    add_stats(p)
     p.set_defaults(func=_cmd_aut)
 
     p = sub.add_parser("iso", help="isomorphism test between two designs")
     p.add_argument("design_a")
     p.add_argument("design_b")
     add_json(p)
+    add_stats(p)
     p.set_defaults(func=_cmd_iso)
 
     p = sub.add_parser("ds", help="difference sets: search, develop, lander")

@@ -17,8 +17,12 @@ from .ntheory import is_square, square_free_part, ternary_isotropic
 # pairs C(v,2), block pairs C(b,2) and the C(|B|,2) pairs inside each block.
 # A biplane on v points costs about 2v^2, so every biplane up to about 700
 # points fits. At the cap a verification takes about a second, and a design
-# whose every pair is a violation holds about 170 MB of violation tuples.
+# whose every pair is a violation still needs only a few megabytes, because
+# violations past the first VIOLATION_SAMPLE are counted, not kept.
 VERIFY_PAIR_CAP = 10**6
+
+# Violations a VerifyReport lists (biplane verify prints at most 20).
+VIOLATION_SAMPLE = 20
 
 
 @dataclass(frozen=True)
@@ -114,20 +118,25 @@ class Design:
 
 @dataclass(frozen=True)
 class VerifyReport:
+    """The first VIOLATION_SAMPLE violations, and the number of each kind."""
+
     ok: bool
     violations: tuple[tuple, ...] = field(default_factory=tuple)
+    counts: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
         assert self.ok == (len(self.violations) == 0)
+        assert sum(self.counts.values()) >= len(self.violations)
 
 
 def verify_symmetric_design(d: Design) -> VerifyReport:
     """Check the symmetric (v,k,lambda) axioms exhaustively.
 
     Violations are (kind, subject, observed, expected) tuples; kinds are
-    "block-count", "block-size", "pair-count" and "block-intersection".
-    Raises ScaleError, before any pair work, when the check would take more
-    than VERIFY_PAIR_CAP pair operations.
+    "block-count", "block-size", "pair-count" and "block-intersection". The
+    report lists the first VIOLATION_SAMPLE of them in that order and counts
+    all of them by kind. Raises ScaleError, before any pair work, when the
+    check would take more than VERIFY_PAIR_CAP pair operations.
     """
     v, k, lam = d.params.as_tuple()
     work = comb(v, 2) + comb(len(d.blocks), 2) + sum(comb(len(b), 2) for b in d.blocks)
@@ -135,11 +144,18 @@ def verify_symmetric_design(d: Design) -> VerifyReport:
         raise ScaleError(f"verification needs {work} pair operations; "
                          f"the cap is {VERIFY_PAIR_CAP}")
     violations: list[tuple] = []
+    counts: dict[str, int] = {}
+
+    def violation(kind, subject, got, expected):
+        counts[kind] = counts.get(kind, 0) + 1
+        if len(violations) < VIOLATION_SAMPLE:
+            violations.append((kind, subject, got, expected))
+
     if len(d.blocks) != v:
-        violations.append(("block-count", None, len(d.blocks), v))
+        violation("block-count", None, len(d.blocks), v)
     for i, b in enumerate(d.blocks):
         if len(b) != k:
-            violations.append(("block-size", i, len(b), k))
+            violation("block-size", i, len(b), k)
     pair_counts: dict[tuple[int, int], int] = {}
     for b in d.blocks:
         for pair in combinations(b, 2):
@@ -147,13 +163,13 @@ def verify_symmetric_design(d: Design) -> VerifyReport:
     for pair in combinations(range(1, v + 1), 2):
         got = pair_counts.get(pair, 0)
         if got != lam:
-            violations.append(("pair-count", pair, got, lam))
+            violation("pair-count", pair, got, lam)
     sets = d.block_sets()
     for i, j in combinations(range(len(sets)), 2):
         got = len(sets[i] & sets[j])
         if got != lam:
-            violations.append(("block-intersection", (i, j), got, lam))
-    return VerifyReport(ok=not violations, violations=tuple(violations))
+            violation("block-intersection", (i, j), got, lam)
+    return VerifyReport(ok=not violations, violations=tuple(violations), counts=counts)
 
 
 def dual(d: Design) -> Design:

@@ -3,9 +3,10 @@
 Groups are given by generators; exact orders and membership come from one
 deterministic Schreier-Sims stabilizer chain, whose base points are taken in
 increasing order and which keeps only generators that sift to a non-identity
-residue. Point stabilizers come from Schreier's lemma, and every orbit (of
-points, conjugates, blocks or flags) from one breadth-first routine, so
-repeated runs produce identical certificates.
+residue. Point stabilizers come from Schreier's lemma, their generators
+thinned by Sims' filter, and every orbit (of points, conjugates, blocks or
+flags) from one breadth-first routine, so repeated runs produce identical
+certificates.
 """
 
 from __future__ import annotations
@@ -381,7 +382,8 @@ class PermGroup:
 
     def stabilizer(self, alpha: int) -> "PermGroup":
         """The point stabilizer G_alpha, generated by the Schreier generators
-        u_{g(p)}^-1 g u_p over the orbit of alpha (Schreier's lemma)."""
+        u_{g(p)}^-1 g u_p over the orbit of alpha (Schreier's lemma) after
+        Sims' filter, so at most degree*(degree-1)/2 of them."""
         if not 1 <= alpha <= self.degree:
             raise InputError(f"point {alpha} out of range 1..{self.degree}")
         transversal = _orbit_transversal(alpha, self.generators, self.degree)

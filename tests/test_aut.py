@@ -5,7 +5,7 @@ import pytest
 from biplane import catalog
 from biplane.aut import (_equitable, _individualize, _Search, are_isomorphic,
                          automorphism_group, brute_force_automorphism_order,
-                         canonical_form, is_automorphism)
+                         canonical_form, is_automorphism, isomorphism)
 from biplane.design import Design, DesignParams, dual
 from biplane.errors import InputError
 from biplane.perm import Permutation
@@ -28,6 +28,46 @@ CATALOG_GATE = {
     "biplane37_qr": (
         333, 2, "9f5e1aa0bde7428bb37087ab6b5bf63d5446841589ca34230be42c2838251bcd"),
 }
+
+# Search counters per catalog design: (nodes, leaves, automorphisms recorded).
+# Fresh-cell refinement leaves them unchanged; stabilizer-orbit pruning took
+# the leaves from 18/25/31/130/128/616.
+SEARCH_STATS = {
+    "fano_complement": (21, 6, 5),
+    "hadamard11": (15, 5, 4),
+    "biplane16_primitive": (28, 7, 6),
+    "biplane16_c2c8": (64, 29, 4),
+    "biplane16_q8c2": (98, 53, 4),
+    "biplane37_qr": (198, 168, 2),
+}
+
+# are_isomorphic(d, d relabeled by a fixed shuffle): the first leaf with the
+# least certificate is never pruned, so these mappings survive every change of
+# pruning.
+ISO_MAPPINGS = {
+    "hadamard11": "(3,6,8,11,10)(4,5,7,9)",
+    "biplane16_c2c8": "(3,5)(4,10,13)(6,16,12,9)(7,14,11,15)",
+    "biplane16_q8c2": "(2,8,7)(4,9)(5,11,6,15,16)",
+    "biplane37_qr": "(2,31,5,9,13,26,12,35,28,7,4,23,30,10,16,27,34,8,3,25)"
+                    "(6,36,37,20,29)(11,33,24,22,32,15,17,19)(14,18,21)",
+}
+
+
+def test_search_stats_pinned(aut_results):
+    for name, (nodes, leaves, autos) in SEARCH_STATS.items():
+        stats = aut_results[name].stats
+        assert (stats.nodes, stats.leaves, stats.automorphisms) == (nodes, leaves, autos), name
+        assert autos == len(aut_results[name].group.generators), name
+
+
+def test_isomorphism_mappings_pinned():
+    for name, mapping in ISO_MAPPINGS.items():
+        d = catalog.build(name)
+        images = list(range(1, d.v + 1))
+        random.Random(6).shuffle(images)
+        result = isomorphism(d, d.relabel(Permutation(images)))
+        assert result.mapping.cycle_string() == mapping, name
+        assert result.stats[0] == automorphism_group(d).stats, name
 
 
 def test_automorphism_orders(aut_results):

@@ -4,6 +4,7 @@ from biplane import catalog
 from biplane.catalog import flag_orbit_count, primitive16_group
 from biplane.design import verify_symmetric_design
 from biplane.errors import InputError
+from biplane.perm import PermGroup
 
 TABLE_PARAMS = {
     "fano_complement": (7, 4, 2),
@@ -119,3 +120,9 @@ def test_biplane37_blocks_are_fourth_power_translates():
     fourth_powers = {pow(x, 4, 37) for x in range(1, 37)}
     assert len(fourth_powers) == 9
     assert frozenset(e + 1 for e in fourth_powers) in set(d.block_sets())
+
+
+def test_flag_orbit_count_rejects_non_automorphism():
+    d = catalog.build("fano_complement")
+    with pytest.raises(InputError, match="not an automorphism"):
+        flag_orbit_count(d, PermGroup.from_cycles(7, ["(1,2)"]))

@@ -70,6 +70,28 @@ def test_aut_json(tmp_path, capsys):
     assert all(isinstance(g, str) for g in payload["generators"])
 
 
+def test_stats_leave_stdout_unchanged(tmp_path, capsys):
+    path = _design_file(tmp_path, "biplane16_q8c2")
+    counters = {"nodes": 98, "leaves": 53, "automorphisms": 4}
+    for argv, stats in ((["aut", path], counters),
+                        (["iso", path, path], {"design_a": counters, "design_b": counters})):
+        assert run(argv) == OK
+        plain = capsys.readouterr()
+        assert plain.err == ""
+        assert run(argv + ["--stats"]) == OK
+        with_stats = capsys.readouterr()
+        assert with_stats.out == plain.out
+        assert json.loads(with_stats.err.removeprefix("stats: ")) == stats
+        assert run(argv + ["--json"]) == OK
+        plain_json = json.loads(capsys.readouterr().out)
+        assert run(argv + ["--json", "--stats"]) == OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        payload = json.loads(captured.out)
+        assert payload.pop("stats") == stats
+        assert payload == plain_json
+
+
 def test_ds_lander_witness(capsys):
     code, out = _capture(capsys, ["ds", "lander", "--v", "121", "--k", "16",
                                   "--lambda", "2"])

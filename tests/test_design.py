@@ -3,7 +3,8 @@ import random
 import pytest
 
 from biplane import catalog
-from biplane.design import (Design, DesignParams, _legendre_form_solvable,
+from biplane.design import (VIOLATION_SAMPLE, Design, DesignParams,
+                            _legendre_form_solvable,
                             brc_brute_force, brc_feasible, dual,
                             k_for_point_power, params_from_k,
                             restrict_subdesign, subdesign_constraint,
@@ -43,6 +44,19 @@ def test_block_count_is_verification_failure():
     report = verify_symmetric_design(Design(DesignParams(7, 4, 2), [(1, 2, 3, 4)]))
     assert not report.ok
     assert any(v[0] == "block-count" for v in report.violations)
+
+
+def test_violation_list_is_bounded():
+    # one block of the (7,4,2) parameters: the block count and all 21 pair
+    # counts are wrong
+    report = verify_symmetric_design(Design(DesignParams(7, 4, 2), [(1, 2, 3, 4)]))
+    assert report.counts == {"block-count": 1, "pair-count": 21}
+    assert len(report.violations) == VIOLATION_SAMPLE == 20
+    assert report.violations[:3] == (("block-count", None, 1, 7),
+                                     ("pair-count", (1, 2), 1, 2),
+                                     ("pair-count", (1, 3), 1, 2))
+    assert report.violations[-1] == ("pair-count", (5, 6), 0, 2)
+    assert verify_symmetric_design(catalog.build("hadamard11")).counts == {}
 
 
 def test_dual_involution():
