@@ -126,7 +126,6 @@ class VerifyReport:
 
     def __post_init__(self):
         assert self.ok == (len(self.violations) == 0)
-        assert sum(self.counts.values()) >= len(self.violations)
 
 
 def verify_symmetric_design(d: Design) -> VerifyReport:

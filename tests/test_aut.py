@@ -12,8 +12,7 @@ from biplane.perm import Permutation
 
 # Per catalog design: the group order, the number of automorphisms the search
 # offers as generators, and the SHA-256 canonical digest. Orders and digests
-# never change; the generator count changes only with the search's pruning
-# (stabilizer-orbit pruning took it from 17/24/30/19/13/10 to these).
+# never change; the generator count changes only with the search's pruning.
 CATALOG_GATE = {
     "fano_complement": (
         168, 5, "dd55c94cfb858c5d420e0cedcf39b5a02eceb2c23a6a00c91c12e503e6c24555"),
@@ -30,8 +29,7 @@ CATALOG_GATE = {
 }
 
 # Search counters per catalog design: (nodes, leaves, automorphisms recorded).
-# Fresh-cell refinement leaves them unchanged; stabilizer-orbit pruning took
-# the leaves from 18/25/31/130/128/616.
+# Refinement changes none of them; they change only with the search's pruning.
 SEARCH_STATS = {
     "fano_complement": (21, 6, 5),
     "hadamard11": (15, 5, 4),
