@@ -4,13 +4,17 @@ The search is individualization-refinement backtracking on the bipartite
 point/block incidence graph. Points and blocks carry distinct initial colors,
 so dualities are never counted as automorphisms. Refinement is iterated
 degree-in-color-class counting (equitable partition) against the cells that
-the previous round created only; the target cell is the first smallest
-non-singleton; children are taken in ascending vertex order. A child is
-pruned when it lies in the orbit of an explored sibling under the pointwise
-stabilizer of the prefix in the group of the automorphisms found so far
-(McKay & Piperno, Practical Graph Isomorphism II, 2014). Pruning never skips
-the first leaf or the first leaf with the least certificate, so canonical
-forms and isomorphisms do not depend on it.
+the previous round created only, with each cell's vertex bitmask carried
+alongside it; the target cell is the first smallest non-singleton; children
+are taken in ascending vertex order. A child is pruned when it lies in the
+orbit of an explored sibling under the pointwise stabilizer of the prefix in
+the group of the automorphisms found so far (McKay & Piperno, Practical Graph
+Isomorphism II, 2014). That stabilizer maps every cell onto itself, so only
+its orbits on the target cell are computed; its generators are kept as
+0-based image tuples, one list per depth of the current path, and come from
+the Schreier-Sims kernel of `perm`. Pruning never skips the first leaf or the
+first leaf with the least certificate, so canonical forms and isomorphisms do
+not depend on it.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from itertools import permutations
 
 from .design import Design, verify_symmetric_design
 from .errors import InputError, ScaleError
-from .perm import PermGroup, Permutation
+from .perm import PermGroup, Permutation, _stabilizer_images, orbit
 
 
 @dataclass(frozen=True)
@@ -64,60 +68,82 @@ class IsoResult:
     stats: tuple[SearchStats, SearchStats]
 
 
-def _equitable(cells: list[tuple[int, ...]], adj: list[int],
-               fresh: list[int]) -> list[tuple[int, ...]]:
+def _equitable(cells: list[tuple[int, ...]], masks: list[int], adj: list[int],
+               fresh: list[int]) -> tuple[list[tuple[int, ...]], list[int]]:
     """Refine an ordered partition until every cell is equitable.
 
-    The input must already be equitable towards every cell not listed in
-    `fresh`. Each round then counts neighbors in the cells that the previous
-    round created, and only in those that some vertex of the cell reaches: a
-    cell is equitable towards every cell that did not split, and a count that
-    is constant on a cell cannot split it or reorder its fragments (McKay &
-    Piperno, Practical Graph Isomorphism II, 2014). Split fragments are
-    ordered by their neighbor-count signature, which is independent of the
-    vertex labels; cells stay sorted internally.
+    masks[i] is the vertex bitmask of cells[i]; both lists are returned
+    refined, and a mask is built only for a new fragment. The input must
+    already be equitable towards every cell not listed in `fresh`. Each round
+    then counts neighbors in the cells that the previous round created, and
+    only in those that some vertex of the cell reaches: a cell is equitable
+    towards every cell that did not split, and a count that is constant on a
+    cell cannot split it or reorder its fragments (McKay & Piperno, Practical
+    Graph Isomorphism II, 2014). Split fragments are ordered by their
+    neighbor-count signature, which is independent of the vertex labels;
+    cells stay sorted internally.
     """
+    reach = []
+    for i in fresh:
+        r = 0
+        for u in cells[i]:
+            r |= adj[u]
+        reach.append(r)
     while fresh:
-        masks, reach = [], []
-        for i in fresh:
-            m = r = 0
-            for u in cells[i]:
-                m |= 1 << u
-                r |= adj[u]
-            masks.append(m)
-            reach.append(r)
+        fresh_masks = [masks[i] for i in fresh]
         new_cells: list[tuple[int, ...]] = []
-        fresh = []
-        for cell in cells:
+        new_masks: list[int] = []
+        fresh, new_reach = [], []
+        for cell, cm in zip(cells, masks):
             if len(cell) == 1:
                 new_cells.append(cell)
+                new_masks.append(cm)
                 continue
-            cm = 0
-            for u in cell:
-                cm |= 1 << u
-            splitters = [m for m, r in zip(masks, reach) if r & cm]
+            splitters = [m for m, r in zip(fresh_masks, reach) if r & cm]
             if not splitters:
                 new_cells.append(cell)
+                new_masks.append(cm)
                 continue
             sigs: dict[tuple[int, ...], list[int]] = {}
             for u in cell:
-                au = adj[u]
-                sig = tuple((au & m).bit_count() for m in splitters)
+                sig = tuple(map(int.bit_count, map(adj[u].__and__, splitters)))
                 sigs.setdefault(sig, []).append(u)
             if len(sigs) == 1:
                 new_cells.append(cell)
+                new_masks.append(cm)
                 continue
             for sig in sorted(sigs):
+                fragment = sigs[sig]
+                m = r = 0
+                for u in fragment:
+                    m |= 1 << u
+                    r |= adj[u]
                 fresh.append(len(new_cells))
-                new_cells.append(tuple(sigs[sig]))
-        cells = new_cells
-    return cells
+                new_cells.append(tuple(fragment))
+                new_masks.append(m)
+                new_reach.append(r)
+        cells, masks, reach = new_cells, new_masks, new_reach
+    return cells, masks
 
 
-def _individualize(cells, idx: int, u: int):
-    cell = cells[idx]
-    rest = tuple(x for x in cell if x != u)
-    return cells[:idx] + [(u,), rest] + cells[idx + 1:]
+def _individualize(cells, masks, idx: int, u: int):
+    """Split vertex u off cells[idx] as a singleton in front of the rest."""
+    bit = 1 << u
+    rest = tuple(x for x in cells[idx] if x != u)
+    return (cells[:idx] + [(u,), rest] + cells[idx + 1:],
+            masks[:idx] + [bit, masks[idx] ^ bit] + masks[idx + 1:])
+
+
+def _cell_orbits(cell: tuple[int, ...], generators) -> dict[int, int]:
+    """Map each vertex of a sorted cell to the least vertex of its orbit under
+    generators (0-based image tuples), each of which maps the cell onto
+    itself."""
+    rep: dict[int, int] = {}
+    for u in cell:
+        if u not in rep:
+            for x in orbit(u, generators, tuple.__getitem__):
+                rep[x] = u
+    return rep
 
 
 class _Search:
@@ -142,16 +168,18 @@ class _Search:
         self.best_cert = None
         self.autos: list[tuple[int, ...]] = []  # 0-based full-vertex image tuples
         self._auto_set: set[tuple[int, ...]] = set()
-        # (vertex fixed at this depth, pointwise stabilizer of the path so far)
-        self._path: list[tuple[int | None, PermGroup]] = []
+        # (vertex fixed at this depth, generators of the pointwise stabilizer
+        # of the path so far as 0-based image tuples)
+        self._path: list[tuple[int | None, list[tuple[int, ...]]]] = []
         self._path_autos = -1
         self.nodes = self.leaves = 0
 
     def run(self) -> None:
         cells = [tuple(range(self.v)), tuple(range(self.v, self.n))]
+        masks = [(1 << self.v) - 1, (1 << self.n) - (1 << self.v)]
         if self.nblocks == 0:
-            cells = cells[:1]
-        self._recurse(cells, (), list(range(len(cells))))
+            cells, masks = cells[:1], masks[:1]
+        self._recurse(cells, masks, (), list(range(len(cells))))
 
     # -- tree walk ---------------------------------------------------------
 
@@ -162,9 +190,9 @@ class _Search:
                 best, best_size = i, len(cell)
         return best
 
-    def _recurse(self, cells, prefix: tuple[int, ...], fresh: list[int]) -> None:
+    def _recurse(self, cells, masks, prefix: tuple[int, ...], fresh: list[int]) -> None:
         self.nodes += 1
-        cells = _equitable(cells, self.adj, fresh)
+        cells, masks = _equitable(cells, masks, self.adj, fresh)
         tgt = self._target(cells)
         if tgt is None:
             self._leaf(cells)
@@ -175,33 +203,30 @@ class _Search:
             if explored and self.autos:
                 if len(self.autos) != nautos:
                     nautos = len(self.autos)
-                    orbit_of = {p - 1: orb[0] for orb in self._prefix_stabilizer(prefix).orbits()
-                                for p in orb}
+                    orbit_of = _cell_orbits(cells[tgt], self._prefix_stabilizer(prefix))
                 if any(orbit_of[u] == orbit_of[e] for e in explored):
                     continue
             explored.append(u)
-            self._recurse(_individualize(cells, tgt, u), prefix + (u,), [tgt, tgt + 1])
+            self._recurse(*_individualize(cells, masks, tgt, u), prefix + (u,), [tgt, tgt + 1])
 
-    def _prefix_stabilizer(self, prefix) -> PermGroup:
-        """Pointwise stabilizer of prefix in the group of the automorphisms found
-        so far, acting on all vertices (1-based).
+    def _prefix_stabilizer(self, prefix) -> list[tuple[int, ...]]:
+        """Generators of the pointwise stabilizer of prefix in the group of the
+        automorphisms found so far, acting on all vertices.
 
-        The stabilizers of the current path are cached, one per depth, and all
-        are rebuilt when an automorphism is recorded. PermGroup.stabilizer
-        filters its Schreier generators, so generator lists do not grow with
-        depth.
+        Refinement is label-invariant, so each of them maps every cell of the
+        node's partition onto itself. The stabilizers of the current path are
+        cached, one per depth, and all are rebuilt when an automorphism is
+        recorded; Sims' filter keeps generator lists from growing with depth.
         """
         path = self._path
         if self._path_autos != len(self.autos):
             self._path_autos = len(self.autos)
-            gens = [Permutation(x + 1 for x in a) for a in self.autos]
-            path[:] = [(None, PermGroup(self.n, gens))]
+            path[:] = [(None, list(self.autos))]
         for depth, u in enumerate(prefix, start=1):
             if depth < len(path) and path[depth][0] == u:
                 continue
             del path[depth:]
-            stab = path[-1][1].stabilizer(u + 1)
-            path.append((u, stab))
+            path.append((u, _stabilizer_images(u, path[-1][1])))
         return path[len(prefix)][1]
 
     # -- leaves ------------------------------------------------------------
@@ -219,30 +244,27 @@ class _Search:
 
     def _point_ranks(self, pos) -> dict[int, int]:
         """Map each point p (1-based) to its canonical label (1-based)."""
-        order = sorted(range(self.v), key=lambda p: pos[p])
+        order = sorted(range(self.v), key=pos.__getitem__)
         return {p + 1: rank + 1 for rank, p in enumerate(order)}
 
     def _certificate(self, pos):
         ranks = self._point_ranks(pos)
-        return tuple(sorted(tuple(sorted(ranks[p] for p in b)) for b in self.blocks))
+        return tuple(sorted(tuple(sorted(map(ranks.__getitem__, b))) for b in self.blocks))
 
     def _record_automorphism(self, pos) -> None:
         ranks_first = self._point_ranks(self.first_pos)
         ranks_here = self._point_ranks(pos)
         inv_first = {lab: p for p, lab in ranks_first.items()}
-        point_images = [inv_first[ranks_here[p]] for p in range(1, self.v + 1)]
-        sigma = Permutation(point_images)
-        full = list(range(self.n))
-        for p in range(1, self.v + 1):
-            full[p - 1] = sigma(p) - 1
-        for j, b in enumerate(self.blocks):
-            image = sigma.apply_set(b)
-            tj = self.block_lookup.get(image)
+        full = [inv_first[ranks_here[p]] - 1 for p in range(1, self.v + 1)]
+        if full == list(range(self.v)):
+            return
+        for b in self.blocks:
+            tj = self.block_lookup.get(frozenset(full[p - 1] + 1 for p in b))
             if tj is None:
                 raise AssertionError("leaf with equal certificate is not an automorphism")
-            full[self.v + j] = self.v + tj
+            full.append(self.v + tj)
         full_t = tuple(full)
-        if not sigma.is_identity() and full_t not in self._auto_set:
+        if full_t not in self._auto_set:
             self._auto_set.add(full_t)
             self.autos.append(full_t)
 

@@ -13,12 +13,12 @@ from math import comb, gcd, isqrt
 from .errors import InputError, ScaleError
 from .ntheory import is_square, square_free_part, ternary_isotropic
 
-# Largest number of pair operations verify_symmetric_design performs: point
+# Largest number of pair operations verify_symmetric_design admits: point
 # pairs C(v,2), block pairs C(b,2) and the C(|B|,2) pairs inside each block.
 # A biplane on v points costs about 2v^2, so every biplane up to about 700
-# points fits. At the cap a verification takes about a second, and a design
-# whose every pair is a violation still needs only a few megabytes, because
-# violations past the first VIOLATION_SAMPLE are counted, not kept.
+# points fits. At the cap a verification takes under half a second, and a
+# design whose every pair is a violation still needs only a few megabytes,
+# because violations past the first VIOLATION_SAMPLE are counted, not kept.
 VERIFY_PAIR_CAP = 10**6
 
 # Violations a VerifyReport lists (biplane verify prints at most 20).
@@ -155,17 +155,20 @@ def verify_symmetric_design(d: Design) -> VerifyReport:
     for i, b in enumerate(d.blocks):
         if len(b) != k:
             violation("block-size", i, len(b), k)
-    pair_counts: dict[tuple[int, int], int] = {}
-    for b in d.blocks:
-        for pair in combinations(b, 2):
-            pair_counts[pair] = pair_counts.get(pair, 0) + 1
-    for pair in combinations(range(1, v + 1), 2):
-        got = pair_counts.get(pair, 0)
+    # through[p]: bitmask of the blocks through point p; points[i]: bitmask
+    # of the points of block i
+    through = [0] * (v + 1)
+    points = [0] * len(d.blocks)
+    for i, b in enumerate(d.blocks):
+        for p in b:
+            through[p] |= 1 << i
+            points[i] |= 1 << p
+    for a, b in combinations(range(1, v + 1), 2):
+        got = (through[a] & through[b]).bit_count()
         if got != lam:
-            violation("pair-count", pair, got, lam)
-    sets = d.block_sets()
-    for i, j in combinations(range(len(sets)), 2):
-        got = len(sets[i] & sets[j])
+            violation("pair-count", (a, b), got, lam)
+    for i, j in combinations(range(len(points)), 2):
+        got = (points[i] & points[j]).bit_count()
         if got != lam:
             violation("block-intersection", (i, j), got, lam)
     return VerifyReport(ok=not violations, violations=tuple(violations), counts=counts)

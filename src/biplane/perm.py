@@ -4,16 +4,19 @@ Groups are given by generators; exact orders and membership come from one
 deterministic Schreier-Sims stabilizer chain, whose base points are taken in
 increasing order and which keeps only generators that sift to a non-identity
 residue. Point stabilizers come from Schreier's lemma, their generators
-thinned by Sims' filter, and every orbit (of points, conjugates, blocks or
-flags) from one breadth-first routine, so repeated runs produce identical
-certificates.
+thinned by Sims' filter, in one kernel on 0-based image tuples that
+PermGroup.stabilizer wraps and the search in `aut` calls directly. Every
+orbit (of points, conjugates, blocks or flags) comes from one breadth-first
+routine, so repeated runs produce identical certificates.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd, lcm
+from operator import itemgetter, ne
 
 from .errors import InputError, ScaleError
 
@@ -230,22 +233,57 @@ def _orbit_transversal(beta: int, gens: list[Permutation], degree: int):
     return transversal
 
 
-def _sims_filter(generators) -> list[Permutation]:
-    """A generating set of the same group with at most one element per pair
-    (i, g(i)), i the first point g moves (Sims' filter).
+def _sims_filter(generators, n: int) -> list[tuple[int, ...]]:
+    """A generating set of the same group, as 0-based image tuples of degree
+    n, with at most one element per pair (i, g(i)), i the first point g moves
+    (Sims' filter).
 
     A generator that meets a kept element h with the same pair is replaced by
     h^-1 g, which fixes i as well, until it is kept or becomes the identity.
     """
-    kept: dict[tuple[int, int], Permutation] = {}
+    identity = tuple(range(n))
+    kept: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
     for g in generators:
-        while not g.is_identity():
-            i = next(p for p, q in enumerate(g.images, start=1) if p != q)
-            h = kept.setdefault((i, g(i)), g)
-            if h is g:
+        while g != identity:
+            i = next(compress(identity, map(ne, g, identity)))
+            h = kept.get((i, g[i]))
+            if h is None:
+                kept[i, g[i]] = (g, tuple(sorted(identity, key=g.__getitem__)))
                 break
-            g = h.inverse() * g
-    return list(kept.values())
+            g = itemgetter(*g)(h[1])
+    return [h for h, _ in kept.values()]
+
+
+def _stabilizer_images(alpha: int, generators) -> list[tuple[int, ...]]:
+    """Generators of the stabilizer of alpha in the group generated by
+    `generators`: non-identity 0-based image tuples of one degree.
+
+    The Schreier generators u_{g(p)}^-1 g u_p over the orbit of alpha
+    (Schreier's lemma), with the coset representatives u_p and their inverses
+    built together breadth-first, are thinned by Sims' filter, so at most
+    n(n-1)/2 of them are returned. The product a b (b first) is
+    itemgetter(*b)(a).
+    """
+    if not generators:
+        return []
+    n = len(generators[0])
+    identity = tuple(range(n))
+    inverses = [tuple(sorted(identity, key=g.__getitem__)) for g in generators]
+    transversal = {alpha: (identity, identity)}
+    frontier = [alpha]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            u, u_inv = transversal[p]
+            for g, g_inv in zip(generators, inverses):
+                q = g[p]
+                if q not in transversal:
+                    transversal[q] = (itemgetter(*u)(g), itemgetter(*g_inv)(u_inv))
+                    nxt.append(q)
+        frontier = sorted(nxt)
+    schreier = (itemgetter(*itemgetter(*u)(g))(transversal[g[p]][1])
+                for p, (u, _) in transversal.items() for g in generators)
+    return _sims_filter(schreier, n)
 
 
 class _Chain:
@@ -386,10 +424,9 @@ class PermGroup:
         Sims' filter, so at most degree*(degree-1)/2 of them."""
         if not 1 <= alpha <= self.degree:
             raise InputError(f"point {alpha} out of range 1..{self.degree}")
-        transversal = _orbit_transversal(alpha, self.generators, self.degree)
-        schreier = (transversal[g(p)].inverse() * g * u
-                    for p, u in transversal.items() for g in self.generators)
-        return PermGroup(self.degree, _sims_filter(schreier))
+        images = [tuple(x - 1 for x in g.images) for g in self.generators]
+        return PermGroup(self.degree, [Permutation._trusted(tuple(x + 1 for x in h))
+                                       for h in _stabilizer_images(alpha - 1, images)])
 
     def is_semiregular(self, domain) -> bool:
         """True iff every point stabilizer on the domain is trivial."""

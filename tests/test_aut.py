@@ -2,13 +2,15 @@ import random
 
 import pytest
 
-from biplane import catalog
-from biplane.aut import (_equitable, _individualize, _Search, are_isomorphic,
-                         automorphism_group, brute_force_automorphism_order,
-                         canonical_form, is_automorphism, isomorphism)
+from biplane import aut, catalog
+from biplane.aut import (CanonicalCertificate, _equitable, _individualize, _Search,
+                         _searched, are_isomorphic, automorphism_group,
+                         brute_force_automorphism_order, canonical_form,
+                         is_automorphism, isomorphism)
 from biplane.design import Design, DesignParams, dual
+from biplane.diffset import develop, from_tag, search_difference_sets
 from biplane.errors import InputError
-from biplane.perm import Permutation
+from biplane.perm import PermGroup, Permutation
 
 # Per catalog design: the group order, the number of automorphisms the search
 # offers as generators, and the SHA-256 canonical digest. Orders and digests
@@ -56,6 +58,27 @@ def test_search_stats_pinned(aut_results):
         stats = aut_results[name].stats
         assert (stats.nodes, stats.leaves, stats.automorphisms) == (nodes, leaves, autos), name
         assert autos == len(aut_results[name].group.generators), name
+
+
+# Search counters (nodes, leaves, automorphisms) summed over the 84 developed
+# (16,6,2) difference sets of c2xc8, q8xc2 and e16, unrelabeled.
+DEVELOPED_16_STATS = (4671, 2085, 424)
+
+
+def test_search_stats_over_developed_16_sets():
+    totals = [0, 0, 0]
+    digests = set()
+    sets = [ds for tag in ("c2xc8", "q8xc2", "e16")
+            for ds in search_difference_sets(from_tag(tag), 6, 2)]
+    assert len(sets) == 84
+    for ds in sets:
+        s = _searched(develop(ds))
+        stats = s.stats()
+        totals = [t + x for t, x in zip(totals, (stats.nodes, stats.leaves, stats.automorphisms))]
+        digests.add(CanonicalCertificate.from_blocks(s.best_cert).digest)
+    assert tuple(totals) == DEVELOPED_16_STATS
+    assert digests == {CATALOG_GATE[name][2] for name in
+                       ("biplane16_primitive", "biplane16_c2c8", "biplane16_q8c2")}
 
 
 def test_isomorphism_mappings_pinned():
@@ -181,17 +204,61 @@ def _equitable_full_rounds(cells, adj):
         cells = new_cells
 
 
+def _masks(cells):
+    return [sum(1 << u for u in cell) for cell in cells]
+
+
 def test_fresh_cell_refinement_matches_full_rounds():
     rng = random.Random(17)
     for name in catalog.constructible_names():
         s = _Search(catalog.build(name))
         root = [tuple(range(s.v)), tuple(range(s.v, s.n))]
-        start = _equitable(root, s.adj, [0, 1])
+        start, masks = _equitable(root, _masks(root), s.adj, [0, 1])
         assert start == _equitable_full_rounds(root, s.adj), name
+        assert masks == _masks(start), name
         for _ in range(6):
             cells = start
             while len(cells) < s.n:
                 tgt = rng.choice([i for i, c in enumerate(cells) if len(c) > 1])
-                split = _individualize(cells, tgt, rng.choice(cells[tgt]))
-                cells = _equitable(split, s.adj, [tgt, tgt + 1])
+                split, split_masks = _individualize(cells, _masks(cells), tgt,
+                                                    rng.choice(cells[tgt]))
+                assert split_masks == _masks(split), name
+                cells, masks = _equitable(split, split_masks, s.adj, [tgt, tgt + 1])
                 assert cells == _equitable_full_rounds(split, s.adj), name
+                assert masks == _masks(cells), name
+
+
+def test_cell_orbits_are_the_stabilizer_orbits(monkeypatch):
+    # Wherever the search computes the orbits of its target cell, they must be
+    # the orbits of the group its cached generators generate, cut down to the
+    # cell, and every generator must map the cell onto itself.
+    checked = []
+    n = None
+
+    def checking(cell, generators):
+        rep = cell_orbits(cell, generators)
+        members = set(cell)
+        assert all(g[u] in members for g in generators for u in cell)
+        group = PermGroup(n, [Permutation(x + 1 for x in g) for g in generators])
+        expected = {tuple(p - 1 for p in orb if p - 1 in members) for orb in group.orbits()}
+        got = {}
+        for u in cell:
+            got.setdefault(rep[u], []).append(u)
+        assert {tuple(orb) for orb in got.values()} == expected - {()}
+        assert all(rep[u] == min(got[rep[u]]) for u in cell)
+        checked.append(len(cell))
+        return rep
+
+    cell_orbits = aut._cell_orbits
+    monkeypatch.setattr(aut, "_cell_orbits", checking)
+    rng = random.Random(23)
+    for name in catalog.constructible_names():
+        d = catalog.build(name)
+        n = d.v + len(d.blocks)
+        for labeling in range(3):
+            images = list(range(1, d.v + 1))
+            if labeling:
+                rng.shuffle(images)
+            before = len(checked)
+            automorphism_group(d.relabel(Permutation(images)))
+            assert len(checked) > before, name

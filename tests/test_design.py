@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -57,6 +58,20 @@ def test_violation_list_is_bounded():
                                      ("pair-count", (1, 3), 1, 2))
     assert report.violations[-1] == ("pair-count", (5, 6), 0, 2)
     assert verify_symmetric_design(catalog.build("hadamard11")).counts == {}
+
+
+def test_pair_check_memory_is_bounded():
+    # one block of all 1000 points: every one of the C(1000,2) point pairs is
+    # covered, once, against lambda = 2
+    d = Design(DesignParams(1000, 45, 2), [tuple(range(1, 1001))])
+    tracemalloc.start()
+    try:
+        report = verify_symmetric_design(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.counts == {"block-count": 1, "block-size": 1, "pair-count": 499500}
+    assert peak < 10 * 2**20
 
 
 def test_dual_involution():

@@ -146,13 +146,14 @@ def test_chain_keeps_only_non_member_generators():
 
 def test_sims_filter_keeps_the_group():
     gens = [Permutation.from_cycles(c, 16) for c in ALPHA]
-    kept = perm._sims_filter(gens + [a * b for a in gens for b in gens])
+    images = [tuple(x - 1 for x in g.images) for g in gens + [a * b for a in gens for b in gens]]
+    kept = perm._sims_filter(images, 16)
     pairs = set()
     for g in kept:
-        i = next(p for p in range(1, 17) if g(p) != p)
-        pairs.add((i, g(i)))
+        i = next(p for p in range(16) if g[p] != p)
+        pairs.add((i, g[i]))
     assert len(pairs) == len(kept)
-    assert PermGroup(16, kept).order() == 1152
+    assert PermGroup(16, [Permutation(x + 1 for x in g) for g in kept]).order() == 1152
 
 
 def test_orbit_routine():
