@@ -150,18 +150,12 @@ class _Search:
     """One individualization-refinement run over a design's incidence graph."""
 
     def __init__(self, d: Design):
+        self.d = d
         self.v = d.v
         self.nblocks = len(d.blocks)
         self.n = self.v + self.nblocks
-        adj = [0] * self.n
-        for j, b in enumerate(d.blocks):
-            bv = self.v + j
-            for p in b:
-                adj[p - 1] |= 1 << bv
-                adj[bv] |= 1 << (p - 1)
-        self.adj = adj
-        self.block_lookup = d.block_index()
-        self.blocks = d.blocks
+        through, points = d.incidence
+        self.adj = [m << self.v for m in through[1:]] + [m >> 1 for m in points]
         self.first_pos: dict[int, int] | None = None
         self.first_cert = None
         self.best_pos: dict[int, int] | None = None
@@ -249,21 +243,19 @@ class _Search:
 
     def _certificate(self, pos):
         ranks = self._point_ranks(pos)
-        return tuple(sorted(tuple(sorted(map(ranks.__getitem__, b))) for b in self.blocks))
+        return tuple(sorted(tuple(sorted(map(ranks.__getitem__, b))) for b in self.d.blocks))
 
     def _record_automorphism(self, pos) -> None:
         ranks_first = self._point_ranks(self.first_pos)
         ranks_here = self._point_ranks(pos)
         inv_first = {lab: p for p, lab in ranks_first.items()}
-        full = [inv_first[ranks_here[p]] - 1 for p in range(1, self.v + 1)]
-        if full == list(range(self.v)):
+        images = [inv_first[ranks_here[p]] for p in range(1, self.v + 1)]
+        if images == list(range(1, self.v + 1)):
             return
-        for b in self.blocks:
-            tj = self.block_lookup.get(frozenset(full[p - 1] + 1 for p in b))
-            if tj is None:
-                raise AssertionError("leaf with equal certificate is not an automorphism")
-            full.append(self.v + tj)
-        full_t = tuple(full)
+        blocks = self.d.block_action(images)
+        if blocks is None:
+            raise AssertionError("leaf with equal certificate is not an automorphism")
+        full_t = tuple(p - 1 for p in images) + tuple(self.v + j for j in blocks)
         if full_t not in self._auto_set:
             self._auto_set.add(full_t)
             self.autos.append(full_t)
@@ -321,27 +313,19 @@ def isomorphism(a: Design, b: Design) -> IsoResult:
     inv_b = {lab: p for p, lab in ranks_b.items()}
     sigma = Permutation(inv_b[ranks_a[p]] for p in range(1, a.v + 1))
     image = {sigma.apply_set(blk) for blk in a.blocks}
-    if image != set(b.block_sets()):
+    if image != b.block_index().keys():
         raise AssertionError("canonical forms agree but mapping failed")
     return IsoResult(sigma, stats)
 
 
 def is_automorphism(d: Design, x: Permutation) -> bool:
     """Does x map the block set onto itself?"""
-    if x.degree != d.v:
-        raise InputError(f"permutation degree {x.degree} != v = {d.v}")
-    sets = set(d.block_sets())
-    return all(x.apply_set(b) in sets for b in d.blocks)
+    return d.block_action(x.images) is not None
 
 
 def brute_force_automorphism_order(d: Design, cap_degree: int = 8) -> int:
     """Oracle: count all point permutations preserving the block set (v <= cap)."""
     if d.v > cap_degree:
         raise ScaleError(f"brute force capped at degree {cap_degree}")
-    sets = set(d.block_sets())
-    count = 0
-    for images in permutations(range(1, d.v + 1)):
-        x = Permutation(images)
-        if all(x.apply_set(b) in sets for b in d.blocks):
-            count += 1
-    return count
+    return sum(d.block_action(images) is not None
+               for images in permutations(range(1, d.v + 1)))

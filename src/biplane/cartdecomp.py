@@ -14,11 +14,16 @@ from itertools import combinations, product
 from math import isqrt
 
 from .design import Design
-from .errors import InputError
+from .errors import InputError, ScaleError
 from .ntheory import is_square
 from .perm import PermGroup
 
 PELL_RHS = 7  # 8x^2 - y^2 = 7
+
+# Largest n_max pell_solutions admits. x grows by a factor 3 + sqrt(8) per
+# step and passes Python's 4,300-digit limit for printing an integer near
+# n = 5,600; the cap is far above the n <= 12 the exclusion needs.
+PELL_N_CAP = 1000
 
 
 @dataclass(frozen=True)
@@ -115,14 +120,21 @@ def coordinatize(cd: CartesianDecomposition, v: int) -> dict[int, tuple[int, ...
     return coords
 
 
+def _check_degree(group: PermGroup, v: int) -> None:
+    if group.degree != v:
+        raise InputError(f"group degree {group.degree} != {v} points of the decomposition")
+
+
 def preserved_by(cd: CartesianDecomposition, group: PermGroup,
                  allow_partition_swap: bool = True) -> bool:
     """Does every generator map parts to parts?
 
     With allow_partition_swap the partitions may be permuted among
     themselves (the wreath top group); strict mode requires each partition
-    to be fixed setwise.
+    to be fixed setwise. Raises InputError when the group's degree is not
+    the number of points of the decomposition.
     """
+    _check_degree(group, len(frozenset().union(*(p for part in cd.partitions for p in part))))
     part_sets = [set(partition) for partition in cd.partitions]
     for g in group.generators:
         for i, partition in enumerate(cd.partitions):
@@ -142,7 +154,7 @@ def block_coordinate_pairs(d: Design, cd: CartesianDecomposition,
 
     Requires a verified homogeneous decomposition with exactly 2 partitions
     on v = c^2 points. If a block-transitive group is supplied, all counts
-    must equal 2(c-1) and a violation raises.
+    must equal 2(c-1) and a violation raises; its degree must be v.
     """
     if cd.d != 2:
         raise InputError(f"need exactly 2 partitions, got {cd.d}")
@@ -161,6 +173,7 @@ def block_coordinate_pairs(d: Design, cd: CartesianDecomposition,
                 if coords[p][0] == coords[q][0] or coords[p][1] == coords[q][1])
         counts.append(n)
     if group is not None:
+        _check_degree(group, d.v)
         if not group.is_transitive():
             raise InputError("supplied group is not transitive")
         expected = 2 * (c - 1)
@@ -195,10 +208,13 @@ def pell_solutions(n_max: int) -> list[PellSolution]:
 
     The pair recurrence is (u, v) -> (3u + 8v, u + 3v) from (1, 0); family 2
     at n = 0 reproduces family 1's (1, 1) with negative y and is skipped.
-    Solutions are returned sorted by x.
+    Solutions are returned sorted by x. Raises ScaleError, before any work,
+    when n_max exceeds PELL_N_CAP.
     """
     if n_max < 0:
         raise InputError("n_max must be nonnegative")
+    if n_max > PELL_N_CAP:
+        raise ScaleError(f"n_max {n_max} exceeds the cap {PELL_N_CAP}")
     out: list[PellSolution] = []
     u, v = 1, 0
     for n in range(n_max + 1):

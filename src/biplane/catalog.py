@@ -232,12 +232,11 @@ def flag_orbit_count(d: Design, group: PermGroup) -> int:
     """
     if group.degree != d.v:
         raise InputError("group degree does not match the design")
-    index = d.block_index()
     # each generator paired with the block permutation it induces
     actions = []
     for g in group.generators:
-        images = [index.get(g.apply_set(b)) for b in d.blocks]
-        if None in images:
+        images = d.block_action(g.images)
+        if images is None:
             raise InputError(f"generator {g.cycle_string()} is not an automorphism")
         actions.append((g, images))
     remaining = {(p, j) for j, b in enumerate(d.blocks) for p in b}

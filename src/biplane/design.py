@@ -7,6 +7,7 @@ immutable after construction and all operations are pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from math import comb, gcd, isqrt
 
@@ -51,6 +52,10 @@ class Design:
     Construction rejects malformed input (out-of-range ids, duplicate points
     inside a block, repeated blocks); whether the structure satisfies the
     symmetric-design axioms is the job of verify_symmetric_design.
+
+    The one incidence view of the package (block_index, the incidence
+    bitmasks and block_action) is built on first use and cached outside the
+    fields, so it takes no part in equality or hashing.
     """
 
     params: DesignParams
@@ -84,11 +89,34 @@ class Design:
     def lam(self) -> int:
         return self.params.lam
 
-    def block_sets(self) -> tuple[frozenset, ...]:
-        return tuple(frozenset(b) for b in self.blocks)
-
     def block_index(self) -> dict[frozenset, int]:
+        return self._block_index
+
+    @cached_property
+    def _block_index(self) -> dict[frozenset, int]:
         return {frozenset(b): i for i, b in enumerate(self.blocks)}
+
+    @cached_property
+    def incidence(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(through, points): through[p] is the bitmask of the 0-based indices
+        of the blocks through point p (through[0] is 0), and points[i] is the
+        bitmask of the points of block i (bit p for point p)."""
+        through = [0] * (self.v + 1)
+        points = [0] * len(self.blocks)
+        for i, b in enumerate(self.blocks):
+            for p in b:
+                through[p] |= 1 << i
+                points[i] |= 1 << p
+        return tuple(through), tuple(points)
+
+    def block_action(self, images) -> tuple[int, ...] | None:
+        """The 0-based index of the image of each block under the point map
+        p -> images[p-1], or None if some block is not mapped onto a block."""
+        if len(images) != self.v:
+            raise InputError(f"permutation degree {len(images)} != v = {self.v}")
+        index = self._block_index
+        out = tuple([index.get(frozenset([images[p - 1] for p in b])) for b in self.blocks])
+        return None if None in out else out
 
     def points(self) -> range:
         return range(1, self.v + 1)
@@ -155,14 +183,7 @@ def verify_symmetric_design(d: Design) -> VerifyReport:
     for i, b in enumerate(d.blocks):
         if len(b) != k:
             violation("block-size", i, len(b), k)
-    # through[p]: bitmask of the blocks through point p; points[i]: bitmask
-    # of the points of block i
-    through = [0] * (v + 1)
-    points = [0] * len(d.blocks)
-    for i, b in enumerate(d.blocks):
-        for p in b:
-            through[p] |= 1 << i
-            points[i] |= 1 << p
+    through, points = d.incidence
     for a, b in combinations(range(1, v + 1), 2):
         got = (through[a] & through[b]).bit_count()
         if got != lam:
@@ -182,11 +203,9 @@ def dual(d: Design) -> Design:
     """
     if not verify_symmetric_design(d).ok:
         raise InputError("dual requires a verified symmetric design")
-    v = d.v
-    dual_blocks = []
-    for alpha in range(1, v + 1):
-        dual_blocks.append(tuple(sorted(i + 1 for i, b in enumerate(d.blocks) if alpha in b)))
-    return Design(d.params, dual_blocks)
+    through = d.incidence[0]
+    return Design(d.params, [tuple(i + 1 for i in range(len(d.blocks)) if m >> i & 1)
+                             for m in through[1:]])
 
 
 def params_from_k(k: int) -> DesignParams:

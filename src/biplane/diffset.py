@@ -15,7 +15,6 @@ from typing import NamedTuple
 from .design import Design, DesignParams
 from .errors import InputError, ScaleError
 from .ntheory import divisors, factorize, multiplicative_order, square_free_part
-from .perm import Permutation
 
 ASSOCIATIVITY_CHECK_CAP = 64
 SEARCH_SUBSET_CAP = 10**8
@@ -208,10 +207,8 @@ def develop(ds: DifferenceSet) -> Design:
     mul = g.mul
     blocks = sorted(tuple(sorted(mul[d][x] + 1 for d in ds.elements)) for x in g.elements())
     design = Design(ds.params, blocks)
-    block_sets = set(design.block_sets())
     for x in g.elements():
-        perm = Permutation(mul[e][x] + 1 for e in g.elements())
-        if any(perm.apply_set(b) not in block_sets for b in design.blocks):
+        if design.block_action([mul[e][x] + 1 for e in g.elements()]) is None:
             raise AssertionError("right translation does not preserve the development")
     return design
 

@@ -68,14 +68,11 @@ class FixReport:
 
 def induced_block_permutation(d: Design, x: Permutation) -> Permutation:
     """The permutation of block indices (1-based) induced by a point automorphism."""
-    index = d.block_index()
-    images = []
-    for b in d.blocks:
-        j = index.get(x.apply_set(b))
-        if j is None:
-            raise InputError(f"not an automorphism: block {b} maps outside the design")
-        images.append(j + 1)
-    return Permutation(images)
+    action = d.block_action(x.images)
+    if action is None:
+        b = next(b for b in d.blocks if x.apply_set(b) not in d.block_index())
+        raise InputError(f"not an automorphism: block {b} maps outside the design")
+    return Permutation(j + 1 for j in action)
 
 
 def _orbit_stats(members, x: Permutation) -> tuple[int, int]:
@@ -111,8 +108,6 @@ def fix_report(d: Design, x: Permutation) -> FixReport:
 
 def _report_and_block_action(d: Design, x: Permutation) -> tuple[FixReport, Permutation]:
     """fix_report together with the induced block permutation it is built from."""
-    if x.degree != d.v:
-        raise InputError(f"permutation degree {x.degree} != v = {d.v}")
     bx = induced_block_permutation(d, x)  # rejects non-automorphisms
     fixed_points = tuple(p for p in d.points() if x(p) == p)
     fixed_blocks = tuple(j for j in range(len(d.blocks)) if bx(j + 1) == j + 1)
@@ -120,13 +115,10 @@ def _report_and_block_action(d: Design, x: Permutation) -> tuple[FixReport, Perm
     for j in fixed_blocks:
         s_block[j], r_block[j] = _orbit_stats(d.blocks[j], x)
     s_point, r_point = {}, {}
-    through: dict[int, list[int]] = {p: [] for p in fixed_points}
-    for j, b in enumerate(d.blocks):
-        for p in b:
-            if p in through:
-                through[p].append(j + 1)
+    through = d.incidence[0]
     for p in fixed_points:
-        s_point[p], r_point[p] = _orbit_stats(through[p], bx)
+        s_point[p], r_point[p] = _orbit_stats(
+            [j + 1 for j in range(len(d.blocks)) if through[p] >> j & 1], bx)
     return FixReport(
         f_points=len(fixed_points),
         f_blocks=len(fixed_blocks),

@@ -1,11 +1,11 @@
 import pytest
 
 from biplane import catalog
-from biplane.cartdecomp import (CartesianDecomposition, block_coordinate_pairs, coordinatize,
-                                pell_brute_force, pell_solutions, preserved_by,
+from biplane.cartdecomp import (PELL_N_CAP, CartesianDecomposition, block_coordinate_pairs,
+                                coordinatize, pell_brute_force, pell_solutions, preserved_by,
                                 psp4_degree_excluded, verify_cartesian)
-from biplane.errors import InputError
-from biplane.perm import PermGroup
+from biplane.errors import InputError, ScaleError
+from biplane.perm import PermGroup, Permutation
 
 
 def _example_cd() -> CartesianDecomposition:
@@ -94,6 +94,18 @@ def test_block_coordinate_pairs_rejects_wrong_dimension():
         block_coordinate_pairs(d, triv)
 
 
+def test_group_degree_must_match_decomposition():
+    d = catalog.build("biplane16_primitive")
+    cd = _example_cd()
+    padded = PermGroup(20, [Permutation(g.images + (17, 18, 19, 20))
+                            for g in catalog.primitive16_group().generators])
+    for group in (PermGroup.trivial(8), padded):
+        with pytest.raises(InputError, match=f"group degree {group.degree} != 16"):
+            preserved_by(cd, group)
+        with pytest.raises(InputError, match=f"group degree {group.degree} != 16"):
+            block_coordinate_pairs(d, cd, group=group)
+
+
 def test_fully_coordinate_aligned_set_counts_all_pairs():
     # a synthetic 6-set inside one fiber has C(6,2) = 15 > 2(c-1) shared pairs
     cd = _example_cd()
@@ -113,6 +125,12 @@ def test_pell_first_solutions():
     assert [(s.x, s.y) for s in sols] == [(1, 1), (2, 5), (4, 11), (11, 31), (23, 65)]
     first = sols[0]
     assert (first.u, first.v) == (1, 0)
+
+
+def test_pell_cap():
+    assert len(pell_solutions(PELL_N_CAP)) == 2 * PELL_N_CAP + 1
+    with pytest.raises(ScaleError, match=f"exceeds the cap {PELL_N_CAP}"):
+        pell_solutions(PELL_N_CAP + 1)
 
 
 def test_pell_recurrence_pairs():

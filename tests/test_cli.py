@@ -4,10 +4,14 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from biplane import catalog, cli
+from biplane.cartdecomp import CartesianDecomposition
 from biplane.cli import run
 from biplane.design import VERIFY_PAIR_CAP
 from biplane.diffset import GROUP_ORDER_CAP
+from biplane.perm import PermGroup, Permutation, group_to_json_dict
 
 OK, CHECK_FAILED, USAGE, INTERNAL = 0, 1, 2, 3
 
@@ -243,6 +247,46 @@ def test_usage_errors():
     assert run(["nonsense"]) == USAGE
     assert run(["verify", "/no/such/file.json"]) == USAGE
     assert run(["catalog", "build", "biplane121"]) == USAGE  # metadata-only
+
+
+def _hostile_files(tmp_path):
+    """Paths of a 16-point design, its cartesian decomposition, groups of
+    degree 8 and 20 (padded with fixed points), and a 7-point design."""
+    files = {"d16": catalog.build("biplane16_primitive").to_json_dict(),
+             "cd16": CartesianDecomposition(catalog.CART16_PARTITIONS).to_json_dict(),
+             "g8": group_to_json_dict(PermGroup.from_cycles(8, ["(1,2)"])),
+             "g20": group_to_json_dict(PermGroup(20, [
+                 Permutation(g.images + (17, 18, 19, 20))
+                 for g in catalog.primitive16_group().generators])),
+             "d7": catalog.build("fano_complement").to_json_dict()}
+    paths = {}
+    for key, data in files.items():
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps(data))
+        paths[key] = str(path)
+    return paths
+
+
+@pytest.mark.parametrize("argv", [
+    ["cart", "verify", "--design", "{d16}", "--cd", "{cd16}", "--group", "{g8}"],
+    ["cart", "verify", "--design", "{d16}", "--cd", "{cd16}", "--group", "{g20}"],
+    ["pell", "--n", "5700"],
+    ["pell", "--n", "100000000"],
+    ["fix", "--design", "{d7}", "--perm", "(1,99)"],
+    ["ds", "develop", "--group", "c11", "--set", "1,3"],
+    ["cert121", "--order", "0"],
+])
+def test_hostile_arguments_exit_2(tmp_path, capsys, argv):
+    paths = _hostile_files(tmp_path)
+    argv = [a.format(**paths) for a in argv]
+    for as_json in ([], ["--json"]):
+        start = time.perf_counter()
+        assert run(argv + as_json) == USAGE
+        assert time.perf_counter() - start < 5.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
 
 
 def test_format_report():

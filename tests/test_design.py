@@ -237,3 +237,50 @@ def test_json_roundtrip():
     assert data["lambda"] == 2 and len(data["blocks"]) == 16
     d2 = Design.from_json_dict(data)
     assert sorted(d2.blocks) == sorted(d.blocks)
+
+
+def _reference_view(d):
+    """Block index, incidence bitmasks and a block-action function rebuilt
+    from the block list alone."""
+    index = {frozenset(b): i for i, b in enumerate(d.blocks)}
+    through = tuple(sum(1 << i for i, b in enumerate(d.blocks) if p in b)
+                    for p in range(d.v + 1))
+    points = tuple(sum(1 << p for p in b) for b in d.blocks)
+
+    def action(images):
+        out = [index.get(frozenset(images[p - 1] for p in b)) for b in d.blocks]
+        return None if None in out else tuple(out)
+
+    return index, (through, points), action
+
+
+def test_incidence_view_matches_reference(aut_results):
+    rng = random.Random(8)
+    for name in catalog.constructible_names():
+        base = catalog.build(name)
+        sigmas = [list(range(1, base.v + 1)) for _ in range(3)]
+        for images in sigmas[1:]:
+            rng.shuffle(images)
+        for sigma in sigmas:
+            d = base.relabel(Permutation(sigma))
+            inverse = {q: p for p, q in enumerate(sigma, start=1)}
+            # automorphisms of d: sigma g sigma^-1 for g in Aut(base)
+            autos = [tuple(sigma[g(inverse[q]) - 1] for q in range(1, d.v + 1))
+                     for g in aut_results[name].group.generators]
+            swap = (2, 1) + tuple(range(3, d.v + 1))
+            index, incidence, action = _reference_view(d)
+            assert d.block_index() == index
+            assert d.incidence == incidence
+            assert d.block_action(swap) is None and action(swap) is None
+            for images in autos + [tuple(range(1, d.v + 1))]:
+                assert d.block_action(images) == action(images) is not None
+            # the cached view is not part of equality or hashing
+            fresh = Design(d.params, d.blocks)
+            assert "incidence" in vars(d) and "incidence" not in vars(fresh)
+            assert d == fresh and hash(d) == hash(fresh)
+
+
+def test_block_action_rejects_wrong_length():
+    d = catalog.build("fano_complement")
+    with pytest.raises(InputError, match="permutation degree 3 != v = 7"):
+        d.block_action((2, 1, 3))

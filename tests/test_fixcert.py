@@ -25,6 +25,14 @@ def test_fix_report_rejects_non_automorphism():
         fix_report(d, Permutation.from_cycles("(1,2)", 7))
 
 
+def test_induced_block_permutation_input_errors():
+    d = catalog.build("fano_complement")
+    with pytest.raises(InputError, match="permutation degree 3 != v = 7"):
+        induced_block_permutation(d, Permutation([2, 1, 3]))
+    with pytest.raises(InputError, match=r"block \(1, 3, 4, 6\) maps outside"):
+        induced_block_permutation(d, Permutation.from_cycles("(1,2)", 7))
+
+
 def test_block_and_point_cycle_types_agree(aut_results):
     d = catalog.build("hadamard11")
     for g in aut_results["hadamard11"].group.generators:
