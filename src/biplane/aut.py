@@ -19,7 +19,6 @@ not depend on it.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -37,6 +36,8 @@ class CanonicalCertificate:
 
     @classmethod
     def from_blocks(cls, blocks) -> "CanonicalCertificate":
+        import hashlib  # only certificates hash; automorphism and iso searches do not
+
         blocks = tuple(tuple(b) for b in blocks)
         digest = hashlib.sha256(repr(blocks).encode()).hexdigest()
         return cls(blocks, digest)

@@ -14,7 +14,7 @@ from itertools import combinations, product
 from math import isqrt
 
 from .design import Design
-from .errors import InputError, ScaleError
+from .errors import InputError, ScaleError, json_int
 from .ntheory import is_square
 from .perm import PermGroup
 
@@ -52,7 +52,7 @@ class CartesianDecomposition:
     @classmethod
     def from_json_dict(cls, data: dict) -> "CartesianDecomposition":
         try:
-            parts = [[frozenset(int(x) for x in p) for p in partition]
+            parts = [[frozenset(json_int(x, "partitions") for x in p) for p in partition]
                      for partition in data["partitions"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad decomposition file: {exc}") from exc

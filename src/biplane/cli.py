@@ -8,6 +8,11 @@ is a software bug. Every subcommand takes
 identical inputs give byte-identical results. `aut` and `iso` also take
 --stats, which adds the search counters: on standard error, or under a
 separate `stats` key with --json, so the rest of the output is unchanged.
+
+Each handler imports the package modules it runs, and nothing is imported
+at module level beyond `errors`: every call starts a fresh interpreter, so
+`biplane pell` never compiles the automorphism search and `biplane aut`
+never loads the certificates.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ import json
 import sys
 from dataclasses import asdict
 
-from . import aut, cartdecomp, catalog, design, diffset, fixcert, perm
 from .errors import BiplaneError, InputError
 
 OK, CHECK_FAILED, USAGE, INTERNAL = 0, 1, 2, 3
@@ -38,6 +42,7 @@ def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
 
 
 def _load_design(path: str) -> design.Design:
+    from . import design
     try:
         with open(path) as fh:
             return design.Design.from_json_dict(json.load(fh))
@@ -46,6 +51,7 @@ def _load_design(path: str) -> design.Design:
 
 
 def _load_group(path: str) -> perm.PermGroup:
+    from . import perm
     try:
         with open(path) as fh:
             return perm.group_from_json_dict(json.load(fh))
@@ -54,6 +60,7 @@ def _load_group(path: str) -> perm.PermGroup:
 
 
 def _load_cd(path: str) -> cartdecomp.CartesianDecomposition:
+    from . import cartdecomp
     try:
         with open(path) as fh:
             return cartdecomp.CartesianDecomposition.from_json_dict(json.load(fh))
@@ -88,9 +95,21 @@ def _checks_lines(result: fixcert.CertResult) -> list[str]:
     return [f"{c.name:<{width}}  {c.status:<4}  {c.detail}" for c in result.checks]
 
 
+def _parse_set(text: str) -> tuple[int, ...]:
+    """The comma-separated integers of `ds develop --set`."""
+    elements = []
+    for token in text.split(","):
+        try:
+            elements.append(int(token))
+        except ValueError:
+            raise InputError(f"--set: {token!r} is not an integer") from None
+    return tuple(elements)
+
+
 # -- subcommand handlers -----------------------------------------------------
 
 def _cmd_catalog(args) -> int:
+    from . import catalog
     if args.action == "list":
         entries = catalog.list_known()
         payload = {"entries": [
@@ -114,6 +133,7 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import design
     d = _load_design(args.design)
     report = design.verify_symmetric_design(d)
     payload = {"ok": report.ok,
@@ -125,6 +145,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_dual(args) -> int:
+    from . import design
     d = _load_design(args.design)
     dd = design.dual(d)
     _write_design(dd, args.output)
@@ -137,6 +158,7 @@ def _cmd_dual(args) -> int:
 
 
 def _cmd_aut(args) -> int:
+    from . import aut
     d = _load_design(args.design)
     result = aut.automorphism_group(d)
     payload = {"order": result.order,
@@ -149,6 +171,7 @@ def _cmd_aut(args) -> int:
 
 
 def _cmd_iso(args) -> int:
+    from . import aut
     a = _load_design(args.design_a)
     b = _load_design(args.design_b)
     result = aut.isomorphism(a, b)
@@ -163,6 +186,7 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_ds(args) -> int:
+    from . import design, diffset
     if args.action == "lander":
         p = design.DesignParams(args.v, args.k, args.lam)
         witness = diffset.lander_excluded(p)
@@ -185,8 +209,7 @@ def _cmd_ds(args) -> int:
         _emit(payload, args.json, lines)
         return OK
     # develop
-    elements = [int(t) for t in args.set.split(",")]
-    ds = diffset.DifferenceSet(group=group, elements=tuple(elements), lam=args.lam)
+    ds = diffset.DifferenceSet(group=group, elements=_parse_set(args.set), lam=args.lam)
     d = diffset.develop(ds)
     _write_design(d, args.output)
     payload = d.to_json_dict()
@@ -198,6 +221,7 @@ def _cmd_ds(args) -> int:
 
 
 def _cmd_fix(args) -> int:
+    from . import design, fixcert, perm
     d = _load_design(args.design)
     report = design.verify_symmetric_design(d)
     if not report.ok:
@@ -222,6 +246,7 @@ def _cmd_fix(args) -> int:
 
 
 def _cmd_cert121(args) -> int:
+    from . import fixcert
     types = fixcert.admissible_cycle_types_121(args.order)
     payload = {"order": args.order,
                "types": [t.as_dict() for t in types]}
@@ -235,6 +260,7 @@ def _cmd_cert121(args) -> int:
 
 
 def _cmd_cert79(args) -> int:
+    from . import fixcert
     d = _load_design(args.design)
     cls = fixcert.certify_79(d)
     payload = {"order": cls.order, "order_allowed": cls.order_allowed,
@@ -248,6 +274,7 @@ def _cmd_cert79(args) -> int:
 
 
 def _cmd_cart(args) -> int:
+    from . import cartdecomp
     d = _load_design(args.design)
     cd = _load_cd(args.cd)
     report = cartdecomp.verify_cartesian(cd, d.v)
@@ -276,6 +303,7 @@ def _cmd_cart(args) -> int:
 
 
 def _cmd_pell(args) -> int:
+    from . import cartdecomp
     sols = cartdecomp.pell_solutions(args.n)
     payload = {"solutions": [
         {"n": s.n, "family": s.family, "x": s.x, "y": s.y, "u": s.u, "v": s.v}
@@ -287,6 +315,7 @@ def _cmd_pell(args) -> int:
 
 
 def _cmd_psp4(args) -> int:
+    from . import cartdecomp
     rep = cartdecomp.psp4_degree_excluded(args.q)
     payload = {"q": rep.q, "c": rep.c, "pell_value": rep.pell_value,
                "pell_value_is_square": rep.pell_value_is_square,
@@ -300,6 +329,7 @@ def _cmd_psp4(args) -> int:
 
 
 def _cmd_feasible(args) -> int:
+    from . import design
     if args.action == "params":
         p = design.params_from_k(args.k)
         payload = {"v": p.v, "k": p.k, "lambda": p.lam}

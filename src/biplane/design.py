@@ -11,7 +11,7 @@ from functools import cached_property
 from itertools import combinations
 from math import comb, gcd, isqrt
 
-from .errors import InputError, ScaleError
+from .errors import InputError, ScaleError, json_int
 from .ntheory import is_square, square_free_part, ternary_isotropic
 
 # Largest number of pair operations verify_symmetric_design admits: point
@@ -137,8 +137,8 @@ class Design:
     @classmethod
     def from_json_dict(cls, data: dict) -> "Design":
         try:
-            params = DesignParams(int(data["v"]), int(data["k"]), int(data["lambda"]))
-            blocks = [tuple(int(p) for p in b) for b in data["blocks"]]
+            params = DesignParams(*(json_int(data[f], f) for f in ("v", "k", "lambda")))
+            blocks = [tuple(json_int(p, "blocks") for p in b) for b in data["blocks"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad design file: {exc}") from exc
         return cls(params, blocks)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import isqrt
 
-from .aut import automorphism_group
 from .design import (Design, restrict_subdesign, subdesign_constraint,
                      verify_symmetric_design)
 from .errors import InputError
@@ -440,6 +439,8 @@ def certify_79(d: Design) -> Classification79:
     if not report.ok:
         raise InputError(f"structure does not verify as a biplane: "
                          f"{report.violations[:3]}")
+    from .aut import automorphism_group  # the other certificates need no search
+
     res = automorphism_group(d)
     order_allowed, note = check_79_order(res.order)
     checks: list[Check] = []

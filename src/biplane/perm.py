@@ -18,7 +18,7 @@ from itertools import compress
 from math import gcd, lcm
 from operator import itemgetter, ne
 
-from .errors import InputError, ScaleError
+from .errors import InputError, ScaleError, json_int
 
 _CYCLE_RE = re.compile(r"\(\s*([0-9]+(?:\s*,\s*[0-9]+)*)\s*\)")
 
@@ -533,7 +533,7 @@ def group_to_json_dict(group: PermGroup) -> dict:
 
 def group_from_json_dict(data: dict) -> PermGroup:
     try:
-        degree = int(data["degree"])
+        degree = json_int(data["degree"], "degree")
         gens = list(data["generators"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad group file: {exc}") from exc

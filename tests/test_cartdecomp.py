@@ -35,6 +35,14 @@ def test_malformed_partition_is_input_error():
         verify_cartesian(CartesianDecomposition([[{1, 2}, {2, 30}]]), 16)
 
 
+@pytest.mark.parametrize("point", [1.9, False, "1"])
+def test_from_json_dict_takes_json_integers_only(point):
+    data = _example_cd().to_json_dict()
+    data["partitions"][0][0][0] = point
+    with pytest.raises(InputError, match=f"^bad decomposition file: partitions: {point!r}"):
+        CartesianDecomposition.from_json_dict(data)
+
+
 def test_coordinatize_bijection():
     cd = _example_cd()
     coords = coordinatize(cd, 16)

@@ -185,12 +185,49 @@ def test_python_dash_m_entry_point():
         assert "biplane16_primitive" in proc.stdout, module
 
 
-def test_cli_import_leaves_numpy_out():
-    code = "import sys, biplane.cli; print('numpy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code],
+def _modules_loaded(argv, cwd=None):
+    """Run `biplane.cli.run(argv)` in a fresh interpreter (only the import
+    when argv is None); return its exit code and the modules it loaded."""
+    code = ("import json, sys, biplane.cli\n"
+            "argv = json.loads(sys.argv[1])\n"
+            "code = 0 if argv is None else biplane.cli.run(argv)\n"
+            "print(json.dumps([code, sorted(sys.modules)]), file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(argv)], cwd=cwd,
                           capture_output=True, text=True, env=_src_env(), timeout=60)
-    assert proc.returncode == OK
-    assert proc.stdout.strip() == "False"
+    assert proc.returncode == OK, proc.stderr
+    exit_code, modules = json.loads(proc.stderr.splitlines()[-1])
+    return exit_code, set(modules)
+
+
+def test_cli_import_leaves_numpy_out():
+    _, modules = _modules_loaded(None)
+    assert "numpy" not in modules
+    assert {m for m in modules if m.startswith("biplane")} == {
+        "biplane", "biplane.cli", "biplane.errors"}
+
+
+# The package modules each subcommand may load beyond biplane, cli and errors;
+# none of them hashes, so none loads hashlib.
+_BASE = {"design", "ntheory"}
+
+
+@pytest.mark.parametrize("argv, allowed", [
+    (["catalog", "list"], _BASE | {"catalog", "diffset", "perm"}),
+    (["verify", "d16.json"], _BASE),
+    (["aut", "d16.json"], _BASE | {"perm", "aut"}),
+    (["fix", "--design", "d16.json", "--perm", "(3,5)(4,6)(11,13)(12,14)"],
+     _BASE | {"perm", "fixcert"}),
+    (["pell", "--n", "3"], _BASE | {"perm", "cartdecomp"}),
+    (["ds", "lander", "--v", "121", "--k", "16"], _BASE | {"diffset"}),
+], ids=["catalog-list", "verify", "aut", "fix", "pell", "ds-lander"])
+def test_subcommand_loads_only_its_modules(tmp_path, argv, allowed):
+    d16 = catalog.build("biplane16_primitive").to_json_dict()
+    (tmp_path / "d16.json").write_text(json.dumps(d16))
+    exit_code, modules = _modules_loaded(argv, cwd=tmp_path)
+    assert exit_code == OK
+    loaded = {m.removeprefix("biplane.") for m in modules if m.startswith("biplane.")}
+    assert loaded <= allowed | {"cli", "errors"}
+    assert not modules & {"hashlib", "numpy"}
 
 
 def test_cert121(capsys):
@@ -251,14 +288,20 @@ def test_usage_errors():
 
 def _hostile_files(tmp_path):
     """Paths of a 16-point design, its cartesian decomposition, groups of
-    degree 8 and 20 (padded with fixed points), and a 7-point design."""
+    degree 8 and 20 (padded with fixed points), a 7-point design, and copies
+    of the group and the 7-point design with a float where an integer goes."""
+    d7 = catalog.build("fano_complement").to_json_dict()
+    g16 = group_to_json_dict(catalog.primitive16_group())
     files = {"d16": catalog.build("biplane16_primitive").to_json_dict(),
              "cd16": CartesianDecomposition(catalog.CART16_PARTITIONS).to_json_dict(),
              "g8": group_to_json_dict(PermGroup.from_cycles(8, ["(1,2)"])),
              "g20": group_to_json_dict(PermGroup(20, [
                  Permutation(g.images + (17, 18, 19, 20))
                  for g in catalog.primitive16_group().generators])),
-             "d7": catalog.build("fano_complement").to_json_dict()}
+             "d7": d7,
+             "d7_float_v": dict(d7, v=7.9),
+             "d7_float_point": dict(d7, blocks=[[1.9] + d7["blocks"][0][1:]] + d7["blocks"][1:]),
+             "g16_float_degree": dict(g16, degree=16.0)}
     paths = {}
     for key, data in files.items():
         path = tmp_path / f"{key}.json"
@@ -274,6 +317,12 @@ def _hostile_files(tmp_path):
     ["pell", "--n", "100000000"],
     ["fix", "--design", "{d7}", "--perm", "(1,99)"],
     ["ds", "develop", "--group", "c11", "--set", "1,3"],
+    ["ds", "develop", "--group", "c11", "--set", "a,b"],
+    ["ds", "develop", "--group", "c11", "--set", "1,,3"],
+    ["verify", "{d7_float_v}"],
+    ["verify", "{d7_float_point}"],
+    ["aut", "{d7_float_point}"],
+    ["cart", "verify", "--design", "{d16}", "--cd", "{cd16}", "--group", "{g16_float_degree}"],
     ["cert121", "--order", "0"],
 ])
 def test_hostile_arguments_exit_2(tmp_path, capsys, argv):

@@ -239,6 +239,20 @@ def test_json_roundtrip():
     assert sorted(d2.blocks) == sorted(d.blocks)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("v", 7.9), ("v", "7"), ("k", True), ("lambda", 2.0), ("blocks", 1.9), ("blocks", "1"),
+])
+def test_from_json_dict_takes_json_integers_only(field, value):
+    # int() would read 7.9 as 7 and true as 1, and the design would verify
+    data = catalog.build("fano_complement").to_json_dict()
+    if field == "blocks":
+        data["blocks"][0][0] = value
+    else:
+        data[field] = value
+    with pytest.raises(InputError, match=f"^bad design file: {field}: {value!r} is not"):
+        Design.from_json_dict(data)
+
+
 def _reference_view(d):
     """Block index, incidence bitmasks and a block-action function rebuilt
     from the block list alone."""

@@ -233,6 +233,14 @@ def test_group_json_roundtrip():
     assert h.order() == g.order()
 
 
+@pytest.mark.parametrize("degree", [16.5, True, "16", None])
+def test_group_from_json_dict_takes_an_integer_degree_only(degree):
+    data = group_to_json_dict(PermGroup.from_cycles(16, ALPHA))
+    data["degree"] = degree
+    with pytest.raises(InputError, match=f"^bad group file: degree: {degree!r} is not"):
+        group_from_json_dict(data)
+
+
 def test_chain_deterministic_across_rebuilds():
     g1 = PermGroup.from_cycles(16, ALPHA)
     g2 = PermGroup.from_cycles(16, ALPHA)
