@@ -25,17 +25,16 @@ print(f"all checks pass; the largest fixed-point count seen is {worst}")
 print(f"(the bound k + sqrt(k-2) = {d.k} + 2 = 8 is attained by involutions)")
 
 print("\nAn involution attaining the bound:")
-inv = next(g for g in group.elements()
-           if g.order() == 2 and len(g.fixed_points()) == 8)
+inv = min((g for g in group.elements()
+           if g.order() == 2 and len(g.fixed_points()) == 8), key=lambda g: g.images)
 rep = fix_report(d, inv)
 print(f"  {inv.cycle_string()}")
 print(f"  fixes {rep.f_points} points and {rep.f_blocks} blocks; "
       f"s-values on fixed points: {sorted(set(rep.s_point.values()))}")
 
 print("\nThe fixed structure of an odd-order automorphism can itself be a biplane:")
-for g in group.elements():
-    if g.is_identity() or g.order() % 2 == 0:
-        continue
+for g in sorted((g for g in group.elements() if g.order() % 2 == 1 and not g.is_identity()),
+                key=lambda g: g.images):
     sub, reason = fixed_subdesign(d, g)
     if sub is not None:
         print(f"  {g.cycle_string()} of order {g.order()}")

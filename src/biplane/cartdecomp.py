@@ -12,11 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import isqrt
+from typing import TYPE_CHECKING
 
-from .design import Design
 from .errors import InputError, ScaleError, json_int
 from .ntheory import is_square
-from .perm import PermGroup
+
+if TYPE_CHECKING:  # annotations only, so `pell` and `psp4` load neither module
+    from .design import Design
+    from .perm import PermGroup
 
 PELL_RHS = 7  # 8x^2 - y^2 = 7
 

@@ -19,11 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
+from typing import TYPE_CHECKING
 
-from . import diffset
 from .design import Design, DesignParams, verify_symmetric_design
 from .errors import InputError
-from .perm import PermGroup, Permutation, orbit
+
+if TYPE_CHECKING:  # the builders import diffset and perm, so `catalog list` loads neither
+    from .perm import PermGroup
 
 # Generators of the flag-transitive, point-primitive rank-3 subgroup (order
 # 1152, index 10 in the full group of order 11520) of the third (16,6,2)
@@ -66,6 +68,7 @@ def _fourth_powers_mod37() -> tuple[int, ...]:
 
 
 def primitive16_group() -> PermGroup:
+    from .perm import PermGroup
     return PermGroup.from_cycles(16, PRIMITIVE16_GENERATORS)
 
 
@@ -78,6 +81,7 @@ def _fano_complement() -> Design:
 
 
 def _biplane16_primitive() -> Design:
+    from .perm import Permutation, orbit
     group = primitive16_group()
     block_orbit = orbit(frozenset(BASE_BLOCK_16), group.generators, Permutation.apply_set)
     blocks = sorted(tuple(sorted(b)) for b in block_orbit)
@@ -85,6 +89,7 @@ def _biplane16_primitive() -> Design:
 
 
 def _development_of_first(tag: str, k: int) -> Design:
+    from . import diffset
     group = diffset.from_tag(tag)
     found = diffset.search_difference_sets(group, k, 2)
     if not found:
@@ -93,11 +98,13 @@ def _development_of_first(tag: str, k: int) -> Design:
 
 
 def _hadamard11() -> Design:
+    from . import diffset
     ds = diffset.DifferenceSet(group=diffset.cyclic(11), elements=QR11, lam=2)
     return diffset.develop(ds)
 
 
 def _biplane37_qr() -> Design:
+    from . import diffset
     ds = diffset.DifferenceSet(group=diffset.cyclic(37),
                                elements=_fourth_powers_mod37(), lam=2)
     return diffset.develop(ds)
@@ -230,6 +237,7 @@ def flag_orbit_count(d: Design, group: PermGroup) -> int:
 
     Raises InputError when a generator does not map the blocks onto blocks.
     """
+    from .perm import orbit
     if group.degree != d.v:
         raise InputError("group degree does not match the design")
     # each generator paired with the block permutation it induces

@@ -41,31 +41,30 @@ def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
     print(format_report(payload, lines, as_json))
 
 
-def _load_design(path: str) -> design.Design:
-    from . import design
+def _load_json(path: str, what: str, parse):
+    """parse(the JSON content of path); a file that cannot be read or
+    decoded raises InputError naming the kind of file."""
     try:
         with open(path) as fh:
-            return design.Design.from_json_dict(json.load(fh))
+            return parse(json.load(fh))
     except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read design file {path}: {exc}") from exc
+        raise InputError(f"cannot read {what} file {path}: {exc}") from exc
+
+
+def _load_design(path: str) -> design.Design:
+    from . import design
+    return _load_json(path, "design", design.Design.from_json_dict)
 
 
 def _load_group(path: str) -> perm.PermGroup:
     from . import perm
-    try:
-        with open(path) as fh:
-            return perm.group_from_json_dict(json.load(fh))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read group file {path}: {exc}") from exc
+    return _load_json(path, "group", perm.group_from_json_dict)
 
 
 def _load_cd(path: str) -> cartdecomp.CartesianDecomposition:
     from . import cartdecomp
-    try:
-        with open(path) as fh:
-            return cartdecomp.CartesianDecomposition.from_json_dict(json.load(fh))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read decomposition file {path}: {exc}") from exc
+    return _load_json(path, "decomposition",
+                      cartdecomp.CartesianDecomposition.from_json_dict)
 
 
 def _write_design(d: design.Design, path: str | None) -> None:
@@ -85,9 +84,8 @@ def _add_stats(args, payload: dict, stats: dict) -> None:
             print(f"stats: {json.dumps(stats, sort_keys=True)}", file=sys.stderr)
 
 
-def _checks_payload(result: fixcert.CertResult) -> list[dict]:
-    return [{"name": c.name, "status": c.status, "detail": c.detail}
-            for c in result.checks]
+def _checks_payload(checks: tuple[fixcert.Check, ...]) -> list[dict]:
+    return [{"name": c.name, "status": c.status, "detail": c.detail} for c in checks]
 
 
 def _checks_lines(result: fixcert.CertResult) -> list[str]:
@@ -236,7 +234,7 @@ def _cmd_fix(args) -> int:
         "fixed_blocks": list(rep.fixed_blocks),
         "s_block": {str(k): v for k, v in rep.s_block.items()},
         "r_block": {str(k): v for k, v in rep.r_block.items()},
-        "checks": _checks_payload(result),
+        "checks": _checks_payload(result.checks),
         "ok": result.ok,
     }
     lines = [f"fixed points: {rep.f_points}  fixed blocks: {rep.f_blocks}"]
@@ -265,9 +263,7 @@ def _cmd_cert79(args) -> int:
     cls = fixcert.certify_79(d)
     payload = {"order": cls.order, "order_allowed": cls.order_allowed,
                "consistent": cls.consistent, "note": cls.note,
-               "three_element_checks": [
-                   {"name": c.name, "status": c.status, "detail": c.detail}
-                   for c in cls.three_element_checks]}
+               "three_element_checks": _checks_payload(cls.three_element_checks)}
     lines = [f"automorphism group order {cls.order}: {cls.note}"]
     _emit(payload, args.json, lines)
     return OK if cls.consistent else CHECK_FAILED

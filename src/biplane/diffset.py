@@ -22,6 +22,11 @@ SEARCH_SUBSET_CAP = 10**8
 # of Python ints peaks near 40 MB and builds in under 2 s; every named tag
 # fits (c121ab has order 121).
 GROUP_ORDER_CAP = 1024
+# Largest v lander_excluded admits: its divisor scan and multiplicative
+# orders run up to v. The slowest of the 263,539 symmetric-feasible
+# (v, k, lambda) with 970,000 <= v <= 10^6 is (998759, 499380, 249690), no
+# witness, at 0.23-0.33 s (Python 3.11, one core of a shared VM).
+LANDER_V_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -364,6 +369,8 @@ def lander_excluded(p: DesignParams) -> LanderWitness | None:
     """
     if not p.symmetric_feasible:
         raise InputError(f"{p} is not symmetric-feasible")
+    if p.v > LANDER_V_CAP:
+        raise ScaleError(f"v = {p.v} exceeds the Lander cap {LANDER_V_CAP}")
     sf = square_free_part(p.k - p.lam)
     qs = sorted(factorize(sf)) if sf > 1 else []
     for pdiv in divisors(p.v):

@@ -1,13 +1,14 @@
 """Permutations of {1..n}, cycle types, and permutation groups.
 
-Groups are given by generators; exact orders and membership come from one
-deterministic Schreier-Sims stabilizer chain, whose base points are taken in
-increasing order and which keeps only generators that sift to a non-identity
-residue. Point stabilizers come from Schreier's lemma, their generators
-thinned by Sims' filter, in one kernel on 0-based image tuples that
-PermGroup.stabilizer wraps and the search in `aut` calls directly. Every
-orbit (of points, conjugates, blocks or flags) comes from one breadth-first
-routine, so repeated runs produce identical certificates.
+Groups are given by generators; exact orders, membership and element lists
+come from one deterministic Schreier-Sims stabilizer chain, whose base
+points are taken in increasing order. Every level of it, and every point
+stabilizer, comes from one kernel on 0-based image tuples: a breadth-first
+transversal, then its Schreier generators (Schreier's lemma) thinned by
+Sims' filter. PermGroup.chain and PermGroup.stabilizer wrap that kernel and
+the search in `aut` calls it directly. Every orbit (of points, conjugates,
+blocks or flags) comes from one breadth-first routine, so repeated runs
+produce identical certificates.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import compress
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import itemgetter, ne
 
 from .errors import InputError, ScaleError, json_int
@@ -216,23 +217,6 @@ def orbit(seed, generators, act, cap: int | None = None) -> list:
     return out
 
 
-def _orbit_transversal(beta: int, gens: list[Permutation], degree: int):
-    """BFS orbit of beta with coset representatives u_p satisfying u_p(beta) = p."""
-    transversal = {beta: Permutation.identity(degree)}
-    frontier = [beta]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            u = transversal[p]
-            for g in gens:
-                q = g(p)
-                if q not in transversal:
-                    transversal[q] = g * u
-                    nxt.append(q)
-        frontier = sorted(nxt)
-    return transversal
-
-
 def _sims_filter(generators, n: int) -> list[tuple[int, ...]]:
     """A generating set of the same group, as 0-based image tuples of degree
     n, with at most one element per pair (i, g(i)), i the first point g moves
@@ -254,20 +238,15 @@ def _sims_filter(generators, n: int) -> list[tuple[int, ...]]:
     return [h for h, _ in kept.values()]
 
 
-def _stabilizer_images(alpha: int, generators) -> list[tuple[int, ...]]:
-    """Generators of the stabilizer of alpha in the group generated by
-    `generators`: non-identity 0-based image tuples of one degree.
+def _transversal(alpha: int, generators) -> dict:
+    """The orbit of alpha under `generators` (non-identity 0-based image
+    tuples of one degree), each point p mapped to (u_p, u_p^-1) with
+    u_p(alpha) = p.
 
-    The Schreier generators u_{g(p)}^-1 g u_p over the orbit of alpha
-    (Schreier's lemma), with the coset representatives u_p and their inverses
-    built together breadth-first, are thinned by Sims' filter, so at most
-    n(n-1)/2 of them are returned. The product a b (b first) is
-    itemgetter(*b)(a).
+    Built breadth-first, each frontier sorted, so insertion order is
+    deterministic. The product a b (b first) is itemgetter(*b)(a).
     """
-    if not generators:
-        return []
-    n = len(generators[0])
-    identity = tuple(range(n))
+    identity = tuple(range(len(generators[0])))
     inverses = [tuple(sorted(identity, key=g.__getitem__)) for g in generators]
     transversal = {alpha: (identity, identity)}
     frontier = [alpha]
@@ -281,75 +260,40 @@ def _stabilizer_images(alpha: int, generators) -> list[tuple[int, ...]]:
                     transversal[q] = (itemgetter(*u)(g), itemgetter(*g_inv)(u_inv))
                     nxt.append(q)
         frontier = sorted(nxt)
-    schreier = (itemgetter(*itemgetter(*u)(g))(transversal[g[p]][1])
-                for p, (u, _) in transversal.items() for g in generators)
-    return _sims_filter(schreier, n)
+    return transversal
 
 
-class _Chain:
-    """One level of a stabilizer chain; `child` stabilizes this level's base point."""
+def _schreier(transversal: dict, generators):
+    """The Schreier generators u_{g(p)}^-1 g u_p of the stabilizer of the
+    transversal's base point (Schreier's lemma), lazily, over p in the
+    transversal's insertion order and then g in generator order."""
+    return (itemgetter(*itemgetter(*u)(g))(transversal[g[p]][1])
+            for p, (u, _) in transversal.items() for g in generators)
 
-    __slots__ = ("degree", "beta", "gens", "transversal", "child")
 
-    def __init__(self, degree: int):
-        self.degree = degree
-        self.beta: int | None = None
-        self.gens: list[Permutation] = []
-        self.transversal: dict[int, Permutation] = {}
-        self.child: _Chain | None = None
+def _stabilizer_images(alpha: int, generators) -> list[tuple[int, ...]]:
+    """Generators of the stabilizer of alpha in the group generated by
+    `generators`: non-identity 0-based image tuples of one degree.
 
-    def add(self, g: Permutation) -> None:
-        """Extend the group by g; a member of the group changes nothing."""
-        if self.sift(g).is_identity():
-            return
-        if self.beta is None:
-            self.beta = next(b for b in range(1, self.degree + 1) if g(b) != b)
-            self.child = _Chain(self.degree)
-        self.gens.append(g)
-        self._close()
+    The Schreier generators of alpha's transversal, thinned by Sims' filter,
+    so at most n(n-1)/2 of them are returned.
+    """
+    if not generators:
+        return []
+    return _sims_filter(_schreier(_transversal(alpha, generators), generators),
+                        len(generators[0]))
 
-    def _close(self) -> None:
-        # Rebuild the orbit, then offer every Schreier generator to the child;
-        # the recursion keeps each child chain complete for its own generators.
-        self.transversal = _orbit_transversal(self.beta, self.gens, self.degree)
-        for p in sorted(self.transversal):
-            u = self.transversal[p]
-            for s in self.gens:
-                self.child.add(self.transversal[s(p)].inverse() * s * u)
 
-    def sift(self, x: Permutation) -> Permutation:
-        node = self
-        while node is not None and node.beta is not None:
-            p = x(node.beta)
-            u = node.transversal.get(p)
-            if u is None:
-                return x
-            x = u.inverse() * x
-            node = node.child
-        return x
-
-    def order(self) -> int:
-        node, out = self, 1
-        while node is not None and node.beta is not None:
-            out *= len(node.transversal)
-            node = node.child
-        return out
-
-    def base(self) -> list[int]:
-        node, out = self, []
-        while node is not None and node.beta is not None:
-            out.append(node.beta)
-            node = node.child
-        return out
-
-    def elements(self):
-        """Iterate the whole group, deterministically, as transversal products."""
-        if self.beta is None:
-            yield Permutation.identity(self.degree)
-            return
-        for h in self.child.elements():
-            for p in sorted(self.transversal):
-                yield self.transversal[p] * h
+def _products(levels: list, identity: tuple):
+    """Lazily, every product u_0 u_1 ... of one tuple u_i from each list in
+    levels, u_0 varying fastest; the product of no tuples is identity."""
+    if not levels:
+        yield identity
+        return
+    for h in _products(levels[1:], identity):
+        get = itemgetter(*h)
+        for u in levels[0]:
+            yield get(u)
 
 
 class PermGroup:
@@ -367,7 +311,7 @@ class PermGroup:
                     f"generator degree {g.degree} does not match group degree {degree}")
         self.degree = degree
         self.generators = tuple(g for g in generators if not g.is_identity())
-        self._chain: _Chain | None = None
+        self._chain: list[tuple[int, dict]] | None = None
 
     @classmethod
     def from_cycles(cls, degree: int, cycle_strings) -> "PermGroup":
@@ -377,24 +321,46 @@ class PermGroup:
     def trivial(cls, degree: int) -> "PermGroup":
         return cls(degree, [])
 
-    def chain(self) -> _Chain:
+    def chain(self) -> list[tuple[int, dict]]:
+        """The stabilizer chain, built once: levels (beta, transversal) on
+        0-based points. beta is the least point the level's generators move,
+        the transversal maps each point p of its orbit to (u_p, u_p^-1), and
+        the next level's generators are the Sims-filtered Schreier generators
+        of that transversal, so base points strictly increase."""
         if self._chain is None:
-            c = _Chain(self.degree)
-            for g in self.generators:
-                c.add(g)
-            self._chain = c
+            identity = tuple(range(self.degree))
+            gens = [tuple(x - 1 for x in g.images) for g in self.generators]
+            levels = []
+            while gens:
+                beta = min(next(compress(identity, map(ne, g, identity))) for g in gens)
+                transversal = _transversal(beta, gens)
+                levels.append((beta, transversal))
+                gens = _sims_filter(_schreier(transversal, gens), self.degree)
+            self._chain = levels
         return self._chain
 
     def order(self) -> int:
-        return self.chain().order()
+        return prod(len(transversal) for _, transversal in self.chain())
 
     def __contains__(self, x: Permutation) -> bool:
+        """Sift x through the chain, composing with the stored u^-1."""
         if x.degree != self.degree:
             return False
-        return self.chain().sift(x).is_identity()
+        y = tuple(p - 1 for p in x.images)
+        for beta, transversal in self.chain():
+            entry = transversal.get(y[beta])
+            if entry is None:
+                return False
+            y = itemgetter(*y)(entry[1])
+        return y == tuple(range(self.degree))
 
     def elements(self):
-        return self.chain().elements()
+        """Iterate the whole group lazily and deterministically, identity first."""
+        levels = [[u for u, _ in transversal.values()] for _, transversal in self.chain()]
+        if not levels:
+            return iter([Permutation.identity(self.degree)])
+        levels[0] = [tuple(p + 1 for p in u) for u in levels[0]]  # so products are 1-based
+        return map(Permutation._trusted, _products(levels, tuple(range(self.degree))))
 
     def orbit(self, point: int) -> frozenset:
         return frozenset(orbit(point, self.generators, Permutation.__call__))

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -134,14 +135,39 @@ def test_stabilizer_matches_closure(aut_results):
             assert set(stab.elements()) == fixing, (g, alpha)
 
 
-def test_chain_keeps_only_non_member_generators():
+def test_chain_order_with_redundant_generators():
     gens = [Permutation.from_cycles(c, 16) for c in ALPHA]
     products = [a * b for a in gens for b in gens]
     redundant = PermGroup(16, gens + products)
     assert len(redundant.generators) == 27  # the identities a*a are dropped
     assert redundant.order() == 1152
-    # every product is a member by the time it is offered, so none is kept
-    assert redundant.chain().gens == gens
+
+
+def test_chain_orders_beyond_closure():
+    cycle12 = "(" + ",".join(map(str, range(1, 13))) + ")"
+    cycle13 = "(" + ",".join(map(str, range(1, 14))) + ")"
+    assert PermGroup.from_cycles(12, ["(1,2)", cycle12]).order() == math.factorial(12)
+    alt13 = PermGroup.from_cycles(13, ["(1,2,3)", cycle13])
+    assert alt13.order() == math.factorial(13) // 2
+    assert Permutation.from_cycles("(1,2)", 13) not in alt13
+    assert Permutation.from_cycles("(1,2,3)(4,5)(6,7)", 13) in alt13
+
+
+def test_chain_base_points_strictly_increase():
+    for degree, gens in BRUTE_GROUPS + [(16, ALPHA)]:
+        base = [b for b, _ in PermGroup.from_cycles(degree, gens).chain()]
+        assert base == sorted(set(base)), (degree, gens)
+
+
+def test_membership_edge_cases():
+    g = PermGroup.from_cycles(16, ALPHA)
+    assert Permutation.identity(15) not in g
+    assert Permutation.from_cycles(ALPHA[0], 17) not in g
+    trivial = PermGroup.trivial(4)
+    assert trivial.chain() == []
+    assert list(trivial.elements()) == [Permutation.identity(4)]
+    assert Permutation.identity(4) in trivial
+    assert Permutation.from_cycles("(1,2)", 4) not in trivial
 
 
 def test_sims_filter_keeps_the_group():
@@ -244,5 +270,5 @@ def test_group_from_json_dict_takes_an_integer_degree_only(degree):
 def test_chain_deterministic_across_rebuilds():
     g1 = PermGroup.from_cycles(16, ALPHA)
     g2 = PermGroup.from_cycles(16, ALPHA)
-    assert g1.chain().base() == g2.chain().base()
+    assert [b for b, _ in g1.chain()] == [b for b, _ in g2.chain()]
     assert list(g1.elements())[:50] == list(g2.elements())[:50]
