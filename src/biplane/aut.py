@@ -20,10 +20,9 @@ not depend on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 from .design import Design, verify_symmetric_design
-from .errors import InputError, ScaleError
+from .errors import InputError
 from .perm import PermGroup, Permutation, _stabilizer_images, orbit
 
 
@@ -317,16 +316,3 @@ def isomorphism(a: Design, b: Design) -> IsoResult:
     if image != b.block_index().keys():
         raise AssertionError("canonical forms agree but mapping failed")
     return IsoResult(sigma, stats)
-
-
-def is_automorphism(d: Design, x: Permutation) -> bool:
-    """Does x map the block set onto itself?"""
-    return d.block_action(x.images) is not None
-
-
-def brute_force_automorphism_order(d: Design, cap_degree: int = 8) -> int:
-    """Oracle: count all point permutations preserving the block set (v <= cap)."""
-    if d.v > cap_degree:
-        raise ScaleError(f"brute force capped at degree {cap_degree}")
-    return sum(d.block_action(images) is not None
-               for images in permutations(range(1, d.v + 1)))

@@ -22,10 +22,10 @@ SEARCH_SUBSET_CAP = 10**8
 # of Python ints peaks near 40 MB and builds in under 2 s; every named tag
 # fits (c121ab has order 121).
 GROUP_ORDER_CAP = 1024
-# Largest v lander_excluded admits: its divisor scan and multiplicative
-# orders run up to v. The slowest of the 263,539 symmetric-feasible
-# (v, k, lambda) with 970,000 <= v <= 10^6 is (998759, 499380, 249690), no
-# witness, at 0.23-0.33 s (Python 3.11, one core of a shared VM).
+# Largest v lander_excluded admits. Its divisor scan runs up to sqrt(v) and
+# each multiplicative order factors a divisor of v and lists the divisors of
+# its phi: the row (998759, 499380, 249690), no witness, takes 0.6-0.9 ms
+# (Python 3.11, one core of a shared VM).
 LANDER_V_CAP = 10**6
 
 

@@ -4,12 +4,22 @@ the fixed-point theorems against concrete design/automorphism pairs.
 Every check is an exact integer identity or inequality; a failing check on a
 verified biplane with a genuine automorphism is a software bug, never new
 mathematics. Checks whose hypotheses are not met report "n/a" with a reason
-instead of silently passing. The module also carries the admissible cycle
-types and Sylow bounds for a hypothetical (121,16,2) biplane.
+instead of silently passing; so do the checks that assume x != 1, for the
+identity. The module also carries the admissible cycle types and Sylow
+bounds for a hypothetical (121,16,2) biplane.
+
+The counts come from one cycle walk of x on the points and one of its
+block action (Design.block_action), each giving a cycle type and the
+bitmasks Fix of the fixed elements and Two of the elements on 2-cycles.
+Then s_B = |B & Fix| and r_B = |B & Two|/2 are popcounts against the
+incidence bitmasks of Design.incidence, and dually s_a and r_a on the blocks
+through a fixed point a. This is exact: a fixed block is x-invariant, so it
+is a union of cycles, and every 2-cycle that meets it lies inside it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from math import isqrt
 
@@ -17,7 +27,7 @@ from .design import (Design, restrict_subdesign, subdesign_constraint,
                      verify_symmetric_design)
 from .errors import InputError
 from .ntheory import is_prime, is_prime_power, is_square
-from .perm import CycleType, Permutation, PermGroup, cycle_type
+from .perm import CycleType, Permutation, PermGroup, _cycles
 
 PASS, FAIL, NA = "pass", "fail", "n/a"
 
@@ -65,34 +75,30 @@ class FixReport:
     r_block: dict[int, int] = field(default_factory=dict)
 
 
-def induced_block_permutation(d: Design, x: Permutation) -> Permutation:
-    """The permutation of block indices (1-based) induced by a point automorphism."""
+def _block_action(d: Design, x: Permutation) -> tuple[int, ...]:
+    """The 0-based block action of x (Design.block_action), or InputError
+    naming a block that x maps outside the design."""
     action = d.block_action(x.images)
     if action is None:
         b = next(b for b in d.blocks if x.apply_set(b) not in d.block_index())
         raise InputError(f"not an automorphism: block {b} maps outside the design")
-    return Permutation(j + 1 for j in action)
+    return action
 
 
-def _orbit_stats(members, x: Permutation) -> tuple[int, int]:
-    """(# fixed elements, # 2-orbits) of <x> acting on an invariant set."""
-    members = set(members)
-    fixed = two = 0
-    seen = set()
-    for m in members:
-        if m in seen:
-            continue
-        orbit = [m]
-        p = x(m)
-        while p != m:
-            orbit.append(p)
-            p = x(p)
-        seen.update(orbit)
-        if len(orbit) == 1:
-            fixed += 1
-        elif len(orbit) == 2:
-            two += 1
-    return fixed, two
+def induced_block_permutation(d: Design, x: Permutation) -> Permutation:
+    """The permutation of block indices (1-based) induced by a point automorphism."""
+    return Permutation(j + 1 for j in _block_action(d, x))
+
+
+def _walk(images, first: int) -> tuple[CycleType, tuple[int, ...], int, int]:
+    """From one walk of the cycles of images (perm._cycles): the cycle type,
+    the fixed elements in ascending order, and the bitmasks (bit i for
+    element i) of the fixed elements and of the elements on 2-cycles."""
+    cycles = list(_cycles(images, first))
+    fixed = tuple(c[0] for c in cycles if len(c) == 1)
+    two = sum(1 << c[0] | 1 << c[1] for c in cycles if len(c) == 2)  # disjoint bits
+    return (CycleType.from_dict(Counter(map(len, cycles))), fixed,
+            sum(1 << i for i in fixed), two)
 
 
 def fix_report(d: Design, x: Permutation) -> FixReport:
@@ -102,32 +108,25 @@ def fix_report(d: Design, x: Permutation) -> FixReport:
     <x>-orbits on B. For every fixed point a: the same counts on the set of
     blocks through a (in the induced block action).
     """
-    return _report_and_block_action(d, x)[0]
+    return _report_and_cycle_types(d, x)[0]
 
 
-def _report_and_block_action(d: Design, x: Permutation) -> tuple[FixReport, Permutation]:
-    """fix_report together with the induced block permutation it is built from."""
-    bx = induced_block_permutation(d, x)  # rejects non-automorphisms
-    fixed_points = tuple(p for p in d.points() if x(p) == p)
-    fixed_blocks = tuple(j for j in range(len(d.blocks)) if bx(j + 1) == j + 1)
-    s_block, r_block = {}, {}
-    for j in fixed_blocks:
-        s_block[j], r_block[j] = _orbit_stats(d.blocks[j], x)
-    s_point, r_point = {}, {}
-    through = d.incidence[0]
-    for p in fixed_points:
-        s_point[p], r_point[p] = _orbit_stats(
-            [j + 1 for j in range(len(d.blocks)) if through[p] >> j & 1], bx)
+def _report_and_cycle_types(d: Design, x: Permutation) -> tuple[FixReport, CycleType, CycleType]:
+    """fix_report, with the cycle types of x on points and on blocks, from
+    one walk of each action and popcounts against the incidence bitmasks."""
+    tb, fixed_blocks, fix_b, two_b = _walk(_block_action(d, x), 0)  # rejects non-automorphisms
+    tp, fixed_points, fix_p, two_p = _walk(x.images, 1)
+    through, points = d.incidence
     return FixReport(
         f_points=len(fixed_points),
         f_blocks=len(fixed_blocks),
         fixed_points=fixed_points,
         fixed_blocks=fixed_blocks,
-        s_point=s_point,
-        r_point=r_point,
-        s_block=s_block,
-        r_block=r_block,
-    ), bx
+        s_point={p: (through[p] & fix_b).bit_count() for p in fixed_points},
+        r_point={p: (through[p] & two_b).bit_count() // 2 for p in fixed_points},
+        s_block={j: (points[j] & fix_p).bit_count() for j in fixed_blocks},
+        r_block={j: (points[j] & two_p).bit_count() // 2 for j in fixed_blocks},
+    ), tp, tb
 
 
 def _bound_holds(f: int, k: int) -> bool:
@@ -139,8 +138,7 @@ def certify_fix_lemmas(d: Design, x: Permutation) -> CertResult:
     """Run every applicable fixed-point check for one automorphism of a biplane."""
     if d.lam != 2 or d.k < 4:
         raise InputError("fixed-point certification applies to biplanes with k >= 4")
-    rep, bx = _report_and_block_action(d, x)
-    tp = cycle_type(x)
+    rep, tp, tb = _report_and_cycle_types(d, x)
     k = d.k
     f = rep.f_points
     order = tp.order
@@ -155,7 +153,6 @@ def certify_fix_lemmas(d: Design, x: Permutation) -> CertResult:
         f"points={rep.f_points} blocks={rep.f_blocks}")
 
     # identical cycle structure on points and on blocks
-    tb = cycle_type(bx)
     add("matching-cycle-structure", PASS if tp == tb else FAIL,
         f"points={tp} blocks={tb}")
 
@@ -187,7 +184,9 @@ def certify_fix_lemmas(d: Design, x: Permutation) -> CertResult:
         add("fixed-point-count-formula", FAIL if bad else PASS, f"f={f}")
 
     # fixed substructure is a subdesign when no fixed block meets a 2-orbit
-    if rep.f_blocks == 0:
+    if x.is_identity():
+        add("fixed-substructure", NA, "identity")
+    elif rep.f_blocks == 0:
         add("fixed-substructure", NA, "no fixed blocks")
     elif any(rep.r_block[j] != 0 for j in rep.fixed_blocks):
         add("fixed-substructure", NA, "a fixed block carries a 2-orbit")
@@ -266,6 +265,8 @@ def certify_fix_lemmas(d: Design, x: Permutation) -> CertResult:
     # odd order: f = s_B(s_B-1)/2 + 1 and f <= k/2 unless k-2 is a square
     if order % 2 == 0:
         add("odd-order-fixed-count-branch", NA, f"order {order}")
+    elif x.is_identity():
+        add("odd-order-fixed-count-branch", NA, "identity")
     elif f == 0:
         add("odd-order-fixed-count-branch", NA, "no fixed points")
     else:

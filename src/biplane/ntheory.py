@@ -144,11 +144,15 @@ def ternary_isotropic(a: int, b: int) -> bool:
 
 
 def multiplicative_order(a: int, m: int) -> int:
-    """Order of a modulo m; requires gcd(a, m) = 1."""
-    if gcd(a, m) != 1:
+    """Order of a modulo m >= 1; requires gcd(a, m) = 1.
+
+    The order divides phi(m), so it is the least divisor d of phi(m) with
+    a**d = 1 (mod m).
+    """
+    if m < 1 or gcd(a, m) != 1:
         raise InputError(f"{a} is not a unit modulo {m}")
-    x, n = a % m, 1
-    while x != 1:
-        x = x * a % m
-        n += 1
-    return n
+    phi = m
+    for p in factorize(m):
+        phi = phi // p * (p - 1)
+    # 1 % m: modulo 1 every residue is 0, and every a has order 1
+    return next(d for d in divisors(phi) if pow(a, d, m) == 1 % m)

@@ -8,12 +8,15 @@ transversal, then its Schreier generators (Schreier's lemma) thinned by
 Sims' filter. PermGroup.chain and PermGroup.stabilizer wrap that kernel and
 the search in `aut` calls it directly. Every orbit (of points, conjugates,
 blocks or flags) comes from one breadth-first routine, so repeated runs
-produce identical certificates.
+produce identical certificates. Every cycle (for Permutation.cycles,
+cycle_type and the fixed-point counts in `fixcert`) comes from one walker,
+_cycles, on 1-based or 0-based image tuples.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
 from math import gcd, lcm, prod
@@ -110,20 +113,7 @@ class Permutation:
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its least point, sorted by that point."""
-        seen: set[int] = set()
-        out = []
-        for start in range(1, self.degree + 1):
-            if start in seen or self(start) == start:
-                continue
-            cyc = [start]
-            seen.add(start)
-            p = self(start)
-            while p != start:
-                cyc.append(p)
-                seen.add(p)
-                p = self(p)
-            out.append(tuple(cyc))
-        return out
+        return [c for c in _cycles(self.images, 1) if len(c) > 1]
 
     def cycle_string(self) -> str:
         cycs = self.cycles()
@@ -181,21 +171,28 @@ class CycleType:
         return " ".join(f"{l}^{m}" for l, m in self.counts)
 
 
+def _cycles(images, first: int):
+    """Every cycle of the map i -> images[i - first] on first, first+1, ...,
+    fixed points included, each as a tuple starting at its least element, in
+    ascending order of those elements. The one cycle walker of the package:
+    `first` is 1 for Permutation.images and 0 for a 0-based block action."""
+    seen = bytearray(len(images))
+    for start in range(len(images)):
+        if seen[start]:
+            continue
+        seen[start] = 1
+        cycle = [start + first]
+        p = images[start] - first
+        while p != start:
+            seen[p] = 1
+            cycle.append(p + first)
+            p = images[p] - first
+        yield tuple(cycle)
+
+
 def cycle_type(x: Permutation) -> CycleType:
     """Exact cycle type of x, counting fixed points as 1-cycles."""
-    lengths: dict[int, int] = {}
-    seen: set[int] = set()
-    for start in range(1, x.degree + 1):
-        if start in seen:
-            continue
-        n, p = 1, x(start)
-        seen.add(start)
-        while p != start:
-            seen.add(p)
-            p = x(p)
-            n += 1
-        lengths[n] = lengths.get(n, 0) + 1
-    return CycleType.from_dict(lengths)
+    return CycleType.from_dict(Counter(map(len, _cycles(x.images, 1))))
 
 
 def orbit(seed, generators, act, cap: int | None = None) -> list:
@@ -394,24 +391,6 @@ class PermGroup:
         return PermGroup(self.degree, [Permutation._trusted(tuple(x + 1 for x in h))
                                        for h in _stabilizer_images(alpha - 1, images)])
 
-    def is_semiregular(self, domain) -> bool:
-        """True iff every point stabilizer on the domain is trivial."""
-        domain = sorted(set(domain))
-        pts = set(domain)
-        for g in self.generators:
-            if not all(g(p) in pts for p in domain):
-                raise InputError("domain is not invariant under the group")
-        n = self.order()
-        seen: set[int] = set()
-        for p in domain:
-            if p in seen:
-                continue
-            orb = self.orbit(p)
-            seen |= orb
-            if len(orb) != n:
-                return False
-        return True
-
     def conjugate_class(self, x: Permutation) -> set[Permutation]:
         """All G-conjugates of x, by closure under conjugation by generators."""
         if x not in self:
@@ -469,25 +448,6 @@ class PermGroup:
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, ngens={len(self.generators)})"
-
-
-def closure(generators, degree: int, cap: int = 10**6) -> set[Permutation]:
-    """Brute-force element closure; the oracle against chain orders at small degree."""
-    gens = [g for g in generators if not g.is_identity()]
-    els = {Permutation.identity(degree)}
-    frontier = list(els)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                c = g * a
-                if c not in els:
-                    if len(els) >= cap:
-                        raise ScaleError("closure exceeds cap")
-                    els.add(c)
-                    nxt.append(c)
-        frontier = nxt
-    return els
 
 
 def group_to_json_dict(group: PermGroup) -> dict:

@@ -1,0 +1,107 @@
+"""Slow, obviously correct reference routines that the tests compare the
+package against. Nothing in the package calls them."""
+
+from itertools import permutations
+
+from biplane.design import Design
+from biplane.errors import ScaleError
+from biplane.fixcert import FixReport, induced_block_permutation
+from biplane.perm import CycleType, Permutation
+
+
+def closure(generators, degree: int, cap: int = 10**6) -> set[Permutation]:
+    """Brute-force element closure; the oracle against chain orders at small degree."""
+    gens = [g for g in generators if not g.is_identity()]
+    els = {Permutation.identity(degree)}
+    frontier = list(els)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in gens:
+                c = g * a
+                if c not in els:
+                    if len(els) >= cap:
+                        raise ScaleError("closure exceeds cap")
+                    els.add(c)
+                    nxt.append(c)
+        frontier = nxt
+    return els
+
+
+def brute_force_automorphism_order(d: Design, cap_degree: int = 8) -> int:
+    """Count all point permutations preserving the block set (v <= cap)."""
+    if d.v > cap_degree:
+        raise ScaleError(f"brute force capped at degree {cap_degree}")
+    return sum(d.block_action(images) is not None
+               for images in permutations(range(1, d.v + 1)))
+
+
+def reference_cycles(x: Permutation) -> list[tuple[int, ...]]:
+    """Every cycle of x, fixed points included, each starting at its least
+    point, sorted by that point; by following x from each unvisited point."""
+    seen: set[int] = set()
+    out = []
+    for start in range(1, x.degree + 1):
+        if start in seen:
+            continue
+        cyc = [start]
+        p = x(start)
+        while p != start:
+            cyc.append(p)
+            p = x(p)
+        seen.update(cyc)
+        out.append(tuple(cyc))
+    return out
+
+
+def reference_cycle_type(x: Permutation) -> CycleType:
+    lengths: dict[int, int] = {}
+    for c in reference_cycles(x):
+        lengths[len(c)] = lengths.get(len(c), 0) + 1
+    return CycleType.from_dict(lengths)
+
+
+def _orbit_stats(members, x: Permutation) -> tuple[int, int]:
+    """(# fixed elements, # 2-orbits) of <x> acting on an invariant set."""
+    members = set(members)
+    fixed = two = 0
+    seen = set()
+    for m in members:
+        if m in seen:
+            continue
+        orbit = [m]
+        p = x(m)
+        while p != m:
+            orbit.append(p)
+            p = x(p)
+        seen.update(orbit)
+        if len(orbit) == 1:
+            fixed += 1
+        elif len(orbit) == 2:
+            two += 1
+    return fixed, two
+
+
+def orbit_walk_fix_report(d: Design, x: Permutation) -> FixReport:
+    """fix_report by walking the <x>-orbits on every fixed block, and of the
+    induced block permutation on the blocks through every fixed point."""
+    bx = induced_block_permutation(d, x)
+    fixed_points = tuple(p for p in d.points() if x(p) == p)
+    fixed_blocks = tuple(j for j in range(len(d.blocks)) if bx(j + 1) == j + 1)
+    s_block, r_block = {}, {}
+    for j in fixed_blocks:
+        s_block[j], r_block[j] = _orbit_stats(d.blocks[j], x)
+    s_point, r_point = {}, {}
+    for p in fixed_points:
+        s_point[p], r_point[p] = _orbit_stats(
+            [j + 1 for j, b in enumerate(d.blocks) if p in b], bx)
+    return FixReport(
+        f_points=len(fixed_points),
+        f_blocks=len(fixed_blocks),
+        fixed_points=fixed_points,
+        fixed_blocks=fixed_blocks,
+        s_point=s_point,
+        r_point=r_point,
+        s_block=s_block,
+        r_block=r_block,
+    )

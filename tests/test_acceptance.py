@@ -6,8 +6,7 @@ import time
 import pytest
 
 from biplane import catalog, diffset
-from biplane.aut import (automorphism_group, brute_force_automorphism_order,
-                         canonical_form)
+from biplane.aut import automorphism_group, canonical_form
 from biplane.cartdecomp import (CartesianDecomposition, block_coordinate_pairs,
                                 pell_brute_force, pell_solutions, preserved_by,
                                 psp4_degree_excluded, verify_cartesian)
@@ -19,6 +18,7 @@ from biplane.fixcert import (admissible_cycle_types_121, certify_fix_lemmas,
                              check_79_order, certify_79, sylow_bound_121,
                              sylow_bounds_121)
 from biplane.catalog import flag_orbit_count, primitive16_group
+from oracles import brute_force_automorphism_order
 
 TABLE1 = {4: 7, 5: 11, 6: 16, 9: 37, 11: 56, 13: 79, 16: 121}
 

@@ -5,12 +5,12 @@ import pytest
 from biplane import aut, catalog
 from biplane.aut import (CanonicalCertificate, _equitable, _individualize, _Search,
                          _searched, are_isomorphic, automorphism_group,
-                         brute_force_automorphism_order, canonical_form,
-                         is_automorphism, isomorphism)
+                         canonical_form, isomorphism)
 from biplane.design import Design, DesignParams, dual
 from biplane.diffset import develop, from_tag, search_difference_sets
 from biplane.errors import InputError
 from biplane.perm import PermGroup, Permutation
+from oracles import brute_force_automorphism_order
 
 # Per catalog design: the group order, the number of automorphisms the search
 # offers as generators, and the SHA-256 canonical digest. Orders and digests
@@ -111,7 +111,7 @@ def test_generators_preserve_block_set(aut_results):
     for name, result in aut_results.items():
         d = catalog.build(name)
         for g in result.group.generators:
-            assert is_automorphism(d, g), (name, g)
+            assert d.block_action(g.images) is not None, (name, g)
 
 
 def test_order_invariant_under_relabeling():

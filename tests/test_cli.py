@@ -125,6 +125,20 @@ def test_fix_command(tmp_path, capsys):
     assert "fixed points: 8" in out
 
 
+def test_fix_identity_exits_0(tmp_path, capsys):
+    path = _design_file(tmp_path, "fano_complement")
+    code, out = _capture(capsys, ["fix", "--design", path, "--perm", "()"])
+    assert code == OK
+    assert "fixed points: 7  fixed blocks: 7" in out and "fail" not in out
+    code, out = _capture(capsys, ["fix", "--design", path, "--perm", "()", "--json"])
+    assert code == OK
+    payload = json.loads(out)
+    assert payload["ok"] is True
+    checks = {c["name"]: (c["status"], c["detail"]) for c in payload["checks"]}
+    assert checks["fixed-substructure"] == ("n/a", "identity")
+    assert checks["odd-order-fixed-count-branch"] == ("n/a", "identity")
+
+
 def test_fix_rejects_non_automorphism(tmp_path, capsys):
     path = _design_file(tmp_path, "fano_complement")
     assert run(["fix", "--design", path, "--perm", "(1,2)"]) == USAGE

@@ -1,15 +1,18 @@
+import random
+
 import pytest
 
 from biplane import catalog
 from biplane.design import Design, DesignParams
 from biplane.errors import InputError
-from biplane.fixcert import (ALLOWED_79_ORDERS, AUT_ORDER_DIVISOR_121,
+from biplane.fixcert import (ALLOWED_79_ORDERS, AUT_ORDER_DIVISOR_121, Check,
                              admissible_cycle_types_121, certify_79,
                              certify_conjugacy_bound, certify_fix_lemmas,
                              check_79_order, fix_report, fixed_subdesign,
                              induced_block_permutation, sylow_bound_121,
                              sylow_bounds_121)
 from biplane.perm import CycleType, Permutation, cycle_type
+from oracles import orbit_walk_fix_report
 
 
 def test_fix_report_identity():
@@ -17,6 +20,35 @@ def test_fix_report_identity():
     rep = fix_report(d, Permutation.identity(16))
     assert rep.f_points == rep.f_blocks == 16
     assert all(s == 6 for s in rep.s_point.values())  # every point lies on k blocks
+
+
+def test_fix_report_matches_orbit_walk(aut_results):
+    # every non-identity element of the six catalog groups, on the catalog
+    # labeling and, conjugated, on one relabeled copy; repr also pins the
+    # order of the s/r dictionaries
+    rng = random.Random(5)
+    for name, result in aut_results.items():
+        d = catalog.build(name)
+        images = list(range(1, d.v + 1))
+        rng.shuffle(images)
+        sigma = Permutation(images)
+        sigma_inv = sigma.inverse()
+        relabeled = d.relabel(sigma)
+        for g in result.group.elements():
+            if g.is_identity():
+                continue
+            for dd, x in ((d, g), (relabeled, sigma * g * sigma_inv)):
+                assert repr(fix_report(dd, x)) == repr(orbit_walk_fix_report(dd, x)), (name, x)
+
+
+def test_identity_certifies_on_every_catalog_design():
+    for name in catalog.constructible_names():
+        d = catalog.build(name)
+        result = certify_fix_lemmas(d, Permutation.identity(d.v))
+        assert result.ok, (name, result.failures())
+        for check in ("fixed-substructure", "odd-order-fixed-count-branch",
+                      "fixed-count-bound"):
+            assert result.by_name(check) == Check(check, "n/a", "identity"), name
 
 
 def test_fix_report_rejects_non_automorphism():

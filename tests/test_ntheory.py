@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 
 from biplane.errors import InputError
@@ -48,11 +50,29 @@ def test_legendre_against_square_counting():
             assert legendre(a, p) == (1 if a in squares else -1)
 
 
+def _order_by_stepping(a: int, m: int) -> int:
+    x, n = a % m, 1
+    while x != 1:
+        x = x * a % m
+        n += 1
+    return n
+
+
 def test_multiplicative_order():
     assert multiplicative_order(2, 11) == 10
     assert multiplicative_order(3, 11) == 5
+    assert multiplicative_order(5, 1) == 1
     with pytest.raises(InputError):
         multiplicative_order(2, 4)
+    with pytest.raises(InputError):
+        multiplicative_order(1, 0)
+
+
+def test_multiplicative_order_against_stepping():
+    for m in range(2, 300):
+        for a in range(1, m):
+            if gcd(a, m) == 1:
+                assert multiplicative_order(a, m) == _order_by_stepping(a, m), (a, m)
 
 
 def _isotropic_brute(a: int, b: int, bound: int = 60) -> bool:

@@ -6,9 +6,9 @@ import pytest
 from biplane import perm
 from biplane.catalog import PRIMITIVE16_GENERATORS
 from biplane.errors import InputError, ScaleError
-from biplane.perm import (CycleType, PermGroup, Permutation, closure,
-                          cycle_type, group_from_json_dict, group_to_json_dict,
-                          orbit)
+from biplane.perm import (CycleType, PermGroup, Permutation, cycle_type,
+                          group_from_json_dict, group_to_json_dict, orbit)
+from oracles import closure, reference_cycle_type, reference_cycles
 
 ALPHA = PRIMITIVE16_GENERATORS  # the five 16-point generators used throughout
 
@@ -70,6 +70,23 @@ def test_cycle_type_power():
     t = CycleType.from_dict({1: 1, 4: 2, 8: 14})
     assert t.power(2).as_dict() == {1: 1, 2: 4, 4: 28}
     assert t.degree == 121
+
+
+def test_cycle_walker_matches_reference_walk():
+    rng = random.Random(23)
+    perms = [Permutation.identity(1), Permutation.identity(9)]
+    for n in (1, 2, 3, 5, 8, 16, 37, 60):
+        for _ in range(20):
+            images = list(range(1, n + 1))
+            rng.shuffle(images)
+            perms.append(Permutation(images))
+    for x in perms:
+        ref = reference_cycles(x)
+        assert cycle_type(x) == reference_cycle_type(x)
+        assert x.cycles() == [c for c in ref if len(c) > 1]
+        assert list(perm._cycles(x.images, 1)) == ref
+        zero_based = tuple(p - 1 for p in x.images)
+        assert list(perm._cycles(zero_based, 0)) == [tuple(p - 1 for p in c) for c in ref]
 
 
 def test_group_order_example16():
@@ -205,16 +222,6 @@ def test_conjugate_class_cap(monkeypatch):
 def test_stabilizer_of_untouched_point_is_whole_group():
     g = PermGroup.from_cycles(3, ["(1,2)"])
     assert g.stabilizer(3).order() == 2
-
-
-def test_semiregular():
-    c11 = PermGroup.from_cycles(11, ["(1,2,3,4,5,6,7,8,9,10,11)"])
-    assert c11.is_semiregular(range(1, 12))
-    g = PermGroup.from_cycles(16, ALPHA)
-    assert not g.is_semiregular(range(1, 17))  # a generator fixes point 1
-    assert PermGroup.trivial(4).is_semiregular(range(1, 5))
-    with pytest.raises(InputError):
-        g.is_semiregular([1, 2, 3])  # not invariant
 
 
 def test_conjugacy_counts_identities():
