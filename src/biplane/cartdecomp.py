@@ -161,15 +161,12 @@ def block_coordinate_pairs(d: Design, cd: CartesianDecomposition,
     """
     if cd.d != 2:
         raise InputError(f"need exactly 2 partitions, got {cd.d}")
-    report = verify_cartesian(cd, d.v)
-    if not report.ok:
-        raise InputError(f"not a cartesian decomposition: {report.violations[:2]}")
-    if not report.homogeneous:
+    coords = coordinatize(cd, d.v)
+    c, c2 = cd.part_counts()
+    if c != c2:
         raise InputError("decomposition is not homogeneous")
-    c = report.part_counts[0]
     if c * c != d.v:
         raise InputError(f"v = {d.v} is not c^2 for c = {c}")
-    coords = coordinatize(cd, d.v)
     counts = []
     for b in d.blocks:
         n = sum(1 for p, q in combinations(b, 2)

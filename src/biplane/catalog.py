@@ -57,7 +57,6 @@ QR11 = (1, 3, 4, 5, 9)  # quadratic residues mod 11
 class CatalogEntry:
     name: str
     params: DesignParams
-    recipe: str
     constructible: bool
     examples_for_params: str
     expected: dict = field(default_factory=dict)
@@ -114,7 +113,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
     CatalogEntry(
         name="fano_complement",
         params=DesignParams(7, 4, 2),
-        recipe="projective-plane-complement",
         constructible=True,
         examples_for_params="1",
         expected={"aut_order": 168, "transitive": True, "flag_transitive": True,
@@ -123,7 +121,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
     CatalogEntry(
         name="hadamard11",
         params=DesignParams(11, 5, 2),
-        recipe="difference-set:c11-quadratic-residues",
         constructible=True,
         examples_for_params="1",
         expected={"aut_order": 660, "transitive": True, "flag_transitive": True,
@@ -132,7 +129,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
     CatalogEntry(
         name="biplane16_primitive",
         params=DesignParams(16, 6, 2),
-        recipe="block-orbit:rank3-affine",
         constructible=True,
         examples_for_params="3",
         expected={"aut_order": 11520, "transitive": True, "flag_transitive": True,
@@ -143,7 +139,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
     CatalogEntry(
         name="biplane16_c2c8",
         params=DesignParams(16, 6, 2),
-        recipe="difference-set:c2xc8",
         constructible=True,
         examples_for_params="3",
         expected={"aut_order": 768, "transitive": True, "flag_transitive": True,
@@ -152,7 +147,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
     CatalogEntry(
         name="biplane16_q8c2",
         params=DesignParams(16, 6, 2),
-        recipe="difference-set:q8xc2",
         constructible=True,
         examples_for_params="3",
         expected={"aut_order": 384, "transitive": True, "flag_transitive": False,
@@ -161,7 +155,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
     CatalogEntry(
         name="biplane37_qr",
         params=DesignParams(37, 9, 2),
-        recipe="difference-set:c37-fourth-powers",
         constructible=True,
         examples_for_params="4",
         expected={"aut_order": 333, "transitive": True, "flag_transitive": True,
@@ -170,7 +163,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
     CatalogEntry(
         name="biplane56",
         params=DesignParams(56, 11, 2),
-        recipe="none",
         constructible=False,
         examples_for_params="5",
         expected={},
@@ -178,7 +170,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
     CatalogEntry(
         name="biplane79",
         params=DesignParams(79, 13, 2),
-        recipe="none",
         constructible=False,
         examples_for_params=">=2",
         expected={"aut_order_known_example": 110},
@@ -186,7 +177,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
     CatalogEntry(
         name="biplane121",
         params=DesignParams(121, 16, 2),
-        recipe="none",
         constructible=False,
         examples_for_params="unknown",
         expected={"aut_order_divides": 5765760},

@@ -288,11 +288,10 @@ def certify_fix_lemmas(d: Design, x: Permutation) -> CertResult:
             f"f={f} k+isqrt(k-2)={k + isqrt(k - 2)}")
 
     # on v = p^2 points, order-p automorphisms are fixed-point-free
-    pp = is_prime_power(d.v)
-    if x.is_identity() or pp is None or pp[1] != 2 or order != pp[0]:
-        add("prime-square-fixed-point-free", NA, "v is not p^2 with o(x) = p")
-    else:
+    if order * order == d.v and is_prime(order):
         add("prime-square-fixed-point-free", PASS if f == 0 else FAIL, f"f={f}")
+    else:
+        add("prime-square-fixed-point-free", NA, "v is not p^2 with o(x) = p")
 
     return CertResult(tuple(checks), rep)
 
@@ -382,11 +381,17 @@ SYLOW_BOUNDS_121: dict[int, tuple[int, str]] = {
 }
 
 AUT_ORDER_DIVISOR_121 = 5765760  # 2^7 * 3^2 * 5 * 7 * 11 * 13
+# Landau's g(121): the largest element order in Sym(121), the largest product
+# of prime powers with distinct primes summing to at most 121.
+LANDAU_121 = 5354228880
 
 
 def admissible_cycle_types_121(order: int) -> tuple[CycleType, ...]:
     """Admissible cycle types on 121 points for an automorphism of the given
-    prime-power order; the empty tuple means the order is impossible."""
+    prime-power order; the empty tuple means the order is impossible.
+    Orders above LANDAU_121 are impossible on 121 points and are not factored."""
+    if order > LANDAU_121:
+        return ()
     if order < 2 or is_prime_power(order) is None:
         raise InputError(f"{order} is not a prime power >= 2")
     return _ADMISSIBLE_121.get(order, ())

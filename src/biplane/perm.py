@@ -362,18 +362,12 @@ class PermGroup:
     def orbit(self, point: int) -> frozenset:
         return frozenset(orbit(point, self.generators, Permutation.__call__))
 
-    def orbits(self, domain=None) -> list[tuple[int, ...]]:
-        """Orbit partition of the domain, listed by least element."""
-        if domain is None:
-            domain = range(1, self.degree + 1)
-        domain = set(domain)
-        if any(not 1 <= p <= self.degree for p in domain):
-            raise InputError(f"domain not contained in 1..{self.degree}")
-        remaining = set(domain)
+    def orbits(self) -> list[tuple[int, ...]]:
+        """Orbit partition of 1..degree, listed by least element."""
+        remaining = set(range(1, self.degree + 1))
         out = []
         while remaining:
-            p = min(remaining)
-            orb = self.orbit(p) & domain
+            orb = self.orbit(min(remaining))
             out.append(tuple(sorted(orb)))
             remaining -= orb
         return out

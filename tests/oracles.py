@@ -105,3 +105,27 @@ def orbit_walk_fix_report(d: Design, x: Permutation) -> FixReport:
         s_block=s_block,
         r_block=r_block,
     )
+
+
+def brute_force_table_automorphisms(g) -> list[tuple[int, ...]]:
+    """Every permutation of the elements of a group table that fixes 0 and
+    preserves mul, as image tuples in ascending order."""
+    n, mul = g.n, g.mul
+    return [phi for phi in ((0,) + rest for rest in permutations(range(1, n)))
+            if all(phi[mul[a][b]] == mul[phi[a]][phi[b]] for a in range(n) for b in range(n))]
+
+
+def landau(n: int) -> int:
+    """Landau's g(n), the largest element order in Sym(n): the largest
+    product of prime powers with distinct primes whose sum is at most n,
+    by a knapsack over the primes up to n (one power of each at most)."""
+    best = [1] * (n + 1)
+    for p in range(2, n + 1):
+        if any(p % q == 0 for q in range(2, p)):
+            continue
+        for total in range(n, p - 1, -1):  # descending: each prime used once
+            q = p
+            while q <= total:
+                best[total] = max(best[total], best[total - q] * q)
+                q *= p
+    return best[n]

@@ -102,6 +102,28 @@ def test_block_coordinate_pairs_rejects_wrong_dimension():
         block_coordinate_pairs(d, triv)
 
 
+_ROWS = [set(range(1, 9)), set(range(9, 17))]
+_PAIRS = [{j, j + 8} for j in range(1, 9)]
+
+
+@pytest.mark.parametrize("partitions,message", [
+    ([_ROWS, _PAIRS, _ROWS], "need exactly 2 partitions, got 3"),
+    ([[set(range(1, 10)), set(range(9, 17))], _PAIRS],
+     "not a cartesian decomposition: ('partition 0 has overlapping parts',)"),
+    ([[set(range(1, 9)), set(range(9, 18))], _PAIRS],
+     "part [9, 10, 11, 12, 13, 14, 15, 16, 17] not within 1..16"),
+    ([_ROWS, _PAIRS], "decomposition is not homogeneous"),
+    ([_ROWS, [set(range(1, 17, 2)), set(range(2, 17, 2))]],
+     "not a cartesian decomposition: ('parts [[1, 2, 3, 4, 5, 6, 7, 8], "
+     "[1, 3, 5, 7, 9, 11, 13, 15]] meet in 4 points',)"),
+])
+def test_block_coordinate_pairs_error_precedence(partitions, message):
+    d = catalog.build("biplane16_primitive")
+    with pytest.raises(InputError) as err:
+        block_coordinate_pairs(d, CartesianDecomposition(partitions))
+    assert str(err.value) == message
+
+
 def test_group_degree_must_match_decomposition():
     d = catalog.build("biplane16_primitive")
     cd = _example_cd()

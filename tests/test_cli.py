@@ -252,6 +252,13 @@ def test_cert121(capsys):
     assert json.loads(out)["types"] == [{"11": 11}] or json.loads(out)["types"] == [{"11": 11}]
 
 
+def test_cert121_order_above_landau(capsys):
+    code, out = _capture(capsys, ["cert121", "--order", str(2**50)])
+    assert code == OK and "cannot occur" in out
+    code, out = _capture(capsys, ["cert121", "--order", str(2**50), "--json"])
+    assert code == OK and json.loads(out) == {"order": 2**50, "types": []}
+
+
 def test_cert79_wrong_params(tmp_path):
     path = _design_file(tmp_path, "fano_complement")
     assert run(["cert79", "--design", path]) == USAGE

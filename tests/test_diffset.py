@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 
@@ -14,6 +15,7 @@ from biplane.diffset import (GROUP_ORDER_CAP, DifferenceSet, LanderWitness,
 from biplane.errors import InputError, ScaleError
 from biplane.ntheory import is_prime, square_free_part
 from biplane.perm import Permutation
+from oracles import brute_force_table_automorphisms
 
 QR11 = (1, 3, 4, 5, 9)
 
@@ -176,6 +178,7 @@ def test_search_matches_subset_scan(tag, k, lam):
     assert diffset._zero_sets(g, k, lam) == hits
     found = [ds.elements for ds in search_difference_sets(g, k, lam)]
     assert found == _classes(g, hits)
+    assert all(1 in rep for rep in found)
 
 
 @pytest.mark.parametrize("tag", ["c2xc8", "q8xc2", "c4xc4", "c2xc2xc4"])
@@ -259,3 +262,64 @@ def test_from_tag():
     assert from_tag("e16").n == 16
     with pytest.raises(InputError):
         from_tag("nonsense")
+
+
+# SHA-256 of repr(g.mul); every table is built from its definition, and these
+# pin that the tables (and so the labels of every element) stay as they are.
+TABLE_DIGESTS = {
+    "c11": "af854f56ac40a40b9e3128281863c81e8437e6fecb81bd035a4ad13727495f26",
+    "c121ab": "bba0747de9af8dd35bc02b77d3b60bf967636c2f5de024f182a1e3a6ac8aa7c4",
+    "c16": "876cddb42047c1ee0d285afcd60c1637f86a48ca3bcc3276d1dfde407038ca95",
+    "c2xc8": "06c128f34e401bfeac0557eef9a293eb839290e2d524ee297febbfc272278161",
+    "c37": "d4f18cbeca5e43d847367b8611d3060c60d394c98aa0e21510a2aa4c13d5f77f",
+    "e16": "e18045eb2accdb2c709bc48851fe7174db628cc56886ba243f92d0b55c490f94",
+    "q8xc2": "e2ebd95bb152b4eb32ea997418bf0174254f7bbbf3228c835fa5239886d2857b",
+    "q8": "3cf6df33eacfff323a764ebfd700a592b4aafd3b70197f3c66ae2af59d0d616a",
+    (2, 1): "a0e10c7a00c7e25d546e124a2f6fbc687ecbbb1b2cb4a95dd2ec09a0d05e7461",
+    (2, 2): "03dc126565fc1335976f09a73e2985526987d4db9118343fcab4dcd94abe455a",
+    (2, 3): "3f285b4ed16ad3020ecde79db0d1cce796618db7d0bba10718ea281455e93e1c",
+    (2, 4): "e18045eb2accdb2c709bc48851fe7174db628cc56886ba243f92d0b55c490f94",
+    (2, 5): "c5ca0a4c2be269cebc775368b88bf87575057ea69f4f5796f7aae9766711c8f1",
+    (2, 6): "f376ed53cfbcd556faa073137c471e8f9c756b1617a621ceebf2dde86e369ca6",
+    (3, 2): "8fd2350da88e5c6eb071817ee312f26f7d0bd58c36851ace10e54d75e2a46206",
+    (3, 3): "b20fce3c66790d3a97db175007295c43a8da4241bee431023fd450791c33d3c0",
+    (5, 2): "eb0d041feefd0fc47575dbd6028100773d53982407ce01321a117e067424d588",
+    (7, 2): "c8509bceb28a667c5ef6ea66989a79f821aa4fc6374a1204a407794f433aee9c",
+}
+
+
+@pytest.mark.parametrize("key", list(TABLE_DIGESTS), ids=str)
+def test_table_digests_pinned(key):
+    if key == "q8":
+        g = quaternion8()
+    elif isinstance(key, tuple):
+        g = elementary_abelian(*key)
+        assert g.name == f"elementary({key[0]},{key[1]})"
+    else:
+        g = from_tag(key)
+    assert hashlib.sha256(repr(g.mul).encode()).hexdigest() == TABLE_DIGESTS[key]
+
+
+@pytest.mark.parametrize("name,g", [
+    ("c7", cyclic(7)), ("c8", cyclic(8)), ("q8", quaternion8()),
+    ("e8", elementary_abelian(2, 3)), ("c2xc4", direct_product(cyclic(2), cyclic(4))),
+])
+def test_table_automorphisms_match_brute_force(name, g):
+    assert table_automorphisms(g) == brute_force_table_automorphisms(g)
+
+
+ORDER16_AUT_ORDERS = {"c16": 8, "c2xc8": 16, "q8xc2": 192, "e16": 20160,
+                      "c4xc4": 96, "c2xc2xc4": 192}
+
+
+@pytest.mark.parametrize("tag", list(ORDER16_AUT_ORDERS))
+def test_order16_automorphism_orders(tag):
+    autos = table_automorphisms(_table(tag))
+    assert len(autos) == ORDER16_AUT_ORDERS[tag]
+    assert autos == sorted(set(autos))
+
+
+def test_table_automorphisms_cap():
+    assert diffset.TABLE_AUT_CAP == 16
+    with pytest.raises(ScaleError, match="^table automorphism search capped at order 16$"):
+        table_automorphisms(cyclic(17))

@@ -1,18 +1,19 @@
 import random
+from math import lcm
 
 import pytest
 
 from biplane import catalog
 from biplane.design import Design, DesignParams
 from biplane.errors import InputError
-from biplane.fixcert import (ALLOWED_79_ORDERS, AUT_ORDER_DIVISOR_121, Check,
+from biplane.fixcert import (ALLOWED_79_ORDERS, AUT_ORDER_DIVISOR_121, LANDAU_121, Check,
                              admissible_cycle_types_121, certify_79,
                              certify_conjugacy_bound, certify_fix_lemmas,
                              check_79_order, fix_report, fixed_subdesign,
                              induced_block_permutation, sylow_bound_121,
                              sylow_bounds_121)
 from biplane.perm import CycleType, Permutation, cycle_type
-from oracles import orbit_walk_fix_report
+from oracles import landau, orbit_walk_fix_report
 
 
 def test_fix_report_identity():
@@ -242,6 +243,29 @@ def test_admissible_rejects_non_prime_power():
             admissible_cycle_types_121(bad)
 
 
+def _partition_lcms(n: int, largest: int):
+    """lcm of the parts of every partition of n into parts <= largest."""
+    if n == 0:
+        yield 1
+    for part in range(1, min(n, largest) + 1):
+        for rest in _partition_lcms(n - part, part):
+            yield lcm(part, rest)
+
+
+def test_landau_121_derived():
+    assert [landau(n) for n in range(26)] == [max(_partition_lcms(n, n)) for n in range(26)]
+    assert LANDAU_121 == landau(121) == 5354228880
+
+
+def test_admissible_orders_above_landau_not_factored():
+    # 2**50 is past FACTORIZE_CAP, and LANDAU_121 + 1 is not a prime power:
+    # neither is factored, since no element of Sym(121) has such an order
+    for order in (LANDAU_121 + 1, 2**50, 10**30):
+        assert admissible_cycle_types_121(order) == ()
+    with pytest.raises(InputError):
+        admissible_cycle_types_121(LANDAU_121)
+
+
 def test_squaring_consistency():
     order2 = set(admissible_cycle_types_121(2))
     for t in admissible_cycle_types_121(4):
@@ -293,3 +317,17 @@ def test_certify_79_rejects_non_verifying_structure():
     junk = Design(DesignParams(79, 13, 2), blocks)
     with pytest.raises(InputError):
         certify_79(junk)
+
+
+def test_prime_square_check_branches():
+    # the development of a 16-subset of Z/121 (not a biplane) only has to
+    # carry the hypotheses: v = 11^2, translations of order 11 and 121
+    base = (0, 1, 3, 7, 12, 20, 30, 44, 65, 80, 96, 100, 105, 110, 115, 118)
+    d = Design(DesignParams(121, 16, 2),
+               [tuple(sorted((b + t) % 121 + 1 for b in base)) for t in range(121)])
+    na = Check("prime-square-fixed-point-free", "n/a", "v is not p^2 with o(x) = p")
+    for shift, want in ((0, na), (1, na),
+                        (11, Check("prime-square-fixed-point-free", "pass", "f=0"))):
+        x = Permutation((p + shift) % 121 + 1 for p in range(121))
+        checks = certify_fix_lemmas(d, x).checks
+        assert [c for c in checks if c.name == want.name] == [want]
