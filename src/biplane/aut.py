@@ -156,16 +156,15 @@ class _Search:
         self.n = self.v + self.nblocks
         through, points = d.incidence
         self.adj = [m << self.v for m in through[1:]] + [m >> 1 for m in points]
-        self.first_pos: dict[int, int] | None = None
+        # A leaf is its points, 0-based, in the order of its cells.
+        self.first_order: tuple[int, ...] | None = None
         self.first_cert = None
-        self.best_pos: dict[int, int] | None = None
+        self.best_order: tuple[int, ...] | None = None
         self.best_cert = None
-        self.autos: list[tuple[int, ...]] = []  # 0-based full-vertex image tuples
-        self._auto_set: set[tuple[int, ...]] = set()
+        self.autos: dict[tuple[int, ...], None] = {}  # 0-based full-vertex image tuples
         # (vertex fixed at this depth, generators of the pointwise stabilizer
-        # of the path so far as 0-based image tuples)
+        # of the path so far as 0-based image tuples); new automorphisms clear it
         self._path: list[tuple[int | None, list[tuple[int, ...]]]] = []
-        self._path_autos = -1
         self.nodes = self.leaves = 0
 
     def run(self) -> None:
@@ -213,9 +212,8 @@ class _Search:
         recorded; Sims' filter keeps generator lists from growing with depth.
         """
         path = self._path
-        if self._path_autos != len(self.autos):
-            self._path_autos = len(self.autos)
-            path[:] = [(None, list(self.autos))]
+        if not path:
+            path.append((None, list(self.autos)))
         for depth, u in enumerate(prefix, start=1):
             if depth < len(path) and path[depth][0] == u:
                 continue
@@ -227,38 +225,30 @@ class _Search:
 
     def _leaf(self, cells) -> None:
         self.leaves += 1
-        pos = {cell[0]: i for i, cell in enumerate(cells)}
-        cert = self._certificate(pos)
+        order = tuple(c[0] for c in cells if c[0] < self.v)
+        rank = [0] * (self.v + 1)  # 1-based point -> its 1-based place in order
+        for i, p in enumerate(order, start=1):
+            rank[p + 1] = i
+        cert = tuple(sorted(tuple(sorted(map(rank.__getitem__, b))) for b in self.d.blocks))
         if self.first_cert is None:
-            self.first_cert, self.first_pos = cert, pos
+            self.first_cert, self.first_order = cert, order
         elif cert == self.first_cert:
-            self._record_automorphism(pos)
+            self._record_automorphism(order)
         if self.best_cert is None or cert < self.best_cert:
-            self.best_cert, self.best_pos = cert, pos
+            self.best_cert, self.best_order = cert, order
 
-    def _point_ranks(self, pos) -> dict[int, int]:
-        """Map each point p (1-based) to its canonical label (1-based)."""
-        order = sorted(range(self.v), key=pos.__getitem__)
-        return {p + 1: rank + 1 for rank, p in enumerate(order)}
-
-    def _certificate(self, pos):
-        ranks = self._point_ranks(pos)
-        return tuple(sorted(tuple(sorted(map(ranks.__getitem__, b))) for b in self.d.blocks))
-
-    def _record_automorphism(self, pos) -> None:
-        ranks_first = self._point_ranks(self.first_pos)
-        ranks_here = self._point_ranks(pos)
-        inv_first = {lab: p for p, lab in ranks_first.items()}
-        images = [inv_first[ranks_here[p]] for p in range(1, self.v + 1)]
-        if images == list(range(1, self.v + 1)):
+    def _record_automorphism(self, order) -> None:
+        """Record the map of this leaf's point order onto the first leaf's."""
+        if order == self.first_order:
             return
+        images = [q + 1 for _, q in sorted(zip(order, self.first_order))]
         blocks = self.d.block_action(images)
         if blocks is None:
             raise AssertionError("leaf with equal certificate is not an automorphism")
         full_t = tuple(p - 1 for p in images) + tuple(self.v + j for j in blocks)
-        if full_t not in self._auto_set:
-            self._auto_set.add(full_t)
-            self.autos.append(full_t)
+        if full_t not in self.autos:
+            self.autos[full_t] = None
+            self._path.clear()
 
     def stats(self) -> SearchStats:
         return SearchStats(self.nodes, self.leaves, len(self.autos))
@@ -308,10 +298,7 @@ def isomorphism(a: Design, b: Design) -> IsoResult:
     stats = (sa.stats(), sb.stats())
     if sa.best_cert != sb.best_cert:
         return IsoResult(None, stats)
-    ranks_a = sa._point_ranks(sa.best_pos)
-    ranks_b = sb._point_ranks(sb.best_pos)
-    inv_b = {lab: p for p, lab in ranks_b.items()}
-    sigma = Permutation(inv_b[ranks_a[p]] for p in range(1, a.v + 1))
+    sigma = Permutation(q + 1 for _, q in sorted(zip(sa.best_order, sb.best_order)))
     image = {sigma.apply_set(blk) for blk in a.blocks}
     if image != b.block_index().keys():
         raise AssertionError("canonical forms agree but mapping failed")

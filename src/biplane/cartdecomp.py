@@ -28,19 +28,27 @@ PELL_RHS = 7  # 8x^2 - y^2 = 7
 # n = 5,600; the cap is far above the n <= 12 the exclusion needs.
 PELL_N_CAP = 1000
 
+# Largest q psp4_degree_excluded admits. Its 8c^2 - 7 grows as 2q^8 and passes
+# Python's 4,300-digit limit for printing an integer at q = 2^1786; the
+# argument holds for every q = 2^a >= 4, and the cap is far above any degree
+# a search could reach.
+PSP4_Q_CAP = 2**1000
+
 
 @dataclass(frozen=True)
 class CartesianDecomposition:
-    """Partitions of {1..v}; parts are stored sorted by least element."""
+    """Partitions of {1..v}; parts are non-empty and stored sorted by least element."""
 
     partitions: tuple[tuple[frozenset, ...], ...]
 
     def __init__(self, partitions):
-        parts = tuple(
-            tuple(sorted((frozenset(p) for p in partition), key=min))
-            for partition in partitions
-        )
-        object.__setattr__(self, "partitions", parts)
+        parts = []
+        for i, partition in enumerate(partitions):
+            partition = [frozenset(p) for p in partition]
+            if not all(partition):
+                raise InputError(f"empty part in partition {i}")
+            parts.append(tuple(sorted(partition, key=min)))
+        object.__setattr__(self, "partitions", tuple(parts))
 
     @property
     def d(self) -> int:
@@ -80,8 +88,6 @@ def verify_cartesian(cd: CartesianDecomposition, v: int) -> CartesianReport:
             violations.append(f"partition {i} has fewer than 2 parts")
         covered: set[int] = set()
         for p in partition:
-            if not p:
-                raise InputError(f"empty part in partition {i}")
             if not p <= points:
                 raise InputError(f"part {sorted(p)} not within 1..{v}")
             if covered & p:
@@ -128,26 +134,20 @@ def _check_degree(group: PermGroup, v: int) -> None:
         raise InputError(f"group degree {group.degree} != {v} points of the decomposition")
 
 
-def preserved_by(cd: CartesianDecomposition, group: PermGroup,
-                 allow_partition_swap: bool = True) -> bool:
-    """Does every generator map parts to parts?
+def preserved_by(cd: CartesianDecomposition, group: PermGroup) -> bool:
+    """Does every generator map each partition onto one of the partitions?
 
-    With allow_partition_swap the partitions may be permuted among
-    themselves (the wreath top group); strict mode requires each partition
-    to be fixed setwise. Raises InputError when the group's degree is not
-    the number of points of the decomposition.
+    The partitions may be permuted among themselves (the top group of the
+    wreath product), as "G preserves a cartesian decomposition" allows.
+    Raises InputError when the group's degree is not the number of points of
+    the decomposition.
     """
     _check_degree(group, len(frozenset().union(*(p for part in cd.partitions for p in part))))
     part_sets = [set(partition) for partition in cd.partitions]
     for g in group.generators:
-        for i, partition in enumerate(cd.partitions):
-            image = {g.apply_set(p) for p in partition}
-            if allow_partition_swap:
-                if not any(image == other for other in part_sets):
-                    return False
-            else:
-                if image != part_sets[i]:
-                    return False
+        for partition in cd.partitions:
+            if {g.apply_set(p) for p in partition} not in part_sets:
+                return False
     return True
 
 
@@ -155,8 +155,8 @@ def block_coordinate_pairs(d: Design, cd: CartesianDecomposition,
                            group: PermGroup | None = None) -> list[int]:
     """Per block: the number of unordered point pairs sharing either coordinate.
 
-    Requires a verified homogeneous decomposition with exactly 2 partitions
-    on v = c^2 points. If a block-transitive group is supplied, all counts
+    Requires a verified homogeneous decomposition with exactly 2 partitions,
+    so v = c^2. If a block-transitive group is supplied, all counts
     must equal 2(c-1) and a violation raises; its degree must be v.
     """
     if cd.d != 2:
@@ -165,8 +165,6 @@ def block_coordinate_pairs(d: Design, cd: CartesianDecomposition,
     c, c2 = cd.part_counts()
     if c != c2:
         raise InputError("decomposition is not homogeneous")
-    if c * c != d.v:
-        raise InputError(f"v = {d.v} is not c^2 for c = {c}")
     counts = []
     for b in d.blocks:
         n = sum(1 for p, q in combinations(b, 2)
@@ -255,9 +253,13 @@ def psp4_degree_excluded(q: int) -> Psp4Report:
     never is, because 3 divides c while every solution x of 8x^2 - y^2 = 7
     satisfies x = +-1 (mod 3). The two sporadic branches c = 6 and c = 12
     are excluded because the forced block size gives v != 36 and v != 144.
+    Raises ScaleError, before any work, when q exceeds PSP4_Q_CAP.
     """
     if q < 4 or q & (q - 1) != 0:
         raise InputError("q must be a power of 2, at least 4")
+    if q > PSP4_Q_CAP:
+        raise ScaleError(f"q = 2^{q.bit_length() - 1} exceeds the cap "
+                         f"2^{PSP4_Q_CAP.bit_length() - 1}")
     c = q * q * (q * q - 1) // 2
     val = 8 * c * c - 7
     sq = is_square(val)

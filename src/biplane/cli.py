@@ -68,10 +68,15 @@ def _load_cd(path: str) -> cartdecomp.CartesianDecomposition:
 
 
 def _write_design(d: design.Design, path: str | None) -> None:
+    """Write d as JSON to path, if given; a file that cannot be written
+    raises InputError naming it."""
     if path:
-        with open(path, "w") as fh:
-            json.dump(d.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        try:
+            with open(path, "w") as fh:
+                json.dump(d.to_json_dict(), fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except OSError as exc:
+            raise InputError(f"cannot write design file {path}: {exc}") from exc
 
 
 def _add_stats(args, payload: dict, stats: dict) -> None:

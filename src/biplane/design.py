@@ -25,6 +25,12 @@ VERIFY_PAIR_CAP = 10**6
 # Violations a VerifyReport lists (biplane verify prints at most 20).
 VIOLATION_SAMPLE = 20
 
+# Largest block size params_from_k admits. v = (k^2 - k + 2)/2 has about
+# twice the digits of k and passes Python's 4,300-digit limit for printing an
+# integer near k = 1.5 * 10^2150; the cap is far above any block size the
+# package can build or search.
+PARAMS_K_CAP = 10**2000
+
 
 @dataclass(frozen=True)
 class DesignParams:
@@ -209,9 +215,14 @@ def dual(d: Design) -> Design:
 
 
 def params_from_k(k: int) -> DesignParams:
-    """Biplane parameters forced by the block size: v = (k^2 - k + 2)/2."""
+    """Biplane parameters forced by the block size: v = (k^2 - k + 2)/2.
+
+    Raises ScaleError, before any work, when k exceeds PARAMS_K_CAP.
+    """
     if k < 3:
         raise InputError("block size below 3 admits no biplane parameters")
+    if k > PARAMS_K_CAP:
+        raise ScaleError("block size exceeds the cap 10^2000")
     return DesignParams((k * k - k + 2) // 2, k, 2)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -89,6 +90,33 @@ def test_isomorphism_mappings_pinned():
         result = isomorphism(d, d.relabel(Permutation(images)))
         assert result.mapping.cycle_string() == mapping, name
         assert result.stats[0] == automorphism_group(d).stats, name
+
+
+# SHA-256 of the search outputs per catalog design, unrelabeled and under two
+# fixed shuffles: the generator cycle strings that `aut --json` prints, the
+# search counters, and the isomorphism onto a third shuffle with the counters
+# of both of its searches. A change that alters any of them changes the digest.
+LABELED_OUTPUTS_DIGEST = "efbb1e14af9773fe9abb6a920987daf1d9dcbb84acc52d11d5743b56ba7d700c"
+
+
+def test_search_outputs_pinned_under_relabeling():
+    rng = random.Random(13)
+    record = []
+    for name in catalog.constructible_names():
+        d = catalog.build(name)
+        shuffled = []
+        for _ in range(3):
+            images = list(range(1, d.v + 1))
+            rng.shuffle(images)
+            shuffled.append(d.relabel(Permutation(images)))
+        target = shuffled.pop()
+        for labeled in [d] + shuffled:
+            result = automorphism_group(labeled)
+            iso = isomorphism(labeled, target)
+            record.append((name, [g.cycle_string() for g in result.group.generators],
+                           result.stats, iso.mapping.cycle_string(), iso.stats))
+    digest = hashlib.sha256(repr(record).encode()).hexdigest()
+    assert digest == LABELED_OUTPUTS_DIGEST
 
 
 def test_automorphism_orders(aut_results):

@@ -1,9 +1,10 @@
 import pytest
 
 from biplane import catalog
-from biplane.cartdecomp import (PELL_N_CAP, CartesianDecomposition, block_coordinate_pairs,
-                                coordinatize, pell_brute_force, pell_solutions, preserved_by,
-                                psp4_degree_excluded, verify_cartesian)
+from biplane.cartdecomp import (PELL_N_CAP, PSP4_Q_CAP, CartesianDecomposition,
+                                block_coordinate_pairs, coordinatize, pell_brute_force,
+                                pell_solutions, preserved_by, psp4_degree_excluded,
+                                verify_cartesian)
 from biplane.errors import InputError, ScaleError
 from biplane.perm import PermGroup, Permutation
 
@@ -33,6 +34,8 @@ def test_duplicated_partition_fails_unique_intersection():
 def test_malformed_partition_is_input_error():
     with pytest.raises(InputError):
         verify_cartesian(CartesianDecomposition([[{1, 2}, {2, 30}]]), 16)
+    with pytest.raises(InputError, match="^empty part in partition 1$"):
+        CartesianDecomposition([catalog.CART16_PARTITIONS[0], [set(), set(range(1, 17))]])
 
 
 @pytest.mark.parametrize("point", [1.9, False, "1"])
@@ -77,10 +80,9 @@ def test_preservation_closed_under_generator_subsets():
 def test_preservation():
     cd = _example_cd()
     g = catalog.primitive16_group()
+    # the third generator swaps the two partitions, which preservation allows
     assert preserved_by(cd, g)
     assert preserved_by(cd, PermGroup.trivial(16))
-    # the third generator swaps the two partitions, so strict mode fails
-    assert not preserved_by(cd, g, allow_partition_swap=False)
 
 
 def test_full_group_does_not_preserve(aut_results):
@@ -203,6 +205,13 @@ def test_psp4_exclusion():
     assert r.excluded
     for q in (8, 16, 32):
         assert psp4_degree_excluded(q).excluded
+
+
+def test_psp4_cap():
+    report = psp4_degree_excluded(PSP4_Q_CAP)
+    assert report.excluded and len(str(report.pell_value)) < 4300  # printable
+    with pytest.raises(ScaleError, match="^q = 2\\^1001 exceeds the cap 2\\^1000$"):
+        psp4_degree_excluded(2 * PSP4_Q_CAP)
 
 
 def test_psp4_small_branches():

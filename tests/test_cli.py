@@ -308,13 +308,16 @@ def test_usage_errors():
 
 
 def _hostile_files(tmp_path):
-    """Paths of a 16-point design, its cartesian decomposition, groups of
-    degree 8 and 20 (padded with fixed points), a 7-point design, and copies
-    of the group and the 7-point design with a float where an integer goes."""
+    """Paths of a 16-point design, its cartesian decomposition, one with an
+    empty part, groups of degree 8 and 20 (padded with fixed points), a
+    7-point design, copies of the group and the 7-point design with a float
+    where an integer goes, and an output path in a missing directory."""
     d7 = catalog.build("fano_complement").to_json_dict()
     g16 = group_to_json_dict(catalog.primitive16_group())
     files = {"d16": catalog.build("biplane16_primitive").to_json_dict(),
              "cd16": CartesianDecomposition(catalog.CART16_PARTITIONS).to_json_dict(),
+             "cd16_empty_part": {"partitions": [[[], list(range(1, 17))],
+                                                [[j, j + 8] for j in range(1, 9)]]},
              "g8": group_to_json_dict(PermGroup.from_cycles(8, ["(1,2)"])),
              "g20": group_to_json_dict(PermGroup(20, [
                  Permutation(g.images + (17, 18, 19, 20))
@@ -328,6 +331,7 @@ def _hostile_files(tmp_path):
         path = tmp_path / f"{key}.json"
         path.write_text(json.dumps(data))
         paths[key] = str(path)
+    paths["unwritable"] = str(tmp_path / "missing" / "out.json")
     return paths
 
 
@@ -347,6 +351,11 @@ def _hostile_files(tmp_path):
     ["cert121", "--order", "0"],
     ["ds", "lander", "--v", "5000000050000001", "--k", "100000001"],
     ["feasible", "brc", "--v", "50000000000000805000000000003241", "--k", "10000000000000081"],
+    ["cart", "verify", "--design", "{d16}", "--cd", "{cd16_empty_part}"],
+    ["catalog", "build", "hadamard11", "-o", "{unwritable}"],
+    ["dual", "{d7}", "-o", "{unwritable}"],
+    ["psp4", "--q", str(2**2000)],
+    ["feasible", "params", "--k", str(10**2500)],
 ])
 def test_hostile_arguments_exit_2(tmp_path, capsys, argv):
     paths = _hostile_files(tmp_path)

@@ -4,13 +4,13 @@ import tracemalloc
 import pytest
 
 from biplane import catalog
-from biplane.design import (VIOLATION_SAMPLE, Design, DesignParams,
+from biplane.design import (PARAMS_K_CAP, VIOLATION_SAMPLE, Design, DesignParams,
                             _legendre_form_solvable,
                             brc_brute_force, brc_feasible, dual,
                             k_for_point_power, params_from_k,
                             restrict_subdesign, subdesign_constraint,
                             verify_symmetric_design)
-from biplane.errors import InputError
+from biplane.errors import InputError, ScaleError
 from biplane.ntheory import ternary_isotropic
 from biplane.perm import Permutation
 
@@ -104,6 +104,12 @@ def test_params_from_k(k, v):
 def test_params_from_k_rejects_small():
     with pytest.raises(InputError):
         params_from_k(2)
+
+
+def test_params_from_k_cap():
+    assert len(str(params_from_k(PARAMS_K_CAP).v)) == 4000  # printable
+    with pytest.raises(ScaleError, match="exceeds the cap 10\\^2000"):
+        params_from_k(PARAMS_K_CAP + 1)
 
 
 def test_params_from_k_feasible_up_to_1000():
