@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .design import Design, verify_symmetric_design
+from .design import Design
 from .errors import InputError
 from .perm import PermGroup, Permutation, _stabilizer_images, orbit
 
@@ -261,10 +261,8 @@ class _Search:
 
 
 def _searched(d: Design) -> _Search:
-    """The finished search over d, which must verify."""
-    if not verify_symmetric_design(d).ok:
-        raise InputError("design does not verify; refusing to search")
-    s = _Search(d)
+    """The finished search over d, which must verify (Design.require_verified)."""
+    s = _Search(d.require_verified())
     s.run()
     return s
 

@@ -37,7 +37,7 @@ PSP4_Q_CAP = 2**1000
 
 @dataclass(frozen=True)
 class CartesianDecomposition:
-    """Partitions of {1..v}; parts are non-empty and stored sorted by least element."""
+    """Partitions of {1..v}, at least one; parts are non-empty and sorted by least element."""
 
     partitions: tuple[tuple[frozenset, ...], ...]
 
@@ -48,6 +48,8 @@ class CartesianDecomposition:
             if not all(partition):
                 raise InputError(f"empty part in partition {i}")
             parts.append(tuple(sorted(partition, key=min)))
+        if not parts:
+            raise InputError("no partitions")
         object.__setattr__(self, "partitions", tuple(parts))
 
     @property
@@ -156,8 +158,10 @@ def block_coordinate_pairs(d: Design, cd: CartesianDecomposition,
     """Per block: the number of unordered point pairs sharing either coordinate.
 
     Requires a verified homogeneous decomposition with exactly 2 partitions,
-    so v = c^2. If a block-transitive group is supplied, all counts
-    must equal 2(c-1) and a violation raises; its degree must be v.
+    so v = c^2. A supplied group of degree v must consist of automorphisms
+    of a verified d, preserve cd and be transitive, or InputError is raised;
+    such a group is block-transitive, so every count is 2(c-1) and a
+    violation is a bug (AssertionError).
     """
     if cd.d != 2:
         raise InputError(f"need exactly 2 partitions, got {cd.d}")
@@ -172,6 +176,9 @@ def block_coordinate_pairs(d: Design, cd: CartesianDecomposition,
         counts.append(n)
     if group is not None:
         _check_degree(group, d.v)
+        d.require_verified().automorphism_actions(group.generators)
+        if not preserved_by(cd, group):
+            raise InputError("supplied group does not preserve the decomposition")
         if not group.is_transitive():
             raise InputError("supplied group is not transitive")
         expected = 2 * (c - 1)

@@ -21,7 +21,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import TYPE_CHECKING
 
-from .design import Design, DesignParams, verify_symmetric_design
+from .design import Design, DesignParams
 from .errors import InputError
 
 if TYPE_CHECKING:  # the builders import diffset and perm, so `catalog list` loads neither
@@ -211,9 +211,9 @@ def build(name: str) -> Design:
     if not e.constructible:
         raise InputError(f"catalog entry {name!r} is metadata-only; no construction available")
     d = _BUILDERS[name]()
-    report = verify_symmetric_design(d)
-    if not report.ok:
-        raise AssertionError(f"catalog design {name} failed verification: {report.violations[:3]}")
+    if not d.verify_report.ok:
+        raise AssertionError(f"catalog design {name} failed verification: "
+                             f"{d.verify_report.violations[:3]}")
     assert d.params == e.params
     return d
 
@@ -225,18 +225,14 @@ def constructible_names() -> list[str]:
 def flag_orbit_count(d: Design, group: PermGroup) -> int:
     """Number of group orbits on incident (point, block) flags.
 
-    Raises InputError when a generator does not map the blocks onto blocks.
+    Raises InputError unless d verifies and every generator is an
+    automorphism (Design.require_verified, Design.automorphism_actions).
     """
     from .perm import orbit
     if group.degree != d.v:
         raise InputError("group degree does not match the design")
-    # each generator paired with the block permutation it induces
-    actions = []
-    for g in group.generators:
-        images = d.block_action(g.images)
-        if images is None:
-            raise InputError(f"generator {g.cycle_string()} is not an automorphism")
-        actions.append((g, images))
+    gens = group.generators
+    actions = list(zip(gens, d.require_verified().automorphism_actions(gens)))
     remaining = {(p, j) for j, b in enumerate(d.blocks) for p in b}
     count = 0
     while remaining:

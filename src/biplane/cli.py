@@ -67,16 +67,20 @@ def _load_cd(path: str) -> cartdecomp.CartesianDecomposition:
                       cartdecomp.CartesianDecomposition.from_json_dict)
 
 
-def _write_design(d: design.Design, path: str | None) -> None:
-    """Write d as JSON to path, if given; a file that cannot be written
-    raises InputError naming it."""
-    if path:
+def _emit_design(args, d: design.Design, line: str) -> int:
+    """Write d as JSON to args.output, if given (InputError naming a file that
+    cannot be written), then print d's JSON, or `line` and the path written."""
+    payload, lines = d.to_json_dict(), [line]
+    if args.output:
         try:
-            with open(path, "w") as fh:
-                json.dump(d.to_json_dict(), fh, indent=2, sort_keys=True)
+            with open(args.output, "w") as fh:
+                json.dump(payload, fh, indent=2, sort_keys=True)
                 fh.write("\n")
         except OSError as exc:
-            raise InputError(f"cannot write design file {path}: {exc}") from exc
+            raise InputError(f"cannot write design file {args.output}: {exc}") from exc
+        lines.append(f"written to {args.output}")
+    _emit(payload, args.json, lines)
+    return OK
 
 
 def _add_stats(args, payload: dict, stats: dict) -> None:
@@ -126,13 +130,8 @@ def _cmd_catalog(args) -> int:
         _emit(payload, args.json, lines)
         return OK
     d = catalog.build(args.name)
-    _write_design(d, args.output)
-    payload = d.to_json_dict()
-    lines = [f"{args.name}: ({d.v},{d.k},{d.lam}) biplane, {len(d.blocks)} blocks"]
-    if args.output:
-        lines.append(f"written to {args.output}")
-    _emit(payload, args.json, lines)
-    return OK
+    return _emit_design(args, d, f"{args.name}: ({d.v},{d.k},{d.lam}) biplane, "
+                                 f"{len(d.blocks)} blocks")
 
 
 def _cmd_verify(args) -> int:
@@ -140,7 +139,7 @@ def _cmd_verify(args) -> int:
     d = _load_design(args.design)
     report = design.verify_symmetric_design(d)
     payload = {"ok": report.ok,
-               "violations": [list(map(str, v)) for v in report.violations[:20]]}
+               "violations": [list(map(str, v)) for v in report.violations]}
     lines = [f"verify ({d.v},{d.k},{d.lam}): {'ok' if report.ok else 'FAILED'}"]
     lines += [f"  {v}" for v in report.violations[:10]]
     _emit(payload, args.json, lines)
@@ -150,14 +149,7 @@ def _cmd_verify(args) -> int:
 def _cmd_dual(args) -> int:
     from . import design
     d = _load_design(args.design)
-    dd = design.dual(d)
-    _write_design(dd, args.output)
-    payload = dd.to_json_dict()
-    lines = [f"dual of ({d.v},{d.k},{d.lam}) design computed"]
-    if args.output:
-        lines.append(f"written to {args.output}")
-    _emit(payload, args.json, lines)
-    return OK
+    return _emit_design(args, design.dual(d), f"dual of ({d.v},{d.k},{d.lam}) design computed")
 
 
 def _cmd_aut(args) -> int:
@@ -214,22 +206,13 @@ def _cmd_ds(args) -> int:
     # develop
     ds = diffset.DifferenceSet(group=group, elements=_parse_set(args.set), lam=args.lam)
     d = diffset.develop(ds)
-    _write_design(d, args.output)
-    payload = d.to_json_dict()
-    lines = [f"development: ({d.v},{d.k},{d.lam}) design with {len(d.blocks)} blocks"]
-    if args.output:
-        lines.append(f"written to {args.output}")
-    _emit(payload, args.json, lines)
-    return OK
+    return _emit_design(args, d, f"development: ({d.v},{d.k},{d.lam}) design "
+                                 f"with {len(d.blocks)} blocks")
 
 
 def _cmd_fix(args) -> int:
-    from . import design, fixcert, perm
+    from . import fixcert, perm
     d = _load_design(args.design)
-    report = design.verify_symmetric_design(d)
-    if not report.ok:
-        raise InputError(f"not a symmetric ({d.v},{d.k},{d.lam}) design; "
-                         f"first violation {report.violations[0]}")
     x = perm.Permutation.from_cycles(args.perm, d.v)
     result = fixcert.certify_fix_lemmas(d, x)
     rep = result.report

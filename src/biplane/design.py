@@ -60,8 +60,9 @@ class Design:
     symmetric-design axioms is the job of verify_symmetric_design.
 
     The one incidence view of the package (block_index, the incidence
-    bitmasks and block_action) is built on first use and cached outside the
-    fields, so it takes no part in equality or hashing.
+    bitmasks, block_action) and verify_report are cached outside the fields,
+    so they take no part in equality or hashing. require_verified and
+    automorphism_actions are the input gates of every search and certificate.
     """
 
     params: DesignParams
@@ -123,6 +124,30 @@ class Design:
         index = self._block_index
         out = tuple([index.get(frozenset([images[p - 1] for p in b])) for b in self.blocks])
         return None if None in out else out
+
+    @cached_property
+    def verify_report(self) -> VerifyReport:
+        """verify_symmetric_design(self), computed once."""
+        return verify_symmetric_design(self)
+
+    def require_verified(self) -> "Design":
+        """self, or InputError naming the first violation of the axioms."""
+        report = self.verify_report
+        if not report.ok:
+            raise InputError(f"not a symmetric ({self.v},{self.k},{self.lam}) design; "
+                             f"first violation {report.violations[0]}")
+        return self
+
+    def automorphism_actions(self, perms) -> list[tuple[int, ...]]:
+        """The block_action of each permutation, or InputError naming the
+        first block that one of them maps outside the design."""
+        actions = [self.block_action(x.images) for x in perms]
+        if None in actions:
+            images = perms[actions.index(None)].images
+            b = next(b for b in self.blocks
+                     if frozenset(images[p - 1] for p in b) not in self._block_index)
+            raise InputError(f"not an automorphism: block {b} maps outside the design")
+        return actions
 
     def points(self) -> range:
         return range(1, self.v + 1)
@@ -205,11 +230,10 @@ def dual(d: Design) -> Design:
     """The dual design: point i of the dual is block i of d.
 
     Block alpha of the dual is {i : alpha in block i of d}; a verified
-    symmetric design dualizes to a design with the same parameters.
+    symmetric design dualizes to a design with the same parameters; any
+    other d is refused by Design.require_verified.
     """
-    if not verify_symmetric_design(d).ok:
-        raise InputError("dual requires a verified symmetric design")
-    through = d.incidence[0]
+    through = d.require_verified().incidence[0]
     return Design(d.params, [tuple(i + 1 for i in range(len(d.blocks)) if m >> i & 1)
                              for m in through[1:]])
 
@@ -343,6 +367,4 @@ def restrict_subdesign(d: Design, points, block_indices) -> Design | None:
     relabel = {p: i + 1 for i, p in enumerate(points)}
     sub_blocks = [tuple(sorted(relabel[p] for p in b)) for b in restricted]
     sub = Design(DesignParams(len(points), k_prime, d.lam), sub_blocks)
-    if not verify_symmetric_design(sub).ok:
-        return None
-    return sub
+    return sub if sub.verify_report.ok else None

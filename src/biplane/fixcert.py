@@ -3,13 +3,15 @@ the fixed-point theorems against concrete design/automorphism pairs.
 
 Every check is an exact integer identity or inequality; a failing check on a
 verified biplane with a genuine automorphism is a software bug, never new
-mathematics. Checks whose hypotheses are not met report "n/a" with a reason
-instead of silently passing; so do the checks that assume x != 1, for the
-identity. The module also carries the admissible cycle types and Sylow
-bounds for a hypothetical (121,16,2) biplane.
+mathematics: a design passes Design.require_verified and a permutation
+Design.automorphism_actions before any check, so bad input is an InputError.
+Checks whose hypotheses are not met report "n/a" with a reason instead of
+silently passing; so do the checks that assume x != 1, for the identity.
+The module also carries the admissible cycle types and Sylow bounds for a
+hypothetical (121,16,2) biplane.
 
 The counts come from one cycle walk of x on the points and one of its
-block action (Design.block_action), each giving a cycle type and the
+block action (Design.automorphism_actions), each giving a cycle type and the
 bitmasks Fix of the fixed elements and Two of the elements on 2-cycles.
 Then s_B = |B & Fix| and r_B = |B & Two|/2 are popcounts against the
 incidence bitmasks of Design.incidence, and dually s_a and r_a on the blocks
@@ -23,8 +25,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from math import isqrt
 
-from .design import (Design, restrict_subdesign, subdesign_constraint,
-                     verify_symmetric_design)
+from .design import Design, restrict_subdesign, subdesign_constraint
 from .errors import InputError
 from .ntheory import is_prime, is_prime_power, is_square
 from .perm import CycleType, Permutation, PermGroup, _cycles
@@ -75,19 +76,9 @@ class FixReport:
     r_block: dict[int, int] = field(default_factory=dict)
 
 
-def _block_action(d: Design, x: Permutation) -> tuple[int, ...]:
-    """The 0-based block action of x (Design.block_action), or InputError
-    naming a block that x maps outside the design."""
-    action = d.block_action(x.images)
-    if action is None:
-        b = next(b for b in d.blocks if x.apply_set(b) not in d.block_index())
-        raise InputError(f"not an automorphism: block {b} maps outside the design")
-    return action
-
-
 def induced_block_permutation(d: Design, x: Permutation) -> Permutation:
     """The permutation of block indices (1-based) induced by a point automorphism."""
-    return Permutation(j + 1 for j in _block_action(d, x))
+    return Permutation(j + 1 for j in d.require_verified().automorphism_actions([x])[0])
 
 
 def _walk(images, first: int) -> tuple[CycleType, tuple[int, ...], int, int]:
@@ -108,13 +99,13 @@ def fix_report(d: Design, x: Permutation) -> FixReport:
     <x>-orbits on B. For every fixed point a: the same counts on the set of
     blocks through a (in the induced block action).
     """
-    return _report_and_cycle_types(d, x)[0]
+    return _report_and_cycle_types(d.require_verified(), x)[0]
 
 
 def _report_and_cycle_types(d: Design, x: Permutation) -> tuple[FixReport, CycleType, CycleType]:
     """fix_report, with the cycle types of x on points and on blocks, from
     one walk of each action and popcounts against the incidence bitmasks."""
-    tb, fixed_blocks, fix_b, two_b = _walk(_block_action(d, x), 0)  # rejects non-automorphisms
+    tb, fixed_blocks, fix_b, two_b = _walk(d.automorphism_actions([x])[0], 0)
     tp, fixed_points, fix_p, two_p = _walk(x.images, 1)
     through, points = d.incidence
     return FixReport(
@@ -138,6 +129,11 @@ def certify_fix_lemmas(d: Design, x: Permutation) -> CertResult:
     """Run every applicable fixed-point check for one automorphism of a biplane."""
     if d.lam != 2 or d.k < 4:
         raise InputError("fixed-point certification applies to biplanes with k >= 4")
+    return _checks(d.require_verified(), x)
+
+
+def _checks(d: Design, x: Permutation) -> CertResult:
+    """The checks of certify_fix_lemmas, on a d that is not verified here."""
     rep, tp, tb = _report_and_cycle_types(d, x)
     k = d.k
     f = rep.f_points
@@ -327,6 +323,7 @@ def certify_conjugacy_bound(d: Design, group: PermGroup, x: Permutation) -> Cert
     checks: list[Check] = []
     if group.degree != d.v:
         raise InputError("group degree does not match design")
+    d.require_verified().automorphism_actions(group.generators)
     if not group.is_transitive():
         raise InputError("conjugacy bound requires a transitive group")
     if x not in group:
@@ -438,13 +435,10 @@ def certify_79(d: Design) -> Classification79:
 
     The order must be 1, 3 or 110; in the 3-group cases every nontrivial
     element must fix exactly one point and one block, which are incident.
+    A structure that does not verify is refused by the search's gate.
     """
     if d.params.as_tuple() != (79, 13, 2):
         raise InputError(f"parameters {d.params.as_tuple()} are not (79,13,2)")
-    report = verify_symmetric_design(d)
-    if not report.ok:
-        raise InputError(f"structure does not verify as a biplane: "
-                         f"{report.violations[:3]}")
     from .aut import automorphism_group  # the other certificates need no search
 
     res = automorphism_group(d)

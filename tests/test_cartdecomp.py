@@ -36,6 +36,8 @@ def test_malformed_partition_is_input_error():
         verify_cartesian(CartesianDecomposition([[{1, 2}, {2, 30}]]), 16)
     with pytest.raises(InputError, match="^empty part in partition 1$"):
         CartesianDecomposition([catalog.CART16_PARTITIONS[0], [set(), set(range(1, 17))]])
+    with pytest.raises(InputError, match="^no partitions$"):
+        CartesianDecomposition([])
 
 
 @pytest.mark.parametrize("point", [1.9, False, "1"])

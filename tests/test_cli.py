@@ -309,7 +309,7 @@ def test_usage_errors():
 
 def _hostile_files(tmp_path):
     """Paths of a 16-point design, its cartesian decomposition, one with an
-    empty part, groups of degree 8 and 20 (padded with fixed points), a
+    empty part, one with no partitions, groups of degree 8 and 20 (padded with fixed points), a
     7-point design, copies of the group and the 7-point design with a float
     where an integer goes, and an output path in a missing directory."""
     d7 = catalog.build("fano_complement").to_json_dict()
@@ -318,6 +318,7 @@ def _hostile_files(tmp_path):
              "cd16": CartesianDecomposition(catalog.CART16_PARTITIONS).to_json_dict(),
              "cd16_empty_part": {"partitions": [[[], list(range(1, 17))],
                                                 [[j, j + 8] for j in range(1, 9)]]},
+             "cd16_no_partitions": {"partitions": []},
              "g8": group_to_json_dict(PermGroup.from_cycles(8, ["(1,2)"])),
              "g20": group_to_json_dict(PermGroup(20, [
                  Permutation(g.images + (17, 18, 19, 20))
@@ -352,6 +353,7 @@ def _hostile_files(tmp_path):
     ["ds", "lander", "--v", "5000000050000001", "--k", "100000001"],
     ["feasible", "brc", "--v", "50000000000000805000000000003241", "--k", "10000000000000081"],
     ["cart", "verify", "--design", "{d16}", "--cd", "{cd16_empty_part}"],
+    ["cart", "verify", "--design", "{d16}", "--cd", "{cd16_no_partitions}"],
     ["catalog", "build", "hadamard11", "-o", "{unwritable}"],
     ["dual", "{d7}", "-o", "{unwritable}"],
     ["psp4", "--q", str(2**2000)],
