@@ -5,16 +5,24 @@ point/block incidence graph. Points and blocks carry distinct initial colors,
 so dualities are never counted as automorphisms. Refinement is iterated
 degree-in-color-class counting (equitable partition) against the cells that
 the previous round created only, with each cell's vertex bitmask carried
-alongside it; the target cell is the first smallest non-singleton; children
-are taken in ascending vertex order. A child is pruned when it lies in the
-orbit of an explored sibling under the pointwise stabilizer of the prefix in
-the group of the automorphisms found so far (McKay & Piperno, Practical Graph
-Isomorphism II, 2014). That stabilizer maps every cell onto itself, so only
-its orbits on the target cell are computed; its generators are kept as
-0-based image tuples, one list per depth of the current path, and come from
-the Schreier-Sims kernel of `perm`. Pruning never skips the first leaf or the
-first leaf with the least certificate, so canonical forms and isomorphisms do
-not depend on it.
+alongside it. The incidence graph of a symmetric design is distance-regular,
+so after a vertex u is individualized that refinement only separates the
+neighbors of u from the rest. For lambda = 2 and k >= 6, every node below
+the root therefore also splits the cells on the other side of its last
+individualized vertex u by the Hussain chain of each vertex w with u
+(`_chain_key`), a vertex invariant in the sense of McKay & Piperno
+(Practical Graph Isomorphism II, 2014), and refines again. The key depends
+on no label, so the partition of every node stays label-invariant. For
+k < 6 every chain is one k-cycle, so the split is skipped. The target cell
+is the first smallest non-singleton; children are taken in ascending vertex
+order. A child is pruned when it lies in the orbit of an explored sibling
+under the pointwise stabilizer of the prefix in the group of the
+automorphisms found so far (McKay & Piperno). That stabilizer maps every
+cell onto itself, so only its orbits on the target cell are computed; its
+generators are kept as 0-based image tuples, one list per depth of the
+current path, and come from the Schreier-Sims kernel of `perm`. Pruning
+never skips the first leaf or the first leaf with the least certificate, so
+canonical forms and isomorphisms do not depend on it.
 """
 
 from __future__ import annotations
@@ -81,7 +89,12 @@ def _equitable(cells: list[tuple[int, ...]], masks: list[int], adj: list[int],
     cell cannot split it or reorder its fragments (McKay & Piperno, Practical
     Graph Isomorphism II, 2014). Split fragments are ordered by their
     neighbor-count signature, which is independent of the vertex labels;
-    cells stay sorted internally.
+    cells stay sorted internally. The last fragment of a split cell is not
+    counted against in the next round: every cell already has a constant
+    count into the cell that split, so the count into the last fragment
+    follows from the counts into its siblings, which precede it in every
+    signature, and neither the partition nor its order changes. A caller may
+    leave such a last fragment out of `fresh` for the same reason.
     """
     reach = []
     for i in fresh:
@@ -112,7 +125,8 @@ def _equitable(cells: list[tuple[int, ...]], masks: list[int], adj: list[int],
                 new_cells.append(cell)
                 new_masks.append(cm)
                 continue
-            for sig in sorted(sigs):
+            *split, last = sorted(sigs)
+            for sig in split:
                 fragment = sigs[sig]
                 m = r = 0
                 for u in fragment:
@@ -122,6 +136,9 @@ def _equitable(cells: list[tuple[int, ...]], masks: list[int], adj: list[int],
                 new_cells.append(tuple(fragment))
                 new_masks.append(m)
                 new_reach.append(r)
+                cm ^= m
+            new_cells.append(tuple(sigs[last]))
+            new_masks.append(cm)
         cells, masks, reach = new_cells, new_masks, new_reach
     return cells, masks
 
@@ -146,6 +163,30 @@ def _cell_orbits(cell: tuple[int, ...], generators) -> dict[int, int]:
     return rep
 
 
+def _chain_key(adj: list[int], u: int, w: int) -> tuple[int, ...]:
+    """Sorted cycle lengths of the Hussain chain of the anti-flag {u, w} of a
+    biplane's incidence graph (Hussain 1945; Cameron, Biplanes, 1973).
+
+    Each neighbor c of w meets the neighbors of u in the pair adj[c] & adj[u];
+    for lambda = 2 these k pairs are the edges of a simple 2-regular graph on
+    the neighbors of u, whose components are its cycles.
+    """
+    nu, cycles = adj[u], []
+    rest = adj[w]
+    while rest:
+        c = rest.bit_length() - 1
+        rest ^= 1 << c
+        pair, kept = adj[c] & nu, []
+        for x in cycles:
+            if x & pair:
+                pair |= x
+            else:
+                kept.append(x)
+        kept.append(pair)
+        cycles = kept
+    return tuple(sorted(map(int.bit_count, cycles)))
+
+
 class _Search:
     """One individualization-refinement run over a design's incidence graph."""
 
@@ -156,6 +197,9 @@ class _Search:
         self.n = self.v + self.nblocks
         through, points = d.incidence
         self.adj = [m << self.v for m in through[1:]] + [m >> 1 for m in points]
+        # Chain cycles have length >= 3 and sum to k, so for k < 6 every
+        # chain is one k-cycle and its key splits nothing.
+        self.chains = d.lam == 2 and d.k >= 6
         # A leaf is its points, 0-based, in the order of its cells.
         self.first_order: tuple[int, ...] | None = None
         self.first_cert = None
@@ -186,6 +230,10 @@ class _Search:
     def _recurse(self, cells, masks, prefix: tuple[int, ...], fresh: list[int]) -> None:
         self.nodes += 1
         cells, masks = _equitable(cells, masks, self.adj, fresh)
+        if prefix and self.chains:
+            cells, masks, fresh = self._split_by_chains(cells, masks, prefix[-1])
+            if fresh:
+                cells, masks = _equitable(cells, masks, self.adj, fresh)
         tgt = self._target(cells)
         if tgt is None:
             self._leaf(cells)
@@ -200,16 +248,44 @@ class _Search:
                 if any(orbit_of[u] == orbit_of[e] for e in explored):
                     continue
             explored.append(u)
-            self._recurse(*_individualize(cells, masks, tgt, u), prefix + (u,), [tgt, tgt + 1])
+            self._recurse(*_individualize(cells, masks, tgt, u), prefix + (u,), [tgt])
+
+    def _split_by_chains(self, cells, masks, u: int):
+        """Split each non-singleton cell on the other side of u by the chain
+        key of each of its vertices with u. The fragments come in key order,
+        and the indices of all but the last of each split cell are returned
+        as the fresh cells (see _equitable)."""
+        adj, side = self.adj, u < self.v
+        new_cells, new_masks, fresh = [], [], []
+        for cell, m in zip(cells, masks):
+            if len(cell) > 1 and (cell[0] < self.v) != side:
+                keys: dict[tuple[int, ...], list[int]] = {}
+                for w in cell:
+                    key = () if adj[u] >> w & 1 else _chain_key(adj, u, w)
+                    keys.setdefault(key, []).append(w)
+                if len(keys) > 1:
+                    *split, last = sorted(keys)
+                    for key in split:
+                        fresh.append(len(new_cells))
+                        new_cells.append(tuple(keys[key]))
+                        new_masks.append(sum(1 << w for w in keys[key]))
+                        m ^= new_masks[-1]
+                    new_cells.append(tuple(keys[last]))
+                    new_masks.append(m)
+                    continue
+            new_cells.append(cell)
+            new_masks.append(m)
+        return new_cells, new_masks, fresh
 
     def _prefix_stabilizer(self, prefix) -> list[tuple[int, ...]]:
         """Generators of the pointwise stabilizer of prefix in the group of the
         automorphisms found so far, acting on all vertices.
 
-        Refinement is label-invariant, so each of them maps every cell of the
-        node's partition onto itself. The stabilizers of the current path are
-        cached, one per depth, and all are rebuilt when an automorphism is
-        recorded; Sims' filter keeps generator lists from growing with depth.
+        Refinement, the chain split included, is label-invariant, so each of
+        them maps every cell of the node's partition onto itself. The
+        stabilizers of the current path are cached, one per depth, and all are
+        rebuilt when an automorphism is recorded; Sims' filter keeps generator
+        lists from growing with depth.
         """
         path = self._path
         if not path:

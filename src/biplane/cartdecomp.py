@@ -157,12 +157,13 @@ def block_coordinate_pairs(d: Design, cd: CartesianDecomposition,
                            group: PermGroup | None = None) -> list[int]:
     """Per block: the number of unordered point pairs sharing either coordinate.
 
-    Requires a verified homogeneous decomposition with exactly 2 partitions,
-    so v = c^2. A supplied group of degree v must consist of automorphisms
-    of a verified d, preserve cd and be transitive, or InputError is raised;
-    such a group is block-transitive, so every count is 2(c-1) and a
-    violation is a bug (AssertionError).
+    Requires a verified design and a verified homogeneous decomposition with
+    exactly 2 partitions, so v = c^2. A supplied group of degree v must
+    consist of automorphisms of d, preserve cd and be transitive, or
+    InputError is raised; such a group is block-transitive, so every count is
+    2(c-1) and a violation is a bug (AssertionError).
     """
+    d.require_verified()
     if cd.d != 2:
         raise InputError(f"need exactly 2 partitions, got {cd.d}")
     coords = coordinatize(cd, d.v)
@@ -176,7 +177,7 @@ def block_coordinate_pairs(d: Design, cd: CartesianDecomposition,
         counts.append(n)
     if group is not None:
         _check_degree(group, d.v)
-        d.require_verified().automorphism_actions(group.generators)
+        d.automorphism_actions(group.generators)
         if not preserved_by(cd, group):
             raise InputError("supplied group does not preserve the decomposition")
         if not group.is_transitive():

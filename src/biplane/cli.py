@@ -186,10 +186,12 @@ def _cmd_ds(args) -> int:
         p = design.DesignParams(args.v, args.k, args.lam)
         witness = diffset.lander_excluded(p)
         payload = {"excluded": witness is not None,
-                   "witness": list(witness) if witness else None}
+                   "witness": list(witness) if witness else None,
+                   "hypotheses": diffset.LANDER_HYPOTHESES}
         if witness:
             lines = [f"excluded: no ({p.v},{p.k},{p.lam}) difference set exists; "
-                     f"witness (pdiv, q, j) = ({witness.pdiv}, {witness.q}, {witness.j})"]
+                     f"witness (pdiv, q, j) = ({witness.pdiv}, {witness.q}, {witness.j})",
+                     f"hypotheses: {diffset.LANDER_HYPOTHESES}"]
         else:
             lines = ["no witness found; the test does not exclude these parameters"]
         _emit(payload, args.json, lines)
@@ -259,8 +261,12 @@ def _cmd_cert79(args) -> int:
 
 def _cmd_cart(args) -> int:
     from . import cartdecomp
-    d = _load_design(args.design)
+    d = _load_design(args.design).require_verified()
     cd = _load_cd(args.cd)
+    group = None
+    if args.group:
+        group = _load_group(args.group)
+        d.automorphism_actions(group.generators)
     report = cartdecomp.verify_cartesian(cd, d.v)
     payload = {"ok": report.ok, "homogeneous": report.homogeneous,
                "d": report.d, "part_counts": list(report.part_counts),
@@ -270,8 +276,7 @@ def _cmd_cart(args) -> int:
     if not report.ok:
         _emit(payload, args.json, lines)
         return CHECK_FAILED
-    if args.group:
-        group = _load_group(args.group)
+    if group is not None:
         preserved = cartdecomp.preserved_by(cd, group)
         payload["preserved"] = preserved
         lines.append(f"preserved by supplied group: {preserved}")
@@ -279,7 +284,7 @@ def _cmd_cart(args) -> int:
             _emit(payload, args.json, lines)
             return CHECK_FAILED
     if report.d == 2 and report.homogeneous:
-        counts = cartdecomp.block_coordinate_pairs(d, cd)
+        counts = cartdecomp.block_coordinate_pairs(d, cd, group)
         payload["block_pair_counts"] = sorted(set(counts))
         lines.append(f"coordinate-sharing pairs per block: {sorted(set(counts))}")
     _emit(payload, args.json, lines)

@@ -329,9 +329,21 @@ def table_automorphisms(g: GroupTable) -> list[tuple[int, ...]]:
 
 
 class LanderWitness(NamedTuple):
+    """(pdiv, q, j): the prime q divides k - lam to an odd power, is prime to
+    pdiv, and q**j = -1 (mod pdiv), so q is self-conjugate modulo pdiv.
+
+    The self-conjugacy exclusion (Mann's test; Lander, Symmetric Designs,
+    1983) then rules out a difference set in an abelian group G of order v
+    whose exponent pdiv divides (LANDER_HYPOTHESES). It says nothing about a
+    nonabelian G, nor about an abelian G whose exponent pdiv does not divide.
+    """
+
     pdiv: int
     q: int
     j: int
+
+
+LANDER_HYPOTHESES = "the group is abelian, and pdiv divides its exponent"
 
 
 def lander_excluded(p: DesignParams) -> LanderWitness | None:

@@ -65,8 +65,8 @@ def test_criterion_2_three_isomorphism_classes():
         assert named == digests and len(named) == 3
         assert digests == {  # pinned: primitive, C2 x C8, Q8 x C2
             "fbb72876fc0d8e6cd1a5f28daf3ee4ed06750e979830ed3e7d917127ab2e8682",
-            "9e77d7fbedb6e485c65e29cdda91a18cd677888de9e97f76af9f833dc6397de7",
-            "461be88da56bf80331f175ff7d52383f3b548019e6266d6703876fc452cec440"}
+            "4d59186b2688ac222622bcdc4fdb0fb059e4bf2a01b37a95bc90533063b0f787",
+            "bb2bdcaafb103c7df95315b92cb5ea73dee45eac7e5bb59082057f49873c5867"}
 
 
 def test_criterion_3_automorphism_orders():

@@ -4,18 +4,18 @@ import random
 import pytest
 
 from biplane import aut, catalog
-from biplane.aut import (CanonicalCertificate, _equitable, _individualize, _Search,
-                         _searched, are_isomorphic, automorphism_group,
+from biplane.aut import (CanonicalCertificate, _chain_key, _equitable, _individualize,
+                         _Search, _searched, are_isomorphic, automorphism_group,
                          canonical_form, isomorphism)
 from biplane.design import Design, DesignParams, dual
-from biplane.diffset import develop, from_tag, search_difference_sets
+from biplane.diffset import DifferenceSet, develop, from_tag, search_difference_sets
 from biplane.errors import InputError
 from biplane.perm import PermGroup, Permutation
 from oracles import brute_force_automorphism_order
 
 # Per catalog design: the group order, the number of automorphisms the search
-# offers as generators, and the SHA-256 canonical digest. Orders and digests
-# never change; the generator count changes only with the search's pruning.
+# offers as generators, and the SHA-256 canonical digest. Orders never change;
+# digests change only with the refinement, generator counts also with pruning.
 CATALOG_GATE = {
     "fano_complement": (
         168, 5, "dd55c94cfb858c5d420e0cedcf39b5a02eceb2c23a6a00c91c12e503e6c24555"),
@@ -24,16 +24,27 @@ CATALOG_GATE = {
     "biplane16_primitive": (
         11520, 6, "fbb72876fc0d8e6cd1a5f28daf3ee4ed06750e979830ed3e7d917127ab2e8682"),
     "biplane16_c2c8": (
-        768, 4, "9e77d7fbedb6e485c65e29cdda91a18cd677888de9e97f76af9f833dc6397de7"),
+        768, 6, "4d59186b2688ac222622bcdc4fdb0fb059e4bf2a01b37a95bc90533063b0f787"),
     "biplane16_q8c2": (
-        384, 4, "461be88da56bf80331f175ff7d52383f3b548019e6266d6703876fc452cec440"),
+        384, 4, "bb2bdcaafb103c7df95315b92cb5ea73dee45eac7e5bb59082057f49873c5867"),
     "biplane37_qr": (
-        333, 2, "9f5e1aa0bde7428bb37087ab6b5bf63d5446841589ca34230be42c2838251bcd"),
+        333, 2, "5dcc7ab81120696b19f9a60aa3aa8156a42cd42d4a956c900f8760dfb8010b54"),
 }
 
 # Search counters per catalog design: (nodes, leaves, automorphisms recorded).
-# Refinement changes none of them; they change only with the search's pruning.
+# They change only with the refinement or the pruning.
 SEARCH_STATS = {
+    "fano_complement": (21, 6, 5),
+    "hadamard11": (15, 5, 4),
+    "biplane16_primitive": (28, 7, 6),
+    "biplane16_c2c8": (28, 7, 6),
+    "biplane16_q8c2": (15, 5, 4),
+    "biplane37_qr": (6, 3, 2),
+}
+
+# The same counters with equitable refinement alone, before the Hussain chain
+# split: an upper bound that no refinement step may exceed in nodes.
+SEARCH_STATS_WITHOUT_CHAINS = {
     "fano_complement": (21, 6, 5),
     "hadamard11": (15, 5, 4),
     "biplane16_primitive": (28, 7, 6),
@@ -44,13 +55,13 @@ SEARCH_STATS = {
 
 # are_isomorphic(d, d relabeled by a fixed shuffle): the first leaf with the
 # least certificate is never pruned, so these mappings survive every change of
-# pruning.
+# pruning; they change with the refinement.
 ISO_MAPPINGS = {
     "hadamard11": "(3,6,8,11,10)(4,5,7,9)",
-    "biplane16_c2c8": "(3,5)(4,10,13)(6,16,12,9)(7,14,11,15)",
-    "biplane16_q8c2": "(2,8,7)(4,9)(5,11,6,15,16)",
-    "biplane37_qr": "(2,31,5,9,13,26,12,35,28,7,4,23,30,10,16,27,34,8,3,25)"
-                    "(6,36,37,20,29)(11,33,24,22,32,15,17,19)(14,18,21)",
+    "biplane16_c2c8": "(2,15,16,8,10,14,7)(3,11,13,6,5)(4,9)",
+    "biplane16_q8c2": "(2,5,6,14,15,13,3,16,9,4,10,7,11)(8,12)",
+    "biplane37_qr": "(2,19,10,8,31,20,13,3,24,37,32,27,16,11,26,5,7,30,14,22,23,29,9,21)"
+                    "(4,35,34,33,15,25,17,28,12,6)",
 }
 
 
@@ -61,9 +72,92 @@ def test_search_stats_pinned(aut_results):
         assert autos == len(aut_results[name].group.generators), name
 
 
+def test_chain_split_never_adds_nodes(aut_results):
+    for name, (nodes, _, _) in SEARCH_STATS_WITHOUT_CHAINS.items():
+        assert aut_results[name].stats.nodes <= nodes, name
+
+
+# Developments with lambda != 2, where the search skips the chain split:
+# (group tag, base set, lambda) -> (order, nodes, leaves, automorphisms), the
+# same as with equitable refinement alone.
+LAMBDA_NOT_2_GATE = {
+    ("c7", (0, 1, 3), 1): (168, 21, 6, 5),
+    ("c13", (0, 1, 3, 9), 1): (5616, 36, 8, 7),
+    ("c15", (0, 1, 2, 4, 5, 8, 10), 3): (20160, 39, 9, 8),
+}
+
+
+def test_lambda_not_2_searches_pinned():
+    for (tag, elements, lam), expected in LAMBDA_NOT_2_GATE.items():
+        d = develop(DifferenceSet(group=from_tag(tag), elements=elements, lam=lam))
+        assert d.lam == lam != 2
+        result = automorphism_group(d)
+        stats = result.stats
+        assert (result.order, stats.nodes, stats.leaves, stats.automorphisms) == expected, tag
+
+
+def _anti_flag_keys(d: Design) -> list[tuple[int, ...]]:
+    """The chain key of every anti-flag of d, from the block side and from the
+    point side, each checked against the chain graph built edge by edge."""
+    s = _Search(d)
+    keys = []
+    for u in range(s.n):
+        for w in range(s.n):
+            if (u < s.v) == (w < s.v) or s.adj[u] >> w & 1:
+                continue
+            edges = [s.adj[c] & s.adj[u] for c in range(s.n) if s.adj[w] >> c & 1]
+            assert len(edges) == d.k and all(e.bit_count() == 2 for e in edges)
+            assert len(set(edges)) == d.k  # simple
+            nbr = {x: [] for x in range(s.n) if s.adj[u] >> x & 1}
+            for e in edges:
+                x, y = (i for i in range(s.n) if e >> i & 1)
+                nbr[x].append(y)
+                nbr[y].append(x)
+            assert all(len(ys) == 2 for ys in nbr.values())  # 2-regular on k vertices
+            lengths, seen = [], set()
+            for x in nbr:
+                size = 0
+                while x not in seen:
+                    seen.add(x)
+                    size += 1
+                    x = next((y for y in nbr[x] if y not in seen), x)
+                if size:
+                    lengths.append(size)
+            key = _chain_key(s.adj, u, w)
+            assert key == tuple(sorted(lengths))
+            assert min(key) >= 3 and sum(key) == d.k
+            keys.append(key)
+    return keys
+
+
+def test_chain_keys_on_every_anti_flag():
+    rng = random.Random(29)
+    for name in catalog.constructible_names():
+        d = catalog.build(name)
+        keys = _anti_flag_keys(d)
+        assert len(keys) == 2 * d.v * (d.v - d.k), name
+        images = list(range(1, d.v + 1))
+        rng.shuffle(images)
+        assert sorted(_anti_flag_keys(d.relabel(Permutation(images)))) == sorted(keys), name
+
+
+def test_biplane37_relabelings_agree():
+    rng = random.Random(37)
+    d = catalog.build("biplane37_qr")
+    digest = CATALOG_GATE["biplane37_qr"][2]
+    for _ in range(3):
+        images = list(range(1, d.v + 1))
+        rng.shuffle(images)
+        relabeled = d.relabel(Permutation(images))
+        assert canonical_form(relabeled).digest == digest
+        sigma = isomorphism(d, relabeled).mapping
+        target = relabeled.block_index().keys()
+        assert sigma is not None and all(sigma.apply_set(b) in target for b in d.blocks)
+
+
 # Search counters (nodes, leaves, automorphisms) summed over the 84 developed
 # (16,6,2) difference sets of c2xc8, q8xc2 and e16, unrelabeled.
-DEVELOPED_16_STATS = (4671, 2085, 424)
+DEVELOPED_16_STATS = (1936, 524, 440)
 
 
 def test_search_stats_over_developed_16_sets():
@@ -96,7 +190,7 @@ def test_isomorphism_mappings_pinned():
 # fixed shuffles: the generator cycle strings that `aut --json` prints, the
 # search counters, and the isomorphism onto a third shuffle with the counters
 # of both of its searches. A change that alters any of them changes the digest.
-LABELED_OUTPUTS_DIGEST = "efbb1e14af9773fe9abb6a920987daf1d9dcbb84acc52d11d5743b56ba7d700c"
+LABELED_OUTPUTS_DIGEST = "d58aa27d2523f40b819737e2ad9ad4c8464199aa394d267fb427f5312e5ad15e"
 
 
 def test_search_outputs_pinned_under_relabeling():
@@ -254,6 +348,8 @@ def test_fresh_cell_refinement_matches_full_rounds():
                 cells, masks = _equitable(split, split_masks, s.adj, [tgt, tgt + 1])
                 assert cells == _equitable_full_rounds(split, s.adj), name
                 assert masks == _masks(cells), name
+                # the search leaves the rest of the individualized cell out
+                assert _equitable(split, split_masks, s.adj, [tgt]) == (cells, masks), name
 
 
 def test_cell_orbits_are_the_stabilizer_orbits(monkeypatch):

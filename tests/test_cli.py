@@ -9,7 +9,7 @@ import pytest
 from biplane import catalog, cli
 from biplane.cartdecomp import CartesianDecomposition
 from biplane.cli import run
-from biplane.design import VERIFY_PAIR_CAP
+from biplane.design import VERIFY_PAIR_CAP, Design, DesignParams
 from biplane.diffset import GROUP_ORDER_CAP
 from biplane.perm import PermGroup, Permutation, group_to_json_dict
 
@@ -76,7 +76,7 @@ def test_aut_json(tmp_path, capsys):
 
 def test_stats_leave_stdout_unchanged(tmp_path, capsys):
     path = _design_file(tmp_path, "biplane16_q8c2")
-    counters = {"nodes": 98, "leaves": 53, "automorphisms": 4}
+    counters = {"nodes": 15, "leaves": 5, "automorphisms": 4}
     for argv, stats in ((["aut", path], counters),
                         (["iso", path, path], {"design_a": counters, "design_b": counters})):
         assert run(argv) == OK
@@ -101,6 +101,12 @@ def test_ds_lander_witness(capsys):
                                   "--lambda", "2"])
     assert code == OK
     assert "(11, 2, 5)" in out
+    assert "hypotheses: the group is abelian, and pdiv divides its exponent" in out
+    code, out = _capture(capsys, ["ds", "lander", "--v", "121", "--k", "16", "--json"])
+    assert code == OK
+    payload = json.loads(out)
+    assert payload["witness"] == [11, 2, 5]
+    assert payload["hypotheses"] == "the group is abelian, and pdiv divides its exponent"
 
 
 def test_ds_search_and_develop(tmp_path, capsys):
@@ -311,10 +317,20 @@ def _hostile_files(tmp_path):
     """Paths of a 16-point design, its cartesian decomposition, one with an
     empty part, one with no partitions, groups of degree 8 and 20 (padded with fixed points), a
     7-point design, copies of the group and the 7-point design with a float
-    where an integer goes, and an output path in a missing directory."""
+    where an integer goes, and an output path in a missing directory; also
+    the translates of {0,1,15,2,14,8} mod 16, which do not verify, a
+    16-point biplane whose automorphisms do not include the group, and a
+    transposition, which is no automorphism and preserves no decomposition."""
     d7 = catalog.build("fano_complement").to_json_dict()
     g16 = group_to_json_dict(catalog.primitive16_group())
+    junk16 = Design(DesignParams(16, 6, 2),
+                    [tuple(sorted((x + s) % 16 + 1 for s in (0, 1, 15, 2, 14, 8)))
+                     for x in range(16)])
     files = {"d16": catalog.build("biplane16_primitive").to_json_dict(),
+             "d16_junk": junk16.to_json_dict(),
+             "d16_c2c8": catalog.build("biplane16_c2c8").to_json_dict(),
+             "g16": g16,
+             "g16_transposition": group_to_json_dict(PermGroup.from_cycles(16, ["(1,2)"])),
              "cd16": CartesianDecomposition(catalog.CART16_PARTITIONS).to_json_dict(),
              "cd16_empty_part": {"partitions": [[[], list(range(1, 17))],
                                                 [[j, j + 8] for j in range(1, 9)]]},
@@ -354,6 +370,9 @@ def _hostile_files(tmp_path):
     ["feasible", "brc", "--v", "50000000000000805000000000003241", "--k", "10000000000000081"],
     ["cart", "verify", "--design", "{d16}", "--cd", "{cd16_empty_part}"],
     ["cart", "verify", "--design", "{d16}", "--cd", "{cd16_no_partitions}"],
+    ["cart", "verify", "--design", "{d16_junk}", "--cd", "{cd16}"],
+    ["cart", "verify", "--design", "{d16_c2c8}", "--cd", "{cd16}", "--group", "{g16}"],
+    ["cart", "verify", "--design", "{d16}", "--cd", "{cd16}", "--group", "{g16_transposition}"],
     ["catalog", "build", "hadamard11", "-o", "{unwritable}"],
     ["dual", "{d7}", "-o", "{unwritable}"],
     ["psp4", "--q", str(2**2000)],

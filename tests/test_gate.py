@@ -65,6 +65,8 @@ GATE = r"^not a symmetric \((16,6|79,13),2\) design; first violation \("
     pytest.param(lambda: flag_orbit_count(JUNK16, TRANSLATIONS), id="flag_orbit_count"),
     pytest.param(lambda: block_coordinate_pairs(JUNK16, ROWS_COLUMNS, group=TRANSLATIONS),
                  id="block_coordinate_pairs"),
+    pytest.param(lambda: block_coordinate_pairs(JUNK16, ROWS_COLUMNS),
+                 id="block_coordinate_pairs_without_group"),
     pytest.param(lambda: certify_79(JUNK79), id="certify_79"),
 ])
 def test_every_entry_point_refuses_a_non_design(call):
