@@ -27,7 +27,8 @@ _EXPORTS = {
         ("AutResult", "CanonicalCertificate", "IsoResult", "SearchStats",
          "automorphism_group", "canonical_form", "are_isomorphic", "isomorphism"), "aut"),
     **dict.fromkeys(
-        ("GroupTable", "DifferenceSet", "is_difference_set", "develop",
+        ("GroupTable", "DifferenceSet", "DiffsetSearchStats",
+         "is_difference_set", "develop", "difference_set_search",
          "search_difference_sets", "lander_excluded"), "diffset"),
     **dict.fromkeys(
         ("FixReport", "CertResult", "fix_report", "certify_fix_lemmas",

@@ -5,9 +5,10 @@ Exit codes: 0 success / verified, 1 a verification or certification failed
 documented size cap), 3 internal error: an internal invariant failed, which
 is a software bug. Every subcommand takes
 --json for machine-readable output; table output is deterministic, so
-identical inputs give byte-identical results. `aut` and `iso` also take
---stats, which adds the search counters: on standard error, or under a
-separate `stats` key with --json, so the rest of the output is unchanged.
+identical inputs give byte-identical results. `aut`, `iso` and `ds search`
+also take --stats, which adds the search counters: on standard error, or
+under a separate `stats` key with --json, so the rest of the output is
+unchanged.
 
 Each handler imports the package modules it runs, and nothing is imported
 at module level beyond `errors`: every call starts a fresh interpreter, so
@@ -198,11 +199,12 @@ def _cmd_ds(args) -> int:
         return OK
     group = diffset.from_tag(args.group)
     if args.action == "search":
-        found = diffset.search_difference_sets(group, args.k, args.lam)
+        found, stats = diffset.difference_set_search(group, args.k, args.lam)
         payload = {"group": group.name, "count": len(found),
                    "sets": [list(ds.elements) for ds in found]}
         lines = [f"{len(found)} difference set class(es) in {group.name}"]
         lines += [f"  {list(ds.elements)}" for ds in found]
+        _add_stats(args, payload, asdict(stats))
         _emit(payload, args.json, lines)
         return OK
     # develop
@@ -389,6 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--k", type=int, required=True)
     ps.add_argument("--lambda", dest="lam", type=int, default=2)
     add_json(ps)
+    add_stats(ps)
     ps.set_defaults(func=_cmd_ds)
     pd = ssub.add_parser("develop")
     pd.add_argument("--group", required=True)

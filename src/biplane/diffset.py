@@ -220,13 +220,25 @@ def _canonical_rep(g: GroupTable, subset: tuple[int, ...],
                for img in images for e in img)
 
 
-def _zero_sets(g: GroupTable, k: int, lam: int) -> list[tuple[int, ...]]:
-    """Every (n,k,lam) difference set in g that contains 0, ascending.
+@dataclass(frozen=True)
+class DiffsetSearchStats:
+    """Counters of one difference-set search: nodes are calls of its extend
+    step, hits the sets it found that contain {0, 1}."""
 
-    Backtracks over the elements after 0 in increasing order, keeping the
-    count of each difference x^-1 y (both orders of every pair) in one array.
-    A branch is cut when a count exceeds lam or too few elements remain to
-    fill the set. Since k(k-1) = lam(n-1), a full set with no count above
+    nodes: int
+    hits: int
+
+
+def _pair_sets(g: GroupTable, k: int,
+               lam: int) -> tuple[list[tuple[int, ...]], DiffsetSearchStats]:
+    """Every (n,k,lam) difference set in g that contains {0, 1}, ascending,
+    and the search's counters.
+
+    Starts from the pair {0, 1} and backtracks over the elements after 1 in
+    increasing order, so it reaches at most C(n-2,k-2) subsets. The count of
+    each difference x^-1 y (both orders of every pair) is kept in one array,
+    and a branch is cut when a count exceeds lam or too few elements remain
+    to fill the set. Since k(k-1) = lam(n-1), a full set with no count above
     lam has every count equal to lam.
     """
     n, mul, inv = g.n, g.mul, g.inv
@@ -235,10 +247,15 @@ def _zero_sets(g: GroupTable, k: int, lam: int) -> list[tuple[int, ...]]:
     right = [mul[inv[y]] for y in range(n)]
     left = [[mul[inv[x]][y] for x in range(n)] for y in range(n)]
     counts = [0] * n
-    chosen = [0]
+    counts[1] += 1
+    counts[inv[1]] += 1
+    chosen = [0, 1]
     found: list[tuple[int, ...]] = []
+    nodes = 0
 
     def extend(start: int) -> None:
+        nonlocal nodes
+        nodes += 1
         depth = len(chosen)
         if depth == k:
             found.append(tuple(chosen))
@@ -261,28 +278,40 @@ def _zero_sets(g: GroupTable, k: int, lam: int) -> list[tuple[int, ...]]:
                 counts[ly[x]] -= 1
                 counts[ry[x]] -= 1
 
-    extend(1)
-    return found
+    if counts[1] <= lam:  # 1 = 1^-1 is counted twice when 1 is an involution
+        extend(2)
+    return found, DiffsetSearchStats(nodes=nodes, hits=len(found))
 
 
-def search_difference_sets(g: GroupTable, k: int, lam: int,
-                           automorphisms=None) -> list[DifferenceSet]:
+def difference_set_search(g: GroupTable, k: int, lam: int, automorphisms=None
+                          ) -> tuple[list[DifferenceSet], DiffsetSearchStats]:
     """All (n,k,lam) difference sets in g, up to translation (and up to the
-    supplied automorphisms of g, given as image tables).
+    supplied automorphisms of g, given as image tables), with the counters
+    of the search.
 
-    Every translation class has a member containing the identity, so the
-    search runs over subsets containing 0, at most C(n-1,k-1) of them.
+    Each non-identity element is a right difference f e^-1 of a difference
+    set exactly lam times, so every translation class has lam right
+    translates that contain {0, 1} (one when D = G). The search therefore
+    runs over subsets containing {0, 1}, at most C(n-2,k-2) of them.
     Results are in ascending representative order.
     """
     if k < 2:
         raise InputError("difference set needs at least two elements")
-    if comb(g.n - 1, k - 1) > SEARCH_SUBSET_CAP:
-        raise ScaleError(f"C({g.n - 1},{k - 1}) exceeds the search cap {SEARCH_SUBSET_CAP}")
+    reach = max(g.n - 2, 0)  # the trivial group has no element 1
+    if comb(reach, k - 2) > SEARCH_SUBSET_CAP:
+        raise ScaleError(f"C({reach},{k - 2}) exceeds the search cap {SEARCH_SUBSET_CAP}")
     if k * (k - 1) != lam * (g.n - 1):
-        return []
+        return [], DiffsetSearchStats(nodes=0, hits=0)
     autos = tuple(tuple(a) for a in automorphisms) if automorphisms else ()
-    reps = {_canonical_rep(g, subset, autos) for subset in _zero_sets(g, k, lam)}
-    return [DifferenceSet(group=g, elements=rep, lam=lam) for rep in sorted(reps)]
+    hits, stats = _pair_sets(g, k, lam)
+    reps = {_canonical_rep(g, subset, autos) for subset in hits}
+    return [DifferenceSet(group=g, elements=rep, lam=lam) for rep in sorted(reps)], stats
+
+
+def search_difference_sets(g: GroupTable, k: int, lam: int,
+                           automorphisms=None) -> list[DifferenceSet]:
+    """The classes of `difference_set_search`, without its counters."""
+    return difference_set_search(g, k, lam, automorphisms)[0]
 
 
 def table_automorphisms(g: GroupTable) -> list[tuple[int, ...]]:

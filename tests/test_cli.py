@@ -78,7 +78,9 @@ def test_stats_leave_stdout_unchanged(tmp_path, capsys):
     path = _design_file(tmp_path, "biplane16_q8c2")
     counters = {"nodes": 15, "leaves": 5, "automorphisms": 4}
     for argv, stats in ((["aut", path], counters),
-                        (["iso", path, path], {"design_a": counters, "design_b": counters})):
+                        (["iso", path, path], {"design_a": counters, "design_b": counters}),
+                        (["ds", "search", "--group", "q8xc2", "--k", "6"],
+                         {"nodes": 360, "hits": 88})):
         assert run(argv) == OK
         plain = capsys.readouterr()
         assert plain.err == ""
@@ -169,6 +171,8 @@ def test_ds_search_oversized_group(capsys):
     tag = f"c{GROUP_ORDER_CAP + 1}"
     assert run(["ds", "search", "--group", tag, "--k", "6"]) == USAGE
     assert f"exceeds the cap {GROUP_ORDER_CAP}" in capsys.readouterr().err
+    assert run(["ds", "search", "--group", "c121ab", "--k", "16"]) == USAGE
+    assert "C(119,14) exceeds the search cap" in capsys.readouterr().err
 
 
 def test_verify_oversized_design(tmp_path, capsys):

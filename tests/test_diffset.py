@@ -132,7 +132,9 @@ def test_two_c2c8_classes_develop_isomorphic_designs():
 
 
 def test_search_scale_cap():
-    with pytest.raises(ScaleError):
+    # the cap counts the subsets the search can reach: C(n-2, k-2)
+    assert diffset.SEARCH_SUBSET_CAP == 10**8
+    with pytest.raises(ScaleError, match=r"^C\(119,14\) exceeds the search cap 100000000$"):
         search_difference_sets(from_tag("c121ab"), 16, 2)
 
 
@@ -175,10 +177,36 @@ ORACLE_CASES = [("c7", 4, 2), ("c11", 5, 2), ("c13", 4, 1), ("c31", 6, 1),
 def test_search_matches_subset_scan(tag, k, lam):
     g = _table(tag)
     hits = _scan(g, k, lam)
-    assert diffset._zero_sets(g, k, lam) == hits
+    pair_hits, stats = diffset._pair_sets(g, k, lam)
+    assert pair_hits == [subset for subset in hits if 1 in subset]
+    assert stats.hits == len(pair_hits)
     found = [ds.elements for ds in search_difference_sets(g, k, lam)]
     assert found == _classes(g, hits)
     assert all(1 in rep for rep in found)
+    # every class has lam translates through {0, 1} (k < n in every case)
+    assert len(pair_hits) == lam * len(found)
+
+
+@pytest.mark.parametrize("tag,k,lam,expected", [
+    ("c2", 2, 2, [(0, 1)]),
+    ("c7", 7, 7, [tuple(range(7))]),  # D = G: one translate, not lam
+    ("c3", 4, 6, []),
+    ("c1", 2, 2, []),  # no element 1 to start from
+])
+def test_trivial_and_empty_searches(tag, k, lam, expected):
+    assert [ds.elements for ds in search_difference_sets(from_tag(tag), k, lam)] == expected
+
+
+# (nodes, hits) of the (16,6,2) search: calls of the extend step, and the
+# sets through {0, 1}, lam = 2 per translation class
+ORDER16_SEARCH_STATS = {"c16": (231, 0), "c2xc8": (251, 24), "q8xc2": (360, 88),
+                        "e16": (304, 56), "c4xc4": (275, 24), "c2xc2xc4": (304, 56)}
+
+
+@pytest.mark.parametrize("tag", list(ORDER16_SEARCH_STATS))
+def test_order16_search_stats_pinned(tag):
+    _, stats = diffset.difference_set_search(_table(tag), 6, 2)
+    assert (stats.nodes, stats.hits) == ORDER16_SEARCH_STATS[tag]
 
 
 @pytest.mark.parametrize("tag", ["c2xc8", "q8xc2", "c4xc4", "c2xc2xc4"])
@@ -191,8 +219,9 @@ def test_search_mod_aut_matches_subset_scan(tag):
 
 def test_c37_k9_classes():
     g = from_tag("c37")
-    found = search_difference_sets(g, 9, 2)
+    found, stats = diffset.difference_set_search(g, 9, 2)
     assert len(found) == 4
+    assert (stats.nodes, stats.hits) == (88678, 8)
     quartic = {pow(x, 4, 37) for x in range(1, 37)}
     translates = {tuple(sorted((q + x) % 37 for q in quartic)) for x in range(37)}
     assert sum(ds.elements in translates for ds in found) == 1
