@@ -2,27 +2,30 @@
 
 The search is individualization-refinement backtracking on the bipartite
 point/block incidence graph. Points and blocks carry distinct initial colors,
-so dualities are never counted as automorphisms. Refinement is iterated
-degree-in-color-class counting (equitable partition) against the cells that
-the previous round created only, with each cell's vertex bitmask carried
-alongside it. The incidence graph of a symmetric design is distance-regular,
-so after a vertex u is individualized that refinement only separates the
-neighbors of u from the rest. For lambda = 2 and k >= 6, every node below
+so dualities are never counted as automorphisms. Every change of the
+partition is one pass of `_refine`, which splits cells by a vertex invariant
+in the sense of McKay & Piperno (Practical Graph Isomorphism II, 2014),
+carries each cell's vertex bitmask alongside it, and returns the fragments
+that later rounds must count against. Three keys drive it. Individualizing a
+vertex u splits its cell by w != u. Equitable refinement (`_equitable`)
+splits by neighbor counts in the cells that the previous pass created, until
+nothing splits. The incidence graph of a symmetric design is
+distance-regular, so after u is individualized those counts only separate
+the neighbors of u from the rest; for lambda = 2 and k >= 6 every node below
 the root therefore also splits the cells on the other side of its last
 individualized vertex u by the Hussain chain of each vertex w with u
-(`_chain_key`), a vertex invariant in the sense of McKay & Piperno
-(Practical Graph Isomorphism II, 2014), and refines again. The key depends
-on no label, so the partition of every node stays label-invariant. For
-k < 6 every chain is one k-cycle, so the split is skipped. The target cell
-is the first smallest non-singleton; children are taken in ascending vertex
-order. A child is pruned when it lies in the orbit of an explored sibling
-under the pointwise stabilizer of the prefix in the group of the
-automorphisms found so far (McKay & Piperno). That stabilizer maps every
-cell onto itself, so only its orbits on the target cell are computed; its
-generators are kept as 0-based image tuples, one list per depth of the
-current path, and come from the Schreier-Sims kernel of `perm`. Pruning
-never skips the first leaf or the first leaf with the least certificate, so
-canonical forms and isomorphisms do not depend on it.
+(`_chain_key`), and refines again. No key depends on a label, so the
+partition of every node stays label-invariant. For k < 6 every chain is one
+k-cycle, so the chain split is skipped. The target cell is the first
+smallest non-singleton; children are taken in ascending vertex order. A
+child is pruned when it lies in the orbit of an explored sibling under the
+pointwise stabilizer of the prefix in the group of the automorphisms found
+so far (McKay & Piperno). That stabilizer maps every cell onto itself, so
+only its orbits on the target cell are computed; its generators are kept as
+0-based image tuples, one list per depth of the current path, and come from
+the Schreier-Sims kernel of `perm`. Pruning never skips the first leaf or
+the first leaf with the least certificate, so canonical forms and
+isomorphisms do not depend on it.
 """
 
 from __future__ import annotations
@@ -76,79 +79,74 @@ class IsoResult:
     stats: tuple[SearchStats, SearchStats]
 
 
+def _refine(cells: list[tuple[int, ...]], masks: list[int], key_of
+            ) -> tuple[list[tuple[int, ...]], list[int], list[int]]:
+    """Split cells by a vertex invariant; the one place a partition changes.
+
+    masks[i] is the vertex bitmask of cells[i]. key_of(cell, mask) gives the
+    key of each vertex of a non-singleton cell, as a function, or None to
+    leave the cell whole. A cell with more than one key is replaced by its
+    fragments in key order, each sorted like the cell, and a mask is built
+    only for a new fragment. Also returned, as `fresh`, are the indices of
+    every fragment but the last of each split cell: if the partition was
+    equitable, every cell has a constant count into a cell that split, so
+    its count into the last fragment follows from the counts into the
+    siblings, which precede it in every signature (see _equitable). The
+    keys must depend on no vertex label, so that the partition stays
+    label-invariant.
+    """
+    new_cells: list[tuple[int, ...]] = []
+    new_masks: list[int] = []
+    fresh: list[int] = []
+    for cell, cm in zip(cells, masks):
+        key = len(cell) > 1 and key_of(cell, cm)
+        if key:
+            parts: dict = {}
+            for u in cell:
+                parts.setdefault(key(u), []).append(u)
+            if len(parts) > 1:
+                *split, last = sorted(parts)
+                for k in split:
+                    m = 0
+                    for u in parts[k]:
+                        m |= 1 << u
+                    fresh.append(len(new_cells))
+                    new_cells.append(tuple(parts[k]))
+                    new_masks.append(m)
+                    cm ^= m
+                cell = tuple(parts[last])
+        new_cells.append(cell)
+        new_masks.append(cm)
+    return new_cells, new_masks, fresh
+
+
 def _equitable(cells: list[tuple[int, ...]], masks: list[int], adj: list[int],
                fresh: list[int]) -> tuple[list[tuple[int, ...]], list[int]]:
     """Refine an ordered partition until every cell is equitable.
 
-    masks[i] is the vertex bitmask of cells[i]; both lists are returned
-    refined, and a mask is built only for a new fragment. The input must
-    already be equitable towards every cell not listed in `fresh`. Each round
-    then counts neighbors in the cells that the previous round created, and
-    only in those that some vertex of the cell reaches: a cell is equitable
-    towards every cell that did not split, and a count that is constant on a
-    cell cannot split it or reorder its fragments (McKay & Piperno, Practical
-    Graph Isomorphism II, 2014). Split fragments are ordered by their
-    neighbor-count signature, which is independent of the vertex labels;
-    cells stay sorted internally. The last fragment of a split cell is not
-    counted against in the next round: every cell already has a constant
-    count into the cell that split, so the count into the last fragment
-    follows from the counts into its siblings, which precede it in every
-    signature, and neither the partition nor its order changes. A caller may
-    leave such a last fragment out of `fresh` for the same reason.
+    The input must already be equitable towards every cell not listed in
+    `fresh`, and a caller may leave out the last fragment of a split cell
+    (see _refine). Each round is one _refine whose key is the vertex's
+    neighbor counts in the fresh cells, counted only in those that some
+    vertex of the cell reaches: a cell is equitable towards every cell that
+    did not split, and a count that is constant on a cell cannot split it
+    or reorder its fragments. The counts depend on no vertex label.
     """
-    reach = []
-    for i in fresh:
-        r = 0
-        for u in cells[i]:
-            r |= adj[u]
-        reach.append(r)
     while fresh:
-        fresh_masks = [masks[i] for i in fresh]
-        new_cells: list[tuple[int, ...]] = []
-        new_masks: list[int] = []
-        fresh, new_reach = [], []
-        for cell, cm in zip(cells, masks):
-            if len(cell) == 1:
-                new_cells.append(cell)
-                new_masks.append(cm)
-                continue
-            splitters = [m for m, r in zip(fresh_masks, reach) if r & cm]
-            if not splitters:
-                new_cells.append(cell)
-                new_masks.append(cm)
-                continue
-            sigs: dict[tuple[int, ...], list[int]] = {}
-            for u in cell:
-                sig = tuple(map(int.bit_count, map(adj[u].__and__, splitters)))
-                sigs.setdefault(sig, []).append(u)
-            if len(sigs) == 1:
-                new_cells.append(cell)
-                new_masks.append(cm)
-                continue
-            *split, last = sorted(sigs)
-            for sig in split:
-                fragment = sigs[sig]
-                m = r = 0
-                for u in fragment:
-                    m |= 1 << u
-                    r |= adj[u]
-                fresh.append(len(new_cells))
-                new_cells.append(tuple(fragment))
-                new_masks.append(m)
-                new_reach.append(r)
-                cm ^= m
-            new_cells.append(tuple(sigs[last]))
-            new_masks.append(cm)
-        cells, masks, reach = new_cells, new_masks, new_reach
+        splitters = []
+        for i in fresh:
+            reach = 0
+            for u in cells[i]:
+                reach |= adj[u]
+            splitters.append((masks[i], reach))
+
+        def counts(cell, cm):
+            into = [m for m, reach in splitters if reach & cm]
+            if into:
+                return lambda u: tuple(map(int.bit_count, map(adj[u].__and__, into)))
+            return None
+        cells, masks, fresh = _refine(cells, masks, counts)
     return cells, masks
-
-
-def _individualize(cells, masks, idx: int, u: int):
-    """Split vertex u off cells[idx] as a singleton in front of the rest."""
-    bit = 1 << u
-    rest = tuple(x for x in cells[idx] if x != u)
-    return (cells[:idx] + [(u,), rest] + cells[idx + 1:],
-            masks[:idx] + [bit, masks[idx] ^ bit] + masks[idx + 1:])
 
 
 def _cell_orbits(cell: tuple[int, ...], generators) -> dict[int, int]:
@@ -193,8 +191,7 @@ class _Search:
     def __init__(self, d: Design):
         self.d = d
         self.v = d.v
-        self.nblocks = len(d.blocks)
-        self.n = self.v + self.nblocks
+        self.n = self.v + len(d.blocks)
         through, points = d.incidence
         self.adj = [m << self.v for m in through[1:]] + [m >> 1 for m in points]
         # Chain cycles have length >= 3 and sum to k, so for k < 6 every
@@ -214,9 +211,7 @@ class _Search:
     def run(self) -> None:
         cells = [tuple(range(self.v)), tuple(range(self.v, self.n))]
         masks = [(1 << self.v) - 1, (1 << self.n) - (1 << self.v)]
-        if self.nblocks == 0:
-            cells, masks = cells[:1], masks[:1]
-        self._recurse(cells, masks, (), list(range(len(cells))))
+        self._recurse(cells, masks, [0, 1], ())
 
     # -- tree walk ---------------------------------------------------------
 
@@ -227,13 +222,21 @@ class _Search:
                 best, best_size = i, len(cell)
         return best
 
-    def _recurse(self, cells, masks, prefix: tuple[int, ...], fresh: list[int]) -> None:
+    def _recurse(self, cells, masks, fresh: list[int], prefix: tuple[int, ...]) -> None:
         self.nodes += 1
-        cells, masks = _equitable(cells, masks, self.adj, fresh)
+        adj = self.adj
+        cells, masks = _equitable(cells, masks, adj, fresh)
         if prefix and self.chains:
-            cells, masks, fresh = self._split_by_chains(cells, masks, prefix[-1])
-            if fresh:
-                cells, masks = _equitable(cells, masks, self.adj, fresh)
+            # u is now a singleton, so a cell lies in adj[u] or misses it;
+            # the chain key splits the cells across from u that miss it
+            u, side = prefix[-1], prefix[-1] < self.v
+
+            def chains(cell, cm):
+                if (cell[0] < self.v) != side and not cm & adj[u]:
+                    return lambda w: _chain_key(adj, u, w)
+                return None
+            cells, masks, fresh = _refine(cells, masks, chains)
+            cells, masks = _equitable(cells, masks, adj, fresh)
         tgt = self._target(cells)
         if tgt is None:
             self._leaf(cells)
@@ -248,34 +251,10 @@ class _Search:
                 if any(orbit_of[u] == orbit_of[e] for e in explored):
                     continue
             explored.append(u)
-            self._recurse(*_individualize(cells, masks, tgt, u), prefix + (u,), [tgt])
-
-    def _split_by_chains(self, cells, masks, u: int):
-        """Split each non-singleton cell on the other side of u by the chain
-        key of each of its vertices with u. The fragments come in key order,
-        and the indices of all but the last of each split cell are returned
-        as the fresh cells (see _equitable)."""
-        adj, side = self.adj, u < self.v
-        new_cells, new_masks, fresh = [], [], []
-        for cell, m in zip(cells, masks):
-            if len(cell) > 1 and (cell[0] < self.v) != side:
-                keys: dict[tuple[int, ...], list[int]] = {}
-                for w in cell:
-                    key = () if adj[u] >> w & 1 else _chain_key(adj, u, w)
-                    keys.setdefault(key, []).append(w)
-                if len(keys) > 1:
-                    *split, last = sorted(keys)
-                    for key in split:
-                        fresh.append(len(new_cells))
-                        new_cells.append(tuple(keys[key]))
-                        new_masks.append(sum(1 << w for w in keys[key]))
-                        m ^= new_masks[-1]
-                    new_cells.append(tuple(keys[last]))
-                    new_masks.append(m)
-                    continue
-            new_cells.append(cell)
-            new_masks.append(m)
-        return new_cells, new_masks, fresh
+            # individualize u: its cell splits into (u,) and the rest, fresh is [tgt]
+            split = _refine(cells, masks,
+                            lambda cell, cm: (lambda w: w != u) if cm >> u & 1 else None)
+            self._recurse(*split, prefix + (u,))
 
     def _prefix_stabilizer(self, prefix) -> list[tuple[int, ...]]:
         """Generators of the pointwise stabilizer of prefix in the group of the

@@ -297,11 +297,13 @@ def difference_set_search(g: GroupTable, k: int, lam: int, automorphisms=None
     """
     if k < 2:
         raise InputError("difference set needs at least two elements")
-    reach = max(g.n - 2, 0)  # the trivial group has no element 1
-    if comb(reach, k - 2) > SEARCH_SUBSET_CAP:
-        raise ScaleError(f"C({reach},{k - 2}) exceeds the search cap {SEARCH_SUBSET_CAP}")
+    if lam < 1:
+        raise InputError(f"lambda must be positive, got {lam}")
     if k * (k - 1) != lam * (g.n - 1):
         return [], DiffsetSearchStats(nodes=0, hits=0)
+    reach = g.n - 2  # k(k-1) = lam(n-1) > 0 gives n >= 2
+    if comb(reach, k - 2) > SEARCH_SUBSET_CAP:
+        raise ScaleError(f"C({reach},{k - 2}) exceeds the search cap {SEARCH_SUBSET_CAP}")
     autos = tuple(tuple(a) for a in automorphisms) if automorphisms else ()
     hits, stats = _pair_sets(g, k, lam)
     reps = {_canonical_rep(g, subset, autos) for subset in hits}

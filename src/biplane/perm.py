@@ -96,18 +96,6 @@ class Permutation:
             inv[j - 1] = i
         return Permutation._trusted(tuple(inv))
 
-    def __pow__(self, n: int) -> "Permutation":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = Permutation.identity(self.degree)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def is_identity(self) -> bool:
         return self.images == tuple(range(1, len(self.images) + 1))
 

@@ -4,8 +4,8 @@ import random
 import pytest
 
 from biplane import aut, catalog
-from biplane.aut import (CanonicalCertificate, _chain_key, _equitable, _individualize,
-                         _Search, _searched, are_isomorphic, automorphism_group,
+from biplane.aut import (CanonicalCertificate, _chain_key, _equitable, _refine, _Search,
+                         _searched, are_isomorphic, automorphism_group,
                          canonical_form, isomorphism)
 from biplane.design import Design, DesignParams, dual
 from biplane.diffset import DifferenceSet, develop, from_tag, search_difference_sets
@@ -342,14 +342,32 @@ def test_fresh_cell_refinement_matches_full_rounds():
             cells = start
             while len(cells) < s.n:
                 tgt = rng.choice([i for i, c in enumerate(cells) if len(c) > 1])
-                split, split_masks = _individualize(cells, _masks(cells), tgt,
-                                                    rng.choice(cells[tgt]))
+                u = rng.choice(cells[tgt])
+                split, split_masks, fresh = _refine(
+                    cells, _masks(cells),
+                    lambda cell, cm: (lambda w: w != u) if cm >> u & 1 else None)
+                assert fresh == [tgt] and split[tgt] == (u,), name
                 assert split_masks == _masks(split), name
                 cells, masks = _equitable(split, split_masks, s.adj, [tgt, tgt + 1])
                 assert cells == _equitable_full_rounds(split, s.adj), name
                 assert masks == _masks(cells), name
                 # the search leaves the rest of the individualized cell out
                 assert _equitable(split, split_masks, s.adj, [tgt]) == (cells, masks), name
+
+
+def test_refine_on_a_hand_made_partition():
+    cells = [(0, 2, 4, 6, 8), (1,), (3, 5, 7)]
+    masks = _masks(cells)
+    assert _refine(cells, masks, lambda cell, cm: lambda u: 0) == (cells, masks, [])
+    asked = []
+
+    def thirds(cell, cm):
+        asked.append((cell, cm))
+        return (lambda u: -(u % 3)) if 0 in cell else None
+    split = [(2, 8), (4,), (0, 6), (1,), (3, 5, 7)]
+    assert _refine(cells, masks, thirds) == (split, _masks(split), [0, 1])
+    # key_of sees each non-singleton cell with its mask; None leaves it whole
+    assert asked == [(cells[0], masks[0]), (cells[2], masks[2])]
 
 
 def test_cell_orbits_are_the_stabilizer_orbits(monkeypatch):

@@ -173,6 +173,9 @@ def test_ds_search_oversized_group(capsys):
     assert f"exceeds the cap {GROUP_ORDER_CAP}" in capsys.readouterr().err
     assert run(["ds", "search", "--group", "c121ab", "--k", "16"]) == USAGE
     assert "C(119,14) exceeds the search cap" in capsys.readouterr().err
+    # 20 * 19 != 2 * 120: no difference set, whatever the cap
+    assert run(["ds", "search", "--group", "c121ab", "--k", "20"]) == OK
+    assert capsys.readouterr().out.startswith("0 difference set class(es) in ")
 
 
 def test_verify_oversized_design(tmp_path, capsys):
@@ -365,6 +368,8 @@ def _hostile_files(tmp_path):
     ["ds", "develop", "--group", "c11", "--set", "1,3"],
     ["ds", "develop", "--group", "c11", "--set", "a,b"],
     ["ds", "develop", "--group", "c11", "--set", "1,,3"],
+    ["ds", "search", "--group", "c7", "--k", "3", "--lambda", "0"],
+    ["ds", "search", "--group", "c7", "--k", "3", "--lambda", "-1"],
     ["verify", "{d7_float_v}"],
     ["verify", "{d7_float_point}"],
     ["aut", "{d7_float_point}"],

@@ -136,6 +136,15 @@ def test_search_scale_cap():
     assert diffset.SEARCH_SUBSET_CAP == 10**8
     with pytest.raises(ScaleError, match=r"^C\(119,14\) exceeds the search cap 100000000$"):
         search_difference_sets(from_tag("c121ab"), 16, 2)
+    # the arithmetic condition comes first: 20 * 19 != 2 * 120
+    none = diffset.difference_set_search(from_tag("c121ab"), 20, 2)
+    assert none == ([], diffset.DiffsetSearchStats(nodes=0, hits=0))
+
+
+@pytest.mark.parametrize("lam", [0, -1])
+def test_search_refuses_nonpositive_lambda(lam):
+    with pytest.raises(InputError, match="lambda must be positive"):
+        search_difference_sets(from_tag("c7"), 3, lam)
 
 
 def _table(tag):
