@@ -353,6 +353,6 @@ def isomorphism(a: Design, b: Design) -> IsoResult:
         return IsoResult(None, stats)
     sigma = Permutation(q + 1 for _, q in sorted(zip(sa.best_order, sb.best_order)))
     image = {sigma.apply_set(blk) for blk in a.blocks}
-    if image != b.block_index().keys():
+    if image != b.block_index.keys():
         raise AssertionError("canonical forms agree but mapping failed")
     return IsoResult(sigma, stats)

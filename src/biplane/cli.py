@@ -28,18 +28,12 @@ from .errors import BiplaneError, InputError
 OK, CHECK_FAILED, USAGE, INTERNAL = 0, 1, 2, 3
 
 
-def format_report(payload: dict, lines: list[str], as_json: bool) -> str:
-    """Render one result: JSON with sorted keys, or the aligned table lines.
+def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
+    """Print one result: JSON with sorted keys, or the aligned table lines.
 
     Field names are stable; identical inputs give byte-identical text.
     """
-    if as_json:
-        return json.dumps(payload, indent=2, sort_keys=True)
-    return "\n".join(lines)
-
-
-def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
-    print(format_report(payload, lines, as_json))
+    print(json.dumps(payload, indent=2, sort_keys=True) if as_json else "\n".join(lines))
 
 
 def _load_json(path: str, what: str, parse):

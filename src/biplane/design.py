@@ -96,11 +96,8 @@ class Design:
     def lam(self) -> int:
         return self.params.lam
 
-    def block_index(self) -> dict[frozenset, int]:
-        return self._block_index
-
     @cached_property
-    def _block_index(self) -> dict[frozenset, int]:
+    def block_index(self) -> dict[frozenset, int]:
         return {frozenset(b): i for i, b in enumerate(self.blocks)}
 
     @cached_property
@@ -121,7 +118,7 @@ class Design:
         p -> images[p-1], or None if some block is not mapped onto a block."""
         if len(images) != self.v:
             raise InputError(f"permutation degree {len(images)} != v = {self.v}")
-        index = self._block_index
+        index = self.block_index
         out = tuple([index.get(frozenset([images[p - 1] for p in b])) for b in self.blocks])
         return None if None in out else out
 
@@ -145,12 +142,9 @@ class Design:
         if None in actions:
             images = perms[actions.index(None)].images
             b = next(b for b in self.blocks
-                     if frozenset(images[p - 1] for p in b) not in self._block_index)
+                     if frozenset(images[p - 1] for p in b) not in self.block_index)
             raise InputError(f"not an automorphism: block {b} maps outside the design")
         return actions
-
-    def points(self) -> range:
-        return range(1, self.v + 1)
 
     def relabel(self, sigma) -> "Design":
         """Apply a point permutation; blocks re-sorted, block list re-canonicalized."""

@@ -76,11 +76,6 @@ class FixReport:
     r_block: dict[int, int] = field(default_factory=dict)
 
 
-def induced_block_permutation(d: Design, x: Permutation) -> Permutation:
-    """The permutation of block indices (1-based) induced by a point automorphism."""
-    return Permutation(j + 1 for j in d.require_verified().automorphism_actions([x])[0])
-
-
 def _walk(images, first: int) -> tuple[CycleType, tuple[int, ...], int, int]:
     """From one walk of the cycles of images (perm._cycles): the cycle type,
     the fixed elements in ascending order, and the bitmasks (bit i for
@@ -125,11 +120,16 @@ def _bound_holds(f: int, k: int) -> bool:
     return f <= k or (f - k) ** 2 <= k - 2
 
 
-def certify_fix_lemmas(d: Design, x: Permutation) -> CertResult:
-    """Run every applicable fixed-point check for one automorphism of a biplane."""
+def _require_biplane(d: Design) -> Design:
+    """d, or InputError unless it is a verified biplane with k >= 4."""
     if d.lam != 2 or d.k < 4:
         raise InputError("fixed-point certification applies to biplanes with k >= 4")
-    return _checks(d.require_verified(), x)
+    return d.require_verified()
+
+
+def certify_fix_lemmas(d: Design, x: Permutation) -> CertResult:
+    """Run every applicable fixed-point check for one automorphism of a biplane."""
+    return _checks(_require_biplane(d), x)
 
 
 def _checks(d: Design, x: Permutation) -> CertResult:
@@ -323,7 +323,7 @@ def certify_conjugacy_bound(d: Design, group: PermGroup, x: Permutation) -> Cert
     checks: list[Check] = []
     if group.degree != d.v:
         raise InputError("group degree does not match design")
-    d.require_verified().automorphism_actions(group.generators)
+    _require_biplane(d).automorphism_actions(group.generators)
     if not group.is_transitive():
         raise InputError("conjugacy bound requires a transitive group")
     if x not in group:

@@ -6,11 +6,12 @@ points are taken in increasing order. Every level of it, and every point
 stabilizer, comes from one kernel on 0-based image tuples: a breadth-first
 transversal, then its Schreier generators (Schreier's lemma) thinned by
 Sims' filter. PermGroup.chain and PermGroup.stabilizer wrap that kernel and
-the search in `aut` calls it directly. Every orbit (of points, conjugates,
-blocks or flags) comes from one breadth-first routine, so repeated runs
-produce identical certificates. Every cycle (for Permutation.cycles,
-cycle_type and the fixed-point counts in `fixcert`) comes from one walker,
-_cycles, on 1-based or 0-based image tuples.
+the search in `aut` calls it directly. Every orbit (of points, blocks, flags,
+or the conjugates PermGroup.conjugacy_counts counts) comes from one
+breadth-first routine, so repeated runs produce identical certificates.
+Every cycle (for Permutation.cycles, cycle_type and the fixed-point counts
+in `fixcert`) comes from one walker, _cycles, on 1-based or 0-based image
+tuples.
 """
 
 from __future__ import annotations
@@ -26,7 +27,13 @@ from .errors import InputError, ScaleError, json_int
 
 _CYCLE_RE = re.compile(r"\(\s*([0-9]+(?:\s*,\s*[0-9]+)*)\s*\)")
 
-CONJUGACY_ENUMERATION_CAP = 10**7
+# Largest conjugacy class PermGroup.conjugacy_counts enumerates. A class has
+# at most |G| elements, and the largest group of a known biplane, that of the
+# (56,11,2) biplane of Hall, Lane and Wales, has order 80640. The class of a
+# 5-cycle in Sym(16) (104,832 conjugates) took 1.5 s at about 260 bytes per
+# conjugate (Python 3.11, one core of a shared VM), so a class at the cap
+# costs under 2 s and 26 MB before the ScaleError.
+CONJUGACY_ENUMERATION_CAP = 10**5
 
 
 class Permutation:
@@ -302,10 +309,6 @@ class PermGroup:
     def from_cycles(cls, degree: int, cycle_strings) -> "PermGroup":
         return cls(degree, [Permutation.from_cycles(s, degree) for s in cycle_strings])
 
-    @classmethod
-    def trivial(cls, degree: int) -> "PermGroup":
-        return cls(degree, [])
-
     def chain(self) -> list[tuple[int, dict]]:
         """The stabilizer chain, built once: levels (beta, transversal) on
         0-based points. beta is the least point the level's generators move,
@@ -373,21 +376,16 @@ class PermGroup:
         return PermGroup(self.degree, [Permutation._trusted(tuple(x + 1 for x in h))
                                        for h in _stabilizer_images(alpha - 1, images)])
 
-    def conjugate_class(self, x: Permutation) -> set[Permutation]:
-        """All G-conjugates of x, by closure under conjugation by generators."""
+    def conjugacy_counts(self, x: Permutation, alpha: int) -> tuple[int, int]:
+        """(u, u1): number of G-conjugates of x, and of those fixing alpha.
+        The class is the orbit of x under conjugation by the generators."""
+        if not 1 <= alpha <= self.degree:
+            raise InputError(f"point {alpha} out of range 1..{self.degree}")
         if x not in self:
             raise InputError("element is not in the group")
         pairs = [(g, g.inverse()) for g in self.generators]
-        return set(orbit(x, pairs, lambda gi, y: gi[0] * y * gi[1],
-                         CONJUGACY_ENUMERATION_CAP))
-
-    def conjugacy_counts(self, x: Permutation, alpha: int) -> tuple[int, int]:
-        """(u, u1): number of G-conjugates of x, and of those fixing alpha."""
-        if not 1 <= alpha <= self.degree:
-            raise InputError(f"point {alpha} out of range 1..{self.degree}")
-        cls = self.conjugate_class(x)
-        u1 = sum(1 for y in cls if y(alpha) == alpha)
-        return len(cls), u1
+        cls = orbit(x, pairs, lambda gi, y: gi[0] * y * gi[1], CONJUGACY_ENUMERATION_CAP)
+        return len(cls), sum(1 for y in cls if y(alpha) == alpha)
 
     def minimal_block(self, alpha: int, beta: int) -> frozenset:
         """Smallest block of imprimitivity containing {alpha, beta} (union-find refinement)."""

@@ -5,7 +5,7 @@ from itertools import permutations
 
 from biplane.design import Design
 from biplane.errors import ScaleError
-from biplane.fixcert import FixReport, induced_block_permutation
+from biplane.fixcert import FixReport
 from biplane.perm import CycleType, Permutation
 
 
@@ -61,6 +61,11 @@ def reference_cycle_type(x: Permutation) -> CycleType:
     return CycleType.from_dict(lengths)
 
 
+def induced_block_permutation(d: Design, x: Permutation) -> Permutation:
+    """The permutation of block indices (1-based) induced by a point automorphism."""
+    return Permutation(j + 1 for j in d.require_verified().automorphism_actions([x])[0])
+
+
 def _orbit_stats(members, x: Permutation) -> tuple[int, int]:
     """(# fixed elements, # 2-orbits) of <x> acting on an invariant set."""
     members = set(members)
@@ -86,7 +91,7 @@ def orbit_walk_fix_report(d: Design, x: Permutation) -> FixReport:
     """fix_report by walking the <x>-orbits on every fixed block, and of the
     induced block permutation on the blocks through every fixed point."""
     bx = induced_block_permutation(d, x)
-    fixed_points = tuple(p for p in d.points() if x(p) == p)
+    fixed_points = tuple(p for p in range(1, d.v + 1) if x(p) == p)
     fixed_blocks = tuple(j for j in range(len(d.blocks)) if bx(j + 1) == j + 1)
     s_block, r_block = {}, {}
     for j in fixed_blocks:

@@ -151,7 +151,7 @@ def test_biplane37_relabelings_agree():
         relabeled = d.relabel(Permutation(images))
         assert canonical_form(relabeled).digest == digest
         sigma = isomorphism(d, relabeled).mapping
-        target = relabeled.block_index().keys()
+        target = relabeled.block_index.keys()
         assert sigma is not None and all(sigma.apply_set(b) in target for b in d.blocks)
 
 
@@ -277,7 +277,7 @@ def test_isomorphic_to_relabeling():
     relabeled = d.relabel(Permutation(images))
     sigma = are_isomorphic(d, relabeled)
     assert sigma is not None
-    target = relabeled.block_index().keys()
+    target = relabeled.block_index.keys()
     assert all(sigma.apply_set(b) in target for b in d.blocks)
 
 

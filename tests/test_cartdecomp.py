@@ -84,7 +84,7 @@ def test_preservation():
     g = catalog.primitive16_group()
     # the third generator swaps the two partitions, which preservation allows
     assert preserved_by(cd, g)
-    assert preserved_by(cd, PermGroup.trivial(16))
+    assert preserved_by(cd, PermGroup(16, []))
 
 
 def test_full_group_does_not_preserve(aut_results):
@@ -133,7 +133,7 @@ def test_group_degree_must_match_decomposition():
     cd = _example_cd()
     padded = PermGroup(20, [Permutation(g.images + (17, 18, 19, 20))
                             for g in catalog.primitive16_group().generators])
-    for group in (PermGroup.trivial(8), padded):
+    for group in (PermGroup(8, []), padded):
         with pytest.raises(InputError, match=f"group degree {group.degree} != 16"):
             preserved_by(cd, group)
         with pytest.raises(InputError, match=f"group degree {group.degree} != 16"):

@@ -119,7 +119,7 @@ def test_biplane37_blocks_are_fourth_power_translates():
     d = catalog.build("biplane37_qr")
     fourth_powers = {pow(x, 4, 37) for x in range(1, 37)}
     assert len(fourth_powers) == 9
-    assert frozenset(e + 1 for e in fourth_powers) in d.block_index().keys()
+    assert frozenset(e + 1 for e in fourth_powers) in d.block_index.keys()
 
 
 def test_flag_orbit_count_rejects_non_automorphism():

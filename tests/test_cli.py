@@ -400,13 +400,14 @@ def test_hostile_arguments_exit_2(tmp_path, capsys, argv):
         assert "Traceback" not in captured.err
 
 
-def test_format_report():
-    from biplane.cli import format_report
+def test_emit(capsys):
     payload = {"b": 1, "a": [2, 3]}
-    as_json = format_report(payload, ["x"], as_json=True)
+    cli._emit(payload, True, ["x"])
+    as_json = capsys.readouterr().out
     assert json.loads(as_json) == payload
     assert as_json.index('"a"') < as_json.index('"b"')  # sorted keys
-    assert format_report(payload, ["row1", "row2"], as_json=False) == "row1\nrow2"
+    cli._emit(payload, False, ["row1", "row2"])
+    assert capsys.readouterr().out == "row1\nrow2\n"
 
 
 def test_byte_identical_output(capsys):

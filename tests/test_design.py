@@ -289,7 +289,7 @@ def test_incidence_view_matches_reference(aut_results):
                      for g in aut_results[name].group.generators]
             swap = (2, 1) + tuple(range(3, d.v + 1))
             index, incidence, action = _reference_view(d)
-            assert d.block_index() == index
+            assert d.block_index == index
             assert d.incidence == incidence
             assert d.block_action(swap) is None and action(swap) is None
             for images in autos + [tuple(range(1, d.v + 1))]:

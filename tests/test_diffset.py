@@ -68,7 +68,7 @@ def test_develop_regular_translation_action():
     g = cyclic(37)
     ds = DifferenceSet(group=g, elements=tuple(sorted({pow(x, 4, 37) for x in range(1, 37)})), lam=2)
     d = develop(ds)
-    blocks = d.block_index().keys()
+    blocks = d.block_index.keys()
     for x in range(37):
         perm = Permutation(g.mul[e][x] + 1 for e in range(37))
         assert all(perm.apply_set(b) in blocks for b in d.blocks)

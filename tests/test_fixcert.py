@@ -10,10 +10,9 @@ from biplane.fixcert import (ALLOWED_79_ORDERS, AUT_ORDER_DIVISOR_121, LANDAU_12
                              admissible_cycle_types_121, certify_79,
                              certify_conjugacy_bound, certify_fix_lemmas,
                              _checks, check_79_order, fix_report, fixed_subdesign,
-                             induced_block_permutation, sylow_bound_121,
-                             sylow_bounds_121)
+                             sylow_bound_121, sylow_bounds_121)
 from biplane.perm import CycleType, Permutation, cycle_type
-from oracles import landau, orbit_walk_fix_report
+from oracles import induced_block_permutation, landau, orbit_walk_fix_report
 
 
 def test_fix_report_identity():

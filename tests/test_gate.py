@@ -16,8 +16,9 @@ from biplane.catalog import flag_orbit_count
 from biplane.design import Design, DesignParams, dual, verify_symmetric_design
 from biplane.errors import InputError
 from biplane.fixcert import (certify_79, certify_conjugacy_bound, certify_fix_lemmas,
-                             fix_report, fixed_subdesign, induced_block_permutation)
+                             fix_report, fixed_subdesign)
 from biplane.perm import PermGroup, Permutation
+from oracles import induced_block_permutation
 
 
 def _point(i, j):
@@ -58,6 +59,7 @@ GATE = r"^not a symmetric \((16,6|79,13),2\) design; first violation \("
     pytest.param(lambda: fix_report(JUNK16, X), id="fix_report"),
     pytest.param(lambda: certify_fix_lemmas(JUNK16, X), id="certify_fix_lemmas"),
     pytest.param(lambda: fixed_subdesign(JUNK16, X), id="fixed_subdesign"),
+    # the test oracle, through the package's one path to a block action
     pytest.param(lambda: induced_block_permutation(JUNK16, X),
                  id="induced_block_permutation"),
     pytest.param(lambda: certify_conjugacy_bound(JUNK16, TRANSLATIONS, X),
@@ -84,6 +86,29 @@ def test_certificate_on_a_non_design_is_refused_not_failed():
     with pytest.raises(InputError, match=r"^not a symmetric \(7,4,2\) design; "
                                          r"first violation \('block-count', None, 4, 7\)$"):
         certify_fix_lemmas(d, Permutation.from_cycles("(4,5)", 7))
+
+
+def test_certificates_refuse_a_verified_non_biplane():
+    # all 11-subsets of 12 points form a symmetric (12,11,10) design; S3 x C4
+    # on 3 x 4 points is a transitive group of automorphisms, and without the
+    # biplane condition its transposition gives conjugate-count-block-bound
+    # fail (k=11 u=3)
+    d = Design(DesignParams(12, 11, 10),
+               [tuple(p for p in range(1, 13) if p != q) for q in range(1, 13)])
+    assert verify_symmetric_design(d).ok
+
+    def point_map(f):
+        return Permutation(4 * i + j + 1 for i, j in (f(p // 4, p % 4) for p in range(12)))
+
+    x = point_map(lambda i, j: ((1, 0, 2)[i], j))
+    group = PermGroup(12, [x, point_map(lambda i, j: ((i + 1) % 3, j)),
+                           point_map(lambda i, j: (i, (j + 1) % 4))])
+    assert group.is_transitive() and x in group
+    for call in (lambda: certify_conjugacy_bound(d, group, x),
+                 lambda: certify_fix_lemmas(d, x)):
+        with pytest.raises(InputError, match="^fixed-point certification applies to "
+                                             "biplanes with k >= 4$"):
+            call()
 
 
 def test_conjugacy_bound_refuses_non_automorphism_generators_fast():
