@@ -1,14 +1,19 @@
 """Constructions of the known small biplanes, with expected-property metadata.
 
-Six entries are constructible:
+Six entries are constructible. fano_complement (7,4,2) is the complement of
+the order-2 projective plane. The other five are developments of a (v,k,2)
+difference set, given by its group tag (`diffset.from_tag`) and elements:
 
-  fano_complement      (7,4,2)    complement of the order-2 projective plane
-  hadamard11           (11,5,2)   development of the quadratic residues mod 11
-  biplane16_primitive  (16,6,2)   orbit of {1,2,3,5,9,16} under the rank-3
-                                  affine group generated below
-  biplane16_c2c8       (16,6,2)   development of a difference set in C2 x C8
-  biplane16_q8c2       (16,6,2)   development of a difference set in Q8 x C2
-  biplane37_qr         (37,9,2)   development of the fourth-power residues mod 37
+  hadamard11           (11,5,2)   c11    the quadratic residues mod 11
+  biplane16_primitive  (16,6,2)   e16    BASE_BLOCK_16 - 1 = {0,1,8,11,13,15}
+  biplane16_c2c8       (16,6,2)   c2xc8  {0,1,2,4,9,14}, least search class
+  biplane16_q8c2       (16,6,2)   q8xc2  {0,1,2,4,6,9}, least search class
+  biplane37_qr         (37,9,2)   c37    the fourth powers mod 37
+
+The orbit of BASE_BLOCK_16 under the rank-3 group of PRIMITIVE16_GENERATORS
+is the block set of biplane16_primitive, and the translations x -> x XOR t
+of E16 on the 0-based labels are a regular normal subgroup of that group:
+it is of affine type.
 
 Three further parameter rows -- (56,11,2), (79,13,2), (121,16,2) -- are
 metadata only: no construction is available here.
@@ -17,14 +22,16 @@ metadata only: no construction is available here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 from typing import TYPE_CHECKING
 
 from .design import Design, DesignParams
 from .errors import InputError
 
-if TYPE_CHECKING:  # the builders import diffset and perm, so `catalog list` loads neither
+if TYPE_CHECKING:  # constructions import diffset and perm, so `catalog list` loads neither
+    from collections.abc import Callable
+
     from .perm import PermGroup
 
 # Generators of the flag-transitive, point-primitive rank-3 subgroup (order
@@ -57,13 +64,13 @@ QR11 = (1, 3, 4, 5, 9)  # quadratic residues mod 11
 class CatalogEntry:
     name: str
     params: DesignParams
-    constructible: bool
     examples_for_params: str
     expected: dict = field(default_factory=dict)
+    construct: Callable[[], Design] | None = field(default=None, compare=False, repr=False)
 
-
-def _fourth_powers_mod37() -> tuple[int, ...]:
-    return tuple(sorted({pow(x, 4, 37) for x in range(1, 37)}))
+    @property
+    def constructible(self) -> bool:
+        return self.construct is not None
 
 
 def primitive16_group() -> PermGroup:
@@ -79,57 +86,32 @@ def _fano_complement() -> Design:
     return Design(DesignParams(7, 4, 2), blocks)
 
 
-def _biplane16_primitive() -> Design:
-    from .perm import Permutation, orbit
-    group = primitive16_group()
-    block_orbit = orbit(frozenset(BASE_BLOCK_16), group.generators, Permutation.apply_set)
-    blocks = sorted(tuple(sorted(b)) for b in block_orbit)
-    return Design(DesignParams(16, 6, 2), blocks)
-
-
-def _development_of_first(tag: str, k: int) -> Design:
-    from . import diffset
-    group = diffset.from_tag(tag)
-    found = diffset.search_difference_sets(group, k, 2)
-    if not found:
-        raise AssertionError(f"no ({group.n},{k},2) difference set in {tag}")
-    return diffset.develop(found[0])
-
-
-def _hadamard11() -> Design:
-    from . import diffset
-    ds = diffset.DifferenceSet(group=diffset.cyclic(11), elements=QR11, lam=2)
-    return diffset.develop(ds)
-
-
-def _biplane37_qr() -> Design:
-    from . import diffset
-    ds = diffset.DifferenceSet(group=diffset.cyclic(37),
-                               elements=_fourth_powers_mod37(), lam=2)
-    return diffset.develop(ds)
+def _development(tag: str, elements) -> Design:
+    from .diffset import DifferenceSet, develop, from_tag
+    return develop(DifferenceSet(from_tag(tag), elements, 2))
 
 
 _ENTRIES: tuple[CatalogEntry, ...] = (
     CatalogEntry(
         name="fano_complement",
+        construct=_fano_complement,
         params=DesignParams(7, 4, 2),
-        constructible=True,
         examples_for_params="1",
         expected={"aut_order": 168, "transitive": True, "flag_transitive": True,
                   "primitive": True},
     ),
     CatalogEntry(
         name="hadamard11",
+        construct=partial(_development, "c11", QR11),
         params=DesignParams(11, 5, 2),
-        constructible=True,
         examples_for_params="1",
         expected={"aut_order": 660, "transitive": True, "flag_transitive": True,
                   "primitive": True},
     ),
     CatalogEntry(
         name="biplane16_primitive",
+        construct=partial(_development, "e16", tuple(p - 1 for p in BASE_BLOCK_16)),
         params=DesignParams(16, 6, 2),
-        constructible=True,
         examples_for_params="3",
         expected={"aut_order": 11520, "transitive": True, "flag_transitive": True,
                   "primitive": True, "subgroup_order": 1152, "subgroup_index": 10,
@@ -138,24 +120,24 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
     ),
     CatalogEntry(
         name="biplane16_c2c8",
+        construct=partial(_development, "c2xc8", (0, 1, 2, 4, 9, 14)),
         params=DesignParams(16, 6, 2),
-        constructible=True,
         examples_for_params="3",
         expected={"aut_order": 768, "transitive": True, "flag_transitive": True,
                   "primitive": False, "point_stabilizer_order": 48},
     ),
     CatalogEntry(
         name="biplane16_q8c2",
+        construct=partial(_development, "q8xc2", (0, 1, 2, 4, 6, 9)),
         params=DesignParams(16, 6, 2),
-        constructible=True,
         examples_for_params="3",
         expected={"aut_order": 384, "transitive": True, "flag_transitive": False,
                   "primitive": False},
     ),
     CatalogEntry(
         name="biplane37_qr",
+        construct=partial(_development, "c37", {pow(x, 4, 37) for x in range(1, 37)}),
         params=DesignParams(37, 9, 2),
-        constructible=True,
         examples_for_params="4",
         expected={"aut_order": 333, "transitive": True, "flag_transitive": True,
                   "primitive": True},
@@ -163,34 +145,22 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
     CatalogEntry(
         name="biplane56",
         params=DesignParams(56, 11, 2),
-        constructible=False,
         examples_for_params="5",
         expected={},
     ),
     CatalogEntry(
         name="biplane79",
         params=DesignParams(79, 13, 2),
-        constructible=False,
         examples_for_params=">=2",
         expected={"aut_order_known_example": 110},
     ),
     CatalogEntry(
         name="biplane121",
         params=DesignParams(121, 16, 2),
-        constructible=False,
         examples_for_params="unknown",
         expected={"aut_order_divides": 5765760},
     ),
 )
-
-_BUILDERS = {
-    "fano_complement": _fano_complement,
-    "hadamard11": _hadamard11,
-    "biplane16_primitive": _biplane16_primitive,
-    "biplane16_c2c8": lambda: _development_of_first("c2xc8", 6),
-    "biplane16_q8c2": lambda: _development_of_first("q8xc2", 6),
-    "biplane37_qr": _biplane37_qr,
-}
 
 
 def list_known() -> list[CatalogEntry]:
@@ -210,7 +180,7 @@ def build(name: str) -> Design:
     e = entry(name)
     if not e.constructible:
         raise InputError(f"catalog entry {name!r} is metadata-only; no construction available")
-    d = _BUILDERS[name]()
+    d = e.construct()
     if not d.verify_report.ok:
         raise AssertionError(f"catalog design {name} failed verification: "
                              f"{d.verify_report.violations[:3]}")

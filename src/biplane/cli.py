@@ -133,10 +133,12 @@ def _cmd_verify(args) -> int:
     from . import design
     d = _load_design(args.design)
     report = design.verify_symmetric_design(d)
-    payload = {"ok": report.ok,
+    payload = {"ok": report.ok, "counts": report.counts,
                "violations": [list(map(str, v)) for v in report.violations]}
     lines = [f"verify ({d.v},{d.k},{d.lam}): {'ok' if report.ok else 'FAILED'}"]
-    lines += [f"  {v}" for v in report.violations[:10]]
+    lines += [f"  {v}" for v in report.violations]
+    if not report.ok:
+        lines.append("counts: " + ", ".join(f"{kind} {n}" for kind, n in report.counts.items()))
     _emit(payload, args.json, lines)
     return OK if report.ok else CHECK_FAILED
 

@@ -22,7 +22,8 @@ from .ntheory import is_square, square_free_part, ternary_isotropic
 # because violations past the first VIOLATION_SAMPLE are counted, not kept.
 VERIFY_PAIR_CAP = 10**6
 
-# Violations a VerifyReport lists (biplane verify prints at most 20).
+# Violations a VerifyReport lists; biplane verify prints them all and the
+# count of each kind.
 VIOLATION_SAMPLE = 20
 
 # Largest block size params_from_k admits. v = (k^2 - k + 2)/2 has about

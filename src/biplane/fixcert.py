@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from math import isqrt
+from math import isqrt, prod
 
 from .design import Design, restrict_subdesign, subdesign_constraint
 from .errors import InputError
@@ -377,7 +377,8 @@ SYLOW_BOUNDS_121: dict[int, tuple[int, str]] = {
     13: (13, "cyclic"),
 }
 
-AUT_ORDER_DIVISOR_121 = 5765760  # 2^7 * 3^2 * 5 * 7 * 11 * 13
+# The product of the Sylow bounds, 2^7 * 3^2 * 5 * 7 * 11 * 13 = 5765760.
+AUT_ORDER_DIVISOR_121 = prod(bound for bound, _ in SYLOW_BOUNDS_121.values())
 # Landau's g(121): the largest element order in Sym(121), the largest product
 # of prime powers with distinct primes summing to at most 121.
 LANDAU_121 = 5354228880

@@ -1,10 +1,15 @@
+import json
+
 import pytest
 
-from biplane import catalog
+from biplane import catalog, cli, diffset
 from biplane.catalog import flag_orbit_count, primitive16_group
 from biplane.design import verify_symmetric_design
 from biplane.errors import InputError
-from biplane.perm import PermGroup
+from biplane.perm import Permutation, PermGroup, orbit
+
+DEVELOPED = ("hadamard11", "biplane16_primitive", "biplane16_c2c8", "biplane16_q8c2",
+             "biplane37_qr")
 
 TABLE_PARAMS = {
     "fano_complement": (7, 4, 2),
@@ -126,3 +131,58 @@ def test_flag_orbit_count_rejects_non_automorphism():
     d = catalog.build("fano_complement")
     with pytest.raises(InputError, match="not an automorphism"):
         flag_orbit_count(d, PermGroup.from_cycles(7, ["(1,2)"]))
+
+
+def _difference_set(name):
+    """The (tag, elements) of a catalog row built as a development."""
+    tag, elements = catalog.entry(name).construct.args
+    return tag, tuple(sorted(elements))
+
+
+def test_build_runs_no_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("catalog.build ran a difference-set search")
+
+    monkeypatch.setattr(diffset, "search_difference_sets", refuse)
+    monkeypatch.setattr(diffset, "difference_set_search", refuse)
+    catalog.build.cache_clear()
+    try:
+        for name in catalog.constructible_names():
+            assert catalog.build(name).params == catalog.entry(name).params
+    finally:
+        catalog.build.cache_clear()
+
+
+@pytest.mark.parametrize("name", ["biplane16_c2c8", "biplane16_q8c2"])
+def test_stored_sets_are_least_search_classes(name):
+    tag, elements = _difference_set(name)
+    found = diffset.search_difference_sets(diffset.from_tag(tag), 6, 2)
+    assert found[0].elements == elements
+
+
+def test_primitive16_block_orbit_is_the_block_set():
+    gens = primitive16_group().generators
+    block_orbit = orbit(frozenset(catalog.BASE_BLOCK_16), gens, Permutation.apply_set)
+    d = catalog.build("biplane16_primitive")
+    assert tuple(sorted(tuple(sorted(b)) for b in block_orbit)) == d.blocks
+
+
+def test_e16_translations_are_affine_type(aut_results):
+    # x -> x XOR t on the 0-based labels, t = 1, 2, 4, 8
+    translations = [Permutation(((x - 1) ^ t) + 1 for x in range(1, 17)) for t in (1, 2, 4, 8)]
+    subgroup = PermGroup(16, translations)
+    assert subgroup.order() == 16 and subgroup.is_transitive()  # regular
+    for group in (primitive16_group(), aut_results["biplane16_primitive"].group):
+        assert all(t in group for t in translations)
+        assert all(g.inverse() * t * g in subgroup
+                   for g in group.generators for t in translations)
+
+
+@pytest.mark.parametrize("name", DEVELOPED)
+def test_ds_develop_matches_catalog_build(name, capsys):
+    tag, elements = _difference_set(name)
+    assert cli.run(["ds", "develop", "--group", tag,
+                    "--set", ",".join(map(str, elements)), "--json"]) == 0
+    developed = json.loads(capsys.readouterr().out)
+    assert cli.run(["catalog", "build", name, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == developed

@@ -56,6 +56,25 @@ def test_verify_failure_exit_code(tmp_path, capsys):
     assert code == CHECK_FAILED and "FAILED" in out
 
 
+def test_verify_lists_sample_and_counts(tmp_path, capsys):
+    # one block of the (7,4,2) parameters: 22 violations, 20 of them listed
+    path = tmp_path / "one_block.json"
+    path.write_text(json.dumps({"v": 7, "k": 4, "lambda": 2, "blocks": [[1, 2, 3, 4]]}))
+    code, out = _capture(capsys, ["verify", str(path)])
+    lines = out.splitlines()
+    assert code == CHECK_FAILED and len(lines) == 22
+    assert lines[1] == "  ('block-count', None, 1, 7)"
+    assert lines[-1] == "counts: block-count 1, pair-count 21"
+    code, out = _capture(capsys, ["verify", str(path), "--json"])
+    payload = json.loads(out)
+    assert code == CHECK_FAILED and len(payload["violations"]) == 20
+    assert payload["counts"] == {"block-count": 1, "pair-count": 21}
+    code, out = _capture(capsys, ["verify", _design_file(tmp_path, "fano_complement"), "--json"])
+    assert code == OK and json.loads(out) == {"ok": True, "counts": {}, "violations": []}
+    code, out = _capture(capsys, ["verify", _design_file(tmp_path, "fano_complement")])
+    assert out == "verify (7,4,2): ok\n"
+
+
 def test_dual_and_iso(tmp_path, capsys):
     src = _design_file(tmp_path, "hadamard11")
     dst = str(tmp_path / "dual.json")
@@ -262,7 +281,7 @@ def test_cert121(capsys):
     assert code == OK and "no admissible cycle types" in out
     code, out = _capture(capsys, ["cert121", "--order", "11", "--json"])
     assert code == OK
-    assert json.loads(out)["types"] == [{"11": 11}] or json.loads(out)["types"] == [{"11": 11}]
+    assert json.loads(out)["types"] == [{"11": 11}]
 
 
 def test_cert121_order_above_landau(capsys):

@@ -298,7 +298,7 @@ def test_from_tag():
     assert from_tag("c11").n == 11
     assert from_tag("c121ab").n == 121
     assert from_tag("e16").n == 16
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"'c121ab', 'c2xc8', 'e16', 'q8xc2'\] and c<N>"):
         from_tag("nonsense")
 
 
