@@ -21,11 +21,15 @@ smallest non-singleton; children are taken in ascending vertex order. A
 child is pruned when it lies in the orbit of an explored sibling under the
 pointwise stabilizer of the prefix in the group of the automorphisms found
 so far (McKay & Piperno). That stabilizer maps every cell onto itself, so
-only its orbits on the target cell are computed; its generators are kept as
-0-based image tuples, one list per depth of the current path, and come from
-the Schreier-Sims kernel of `perm`. Pruning never skips the first leaf or
-the first leaf with the least certificate, so canonical forms and
-isomorphisms do not depend on it.
+only its orbits on the target cell are computed. While every automorphism
+found fixes the prefix, as on the first path, they generate it; otherwise the
+Schreier-Sims kernel of `perm` gives its generators, cached per depth of the
+current path. A leaf with the first leaf's certificate gives an automorphism
+gamma. If gamma is checked to map the leaf's path down to the child where it
+leaves the first path onto that path, the child's subtree is the image of an
+explored one, so the search jumps back to the child's parent (McKay, Practical
+Graph Isomorphism, 1981). Neither cut skips the first leaf or the first least
+leaf, so canonical forms and isomorphisms do not depend on them.
 """
 
 from __future__ import annotations
@@ -199,7 +203,7 @@ class _Search:
         self.chains = d.lam == 2 and d.k >= 6
         # A leaf is its points, 0-based, in the order of its cells.
         self.first_order: tuple[int, ...] | None = None
-        self.first_cert = None
+        self.first_cert, self.first_prefix = None, ()  # the first leaf and its path
         self.best_order: tuple[int, ...] | None = None
         self.best_cert = None
         self.autos: dict[tuple[int, ...], None] = {}  # 0-based full-vertex image tuples
@@ -222,7 +226,8 @@ class _Search:
                 best, best_size = i, len(cell)
         return best
 
-    def _recurse(self, cells, masks, fresh: list[int], prefix: tuple[int, ...]) -> None:
+    def _recurse(self, cells, masks, fresh: list[int], prefix: tuple[int, ...]) -> int | None:
+        """Search below prefix; return the depth to jump back to, or None."""
         self.nodes += 1
         adj = self.adj
         cells, masks = _equitable(cells, masks, adj, fresh)
@@ -239,8 +244,7 @@ class _Search:
             cells, masks = _equitable(cells, masks, adj, fresh)
         tgt = self._target(cells)
         if tgt is None:
-            self._leaf(cells)
-            return
+            return self._leaf(cells, prefix)
         explored: list[int] = []
         nautos = 0
         for u in cells[tgt]:
@@ -254,18 +258,23 @@ class _Search:
             # individualize u: its cell splits into (u,) and the rest, fresh is [tgt]
             split = _refine(cells, masks,
                             lambda cell, cm: (lambda w: w != u) if cm >> u & 1 else None)
-            self._recurse(*split, prefix + (u,))
+            jump = self._recurse(*split, prefix + (u,))
+            if jump is not None and jump < len(prefix):
+                return jump
+        return None
 
     def _prefix_stabilizer(self, prefix) -> list[tuple[int, ...]]:
         """Generators of the pointwise stabilizer of prefix in the group of the
         automorphisms found so far, acting on all vertices.
 
         Refinement, the chain split included, is label-invariant, so each of
-        them maps every cell of the node's partition onto itself. The
-        stabilizers of the current path are cached, one per depth, and all are
-        rebuilt when an automorphism is recorded; Sims' filter keeps generator
-        lists from growing with depth.
+        them maps every cell of the node's partition onto itself. If they all
+        fix prefix, they are the answer. Otherwise the stabilizers of the
+        current path are cached, one per depth, and rebuilt when an
+        automorphism is recorded; Sims' filter keeps generator lists short.
         """
+        if all(g[u] == u for g in self.autos for u in prefix):
+            return list(self.autos)
         path = self._path
         if not path:
             path.append((None, list(self.autos)))
@@ -278,24 +287,31 @@ class _Search:
 
     # -- leaves ------------------------------------------------------------
 
-    def _leaf(self, cells) -> None:
+    def _leaf(self, cells, prefix) -> int | None:
+        """Score this leaf; return the depth to jump back to, or None."""
         self.leaves += 1
         order = tuple(c[0] for c in cells if c[0] < self.v)
         rank = [0] * (self.v + 1)  # 1-based point -> its 1-based place in order
         for i, p in enumerate(order, start=1):
             rank[p + 1] = i
         cert = tuple(sorted(tuple(sorted(map(rank.__getitem__, b))) for b in self.d.blocks))
-        if self.first_cert is None:
-            self.first_cert, self.first_order = cert, order
-        elif cert == self.first_cert:
-            self._record_automorphism(order)
         if self.best_cert is None or cert < self.best_cert:
             self.best_cert, self.best_order = cert, order
+        if self.first_cert is None:
+            self.first_cert, self.first_order, self.first_prefix = cert, order, prefix
+        elif cert == self.first_cert:
+            gamma, first = self._record_automorphism(order), self.first_prefix
+            # neither leaf lies below the other, so their paths part at some d
+            d = next(i for i, (u, f) in enumerate(zip(prefix, first)) if u != f)
+            if gamma and all(gamma[u] == f for u, f in zip(prefix[:d + 1], first)):
+                return d
+        return None
 
-    def _record_automorphism(self, order) -> None:
-        """Record the map of this leaf's point order onto the first leaf's."""
+    def _record_automorphism(self, order) -> tuple[int, ...] | None:
+        """Record the map of this leaf's point order onto the first leaf's;
+        return it, new or not, as a 0-based full-vertex image tuple."""
         if order == self.first_order:
-            return
+            return None
         images = [q + 1 for _, q in sorted(zip(order, self.first_order))]
         blocks = self.d.block_action(images)
         if blocks is None:
@@ -304,6 +320,7 @@ class _Search:
         if full_t not in self.autos:
             self.autos[full_t] = None
             self._path.clear()
+        return full_t
 
     def stats(self) -> SearchStats:
         return SearchStats(self.nodes, self.leaves, len(self.autos))

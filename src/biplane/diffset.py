@@ -166,10 +166,16 @@ class DifferenceSet:
 
 
 def is_difference_set(g: GroupTable, elements, lam: int) -> bool:
-    """Does the difference list x^-1 y cover every non-identity element lam times?"""
-    elements = sorted(set(elements))
+    """Does the difference list x^-1 y cover every non-identity element lam times?
+
+    A repeated element is refused, not merged: the set would have fewer
+    elements than listed, and k would be misread."""
+    elements = sorted(elements)
     if any(not 0 <= e < g.n for e in elements):
         raise InputError("difference-set elements out of range")
+    repeated = sorted({x for x, y in zip(elements, elements[1:]) if x == y})
+    if repeated:
+        raise InputError(f"difference-set element(s) repeated: {repeated}")
     if len(elements) < 2:
         raise InputError("difference set needs at least two elements")
     counts = [0] * g.n

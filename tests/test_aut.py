@@ -84,6 +84,8 @@ LAMBDA_NOT_2_GATE = {
     ("c7", (0, 1, 3), 1): (168, 21, 6, 5),
     ("c13", (0, 1, 3, 9), 1): (5616, 36, 8, 7),
     ("c15", (0, 1, 2, 4, 5, 8, 10), 3): (20160, 39, 9, 8),
+    # PG(2,5), |PGL(3,5)| = 372000: 796/309/8 before the back-jump
+    ("c31", (0, 1, 3, 8, 12, 18), 1): (372000, 573, 233, 8),
 }
 
 
@@ -155,6 +157,25 @@ def test_biplane37_relabelings_agree():
         assert sigma is not None and all(sigma.apply_set(b) in target for b in d.blocks)
 
 
+def _pg25() -> Design:
+    return develop(DifferenceSet(group=from_tag("c31"), elements=(0, 1, 3, 8, 12, 18), lam=1))
+
+
+def test_pg25_relabelings_agree():
+    # PG(2,5) is where the back-jump to the first path cuts most nodes
+    rng = random.Random(31)
+    d = _pg25()
+    digest = canonical_form(d).digest
+    for _ in range(3):
+        images = list(range(1, d.v + 1))
+        rng.shuffle(images)
+        relabeled = d.relabel(Permutation(images))
+        assert canonical_form(relabeled).digest == digest
+        sigma = are_isomorphic(d, relabeled)
+        target = relabeled.block_index.keys()
+        assert sigma is not None and all(sigma.apply_set(b) in target for b in d.blocks)
+
+
 # Search counters (nodes, leaves, automorphisms) summed over the 84 developed
 # (16,6,2) difference sets of c2xc8, q8xc2 and e16, unrelabeled.
 DEVELOPED_16_STATS = (1936, 524, 440)
@@ -174,6 +195,47 @@ def test_search_stats_over_developed_16_sets():
     assert tuple(totals) == DEVELOPED_16_STATS
     assert digests == {CATALOG_GATE[name][2] for name in
                        ("biplane16_primitive", "biplane16_c2c8", "biplane16_q8c2")}
+
+
+def test_no_schreier_sims_on_catalog_and_developed_16_searches(monkeypatch):
+    # At every orbit computation of these searches, every automorphism found
+    # so far fixes the prefix, so they generate its stabilizer themselves.
+    calls = []
+    stabilizer_images = aut._stabilizer_images
+
+    def counting(alpha, generators):
+        calls.append(alpha)
+        return stabilizer_images(alpha, generators)
+    monkeypatch.setattr(aut, "_stabilizer_images", counting)
+    designs = [catalog.build(name) for name in catalog.constructible_names()]
+    designs += [develop(ds) for tag in ("c2xc8", "q8xc2", "e16")
+                for ds in search_difference_sets(from_tag(tag), 6, 2)]
+    assert len(designs) == 6 + 84
+    for d in designs:
+        _searched(d)
+    assert calls == []
+
+
+def test_jump_only_when_gamma_maps_the_path_onto_the_first_path():
+    # Feed a finished search leaves whose points are the first leaf's under
+    # h^-1 for a recorded automorphism h, so each gives gamma = h and the
+    # first certificate, under prefixes that gamma does or does not map onto
+    # the first path down to where they leave it.
+    s = _searched(catalog.build("fano_complement"))
+    f0, f1 = s.first_prefix[:2]
+    nautos = len(s.autos)
+    for h in s.autos:
+        inv = sorted(range(s.n), key=h.__getitem__)
+        cells = [(inv[p],) for p in s.first_order]
+        if h[f0] != f0:
+            y = next(u for u in range(s.v) if u not in (f0, inv[f0]))
+            assert s._leaf(cells, (inv[f0], f1)) == 0
+            assert s._leaf(cells, (y, f1)) is None
+            if h[f1] != f1:  # the paths part at depth 1, but h moves f0
+                assert s._leaf(cells, (f0, inv[f1])) is None
+        elif h[f1] != f1:
+            assert s._leaf(cells, (f0, inv[f1])) == 1
+    assert len(s.autos) == nautos  # returned again, not recorded again
 
 
 def test_isomorphism_mappings_pinned():
@@ -372,35 +434,61 @@ def test_refine_on_a_hand_made_partition():
 
 def test_cell_orbits_are_the_stabilizer_orbits(monkeypatch):
     # Wherever the search computes the orbits of its target cell, they must be
-    # the orbits of the group its cached generators generate, cut down to the
-    # cell, and every generator must map the cell onto itself.
+    # the orbits of the group its generators generate, cut down to the cell,
+    # every generator must map the cell onto itself, and that group must be
+    # the pointwise stabilizer of the prefix in the group of the automorphisms
+    # found so far. The oracle takes that stabilizer one point at a time with
+    # PermGroup.stabilizer, and checks each step by orbit-stabilizer.
     checked = []
-    n = None
+    node = {}
+    exact = {}  # (automorphisms, prefix) -> the oracle's stabilizer
+
+    def recording(self, prefix):
+        node.update(prefix=prefix, autos=tuple(self.autos), n=self.n)
+        return prefix_stabilizer(self, prefix)
+
+    def stabilizer(n, autos, prefix):
+        if (autos, prefix) not in exact:
+            if prefix:
+                group, u = stabilizer(n, autos, prefix[:-1]), prefix[-1] + 1
+                sub = group.stabilizer(u)
+                assert sub.order() * len(group.orbit(u)) == group.order()
+            else:
+                sub = PermGroup(n, [Permutation(x + 1 for x in g) for g in autos])
+            exact[autos, prefix] = sub
+        return exact[autos, prefix]
 
     def checking(cell, generators):
         rep = cell_orbits(cell, generators)
         members = set(cell)
         assert all(g[u] in members for g in generators for u in cell)
-        group = PermGroup(n, [Permutation(x + 1 for x in g) for g in generators])
-        expected = {tuple(p - 1 for p in orb if p - 1 in members) for orb in group.orbits()}
+        n, prefix, autos = node["n"], node["prefix"], node["autos"]
+        generated = PermGroup(n, [Permutation(x + 1 for x in g) for g in generators])
+        oracle = stabilizer(n, autos, prefix)
+        assert generated.order() == oracle.order()
         got = {}
         for u in cell:
             got.setdefault(rep[u], []).append(u)
-        assert {tuple(orb) for orb in got.values()} == expected - {()}
+        for group in (generated, oracle):
+            expected = {tuple(p - 1 for p in orb if p - 1 in members) for orb in group.orbits()}
+            assert {tuple(orb) for orb in got.values()} == expected - {()}
         assert all(rep[u] == min(got[rep[u]]) for u in cell)
-        checked.append(len(cell))
+        checked.append(all(g[u] == u for g in autos for u in prefix))  # the shortcut
         return rep
 
-    cell_orbits = aut._cell_orbits
+    cell_orbits, prefix_stabilizer = aut._cell_orbits, _Search._prefix_stabilizer
     monkeypatch.setattr(aut, "_cell_orbits", checking)
+    monkeypatch.setattr(_Search, "_prefix_stabilizer", recording)
     rng = random.Random(23)
-    for name in catalog.constructible_names():
-        d = catalog.build(name)
-        n = d.v + len(d.blocks)
-        for labeling in range(3):
+    designs = [(name, catalog.build(name), 3) for name in catalog.constructible_names()]
+    designs.append(("PG(2,5)", _pg25(), 2))
+    for name, d, labelings in designs:
+        for labeling in range(labelings):
             images = list(range(1, d.v + 1))
             if labeling:
                 rng.shuffle(images)
             before = len(checked)
             automorphism_group(d.relabel(Permutation(images)))
             assert len(checked) > before, name
+            assert any(checked[before:]), name  # nodes that take the shortcut
+    assert not all(checked)  # and nodes that run Schreier-Sims (PG(2,5))

@@ -419,6 +419,13 @@ def test_hostile_arguments_exit_2(tmp_path, capsys, argv):
         assert "Traceback" not in captured.err
 
 
+def test_ds_develop_refuses_repeated_element(capsys):
+    assert run(["ds", "develop", "--group", "c7", "--set", "0,1,3,3", "--lambda", "1"]) == USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: difference-set element(s) repeated: [3]\n"
+
+
 def test_emit(capsys):
     payload = {"b": 1, "a": [2, 3]}
     cli._emit(payload, True, ["x"])

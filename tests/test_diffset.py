@@ -64,6 +64,15 @@ def test_develop_rejects_non_difference_set():
         develop(DifferenceSet(group=cyclic(16), elements=(0, 1, 2, 3, 4, 5), lam=2))
 
 
+def test_repeated_element_refused():
+    # {0, 1, 3} is a (7,3,1) difference set; listing 3 twice must not read as k = 4
+    for check in (lambda: is_difference_set(cyclic(7), (0, 1, 3, 3), 1),
+                  lambda: develop(DifferenceSet(group=cyclic(7), elements=(0, 1, 3, 3), lam=1))):
+        with pytest.raises(InputError, match=r"element\(s\) repeated: \[3\]"):
+            check()
+    assert is_difference_set(cyclic(7), (0, 1, 3), 1)
+
+
 def test_develop_regular_translation_action():
     g = cyclic(37)
     ds = DifferenceSet(group=g, elements=tuple(sorted({pow(x, 4, 37) for x in range(1, 37)})), lam=2)
