@@ -17,19 +17,21 @@ individualized vertex u by the Hussain chain of each vertex w with u
 (`_chain_key`), and refines again. No key depends on a label, so the
 partition of every node stays label-invariant. For k < 6 every chain is one
 k-cycle, so the chain split is skipped. The target cell is the first
-smallest non-singleton; children are taken in ascending vertex order. A
-child is pruned when it lies in the orbit of an explored sibling under the
-pointwise stabilizer of the prefix in the group of the automorphisms found
-so far (McKay & Piperno). That stabilizer maps every cell onto itself, so
-only its orbits on the target cell are computed. While every automorphism
-found fixes the prefix, as on the first path, they generate it; otherwise the
-Schreier-Sims kernel of `perm` gives its generators, cached per depth of the
-current path. A leaf with the first leaf's certificate gives an automorphism
-gamma. If gamma is checked to map the leaf's path down to the child where it
-leaves the first path onto that path, the child's subtree is the image of an
-explored one, so the search jumps back to the child's parent (McKay, Practical
-Graph Isomorphism, 1981). Neither cut skips the first leaf or the first least
-leaf, so canonical forms and isomorphisms do not depend on them.
+non-singleton, which is label-invariant as McKay & Piperno require; children
+are taken in ascending vertex order. A child is pruned when it lies in the
+orbit of an explored sibling under the pointwise stabilizer of the prefix in
+the group of the automorphisms found so far (McKay & Piperno). That
+stabilizer maps every cell onto itself, so only its orbits on the target cell
+are computed. It is taken one prefix point at a time, and the Schreier-Sims
+kernel of `perm` runs only for a point that some generator still moves; while
+every automorphism found fixes the prefix, as on the first path, they
+generate it themselves. A leaf with the first leaf's certificate gives an
+automorphism gamma. If gamma is checked to map the leaf's path down to the
+child where it leaves the first path onto that path, the child's subtree is
+the image of an explored one, so the search jumps back to the child's parent
+(McKay, Practical Graph Isomorphism, 1981). Neither cut skips the first leaf
+or the first least leaf, so canonical forms and isomorphisms do not depend on
+them.
 """
 
 from __future__ import annotations
@@ -207,9 +209,6 @@ class _Search:
         self.best_order: tuple[int, ...] | None = None
         self.best_cert = None
         self.autos: dict[tuple[int, ...], None] = {}  # 0-based full-vertex image tuples
-        # (vertex fixed at this depth, generators of the pointwise stabilizer
-        # of the path so far as 0-based image tuples); new automorphisms clear it
-        self._path: list[tuple[int | None, list[tuple[int, ...]]]] = []
         self.nodes = self.leaves = 0
 
     def run(self) -> None:
@@ -218,13 +217,6 @@ class _Search:
         self._recurse(cells, masks, [0, 1], ())
 
     # -- tree walk ---------------------------------------------------------
-
-    def _target(self, cells) -> int | None:
-        best, best_size = None, None
-        for i, cell in enumerate(cells):
-            if len(cell) > 1 and (best_size is None or len(cell) < best_size):
-                best, best_size = i, len(cell)
-        return best
 
     def _recurse(self, cells, masks, fresh: list[int], prefix: tuple[int, ...]) -> int | None:
         """Search below prefix; return the depth to jump back to, or None."""
@@ -242,7 +234,7 @@ class _Search:
                 return None
             cells, masks, fresh = _refine(cells, masks, chains)
             cells, masks = _equitable(cells, masks, adj, fresh)
-        tgt = self._target(cells)
+        tgt = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
         if tgt is None:
             return self._leaf(cells, prefix)
         explored: list[int] = []
@@ -268,22 +260,16 @@ class _Search:
         automorphisms found so far, acting on all vertices.
 
         Refinement, the chain split included, is label-invariant, so each of
-        them maps every cell of the node's partition onto itself. If they all
-        fix prefix, they are the answer. Otherwise the stabilizers of the
-        current path are cached, one per depth, and rebuilt when an
-        automorphism is recorded; Sims' filter keeps generator lists short.
+        them maps every cell of the node's partition onto itself. The prefix
+        is fixed one point at a time, and Schreier-Sims, with Sims' filter
+        keeping the lists short, runs only for a point that some generator
+        still moves: if every automorphism fixes prefix, they are the answer.
         """
-        if all(g[u] == u for g in self.autos for u in prefix):
-            return list(self.autos)
-        path = self._path
-        if not path:
-            path.append((None, list(self.autos)))
-        for depth, u in enumerate(prefix, start=1):
-            if depth < len(path) and path[depth][0] == u:
-                continue
-            del path[depth:]
-            path.append((u, _stabilizer_images(u, path[-1][1])))
-        return path[len(prefix)][1]
+        gens = list(self.autos)
+        for u in prefix:
+            if any(g[u] != u for g in gens):
+                gens = _stabilizer_images(u, gens)
+        return gens
 
     # -- leaves ------------------------------------------------------------
 
@@ -317,9 +303,7 @@ class _Search:
         if blocks is None:
             raise AssertionError("leaf with equal certificate is not an automorphism")
         full_t = tuple(p - 1 for p in images) + tuple(self.v + j for j in blocks)
-        if full_t not in self.autos:
-            self.autos[full_t] = None
-            self._path.clear()
+        self.autos[full_t] = None
         return full_t
 
     def stats(self) -> SearchStats:

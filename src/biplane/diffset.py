@@ -151,6 +151,20 @@ def from_tag(tag: str) -> GroupTable:
     raise InputError(f"unknown group tag {tag!r}; known: {sorted(_TAG_BUILDERS)} and c<N>")
 
 
+def _checked_elements(g: GroupTable, elements) -> tuple[int, ...]:
+    """The elements sorted, refused if one is out of range or repeated.
+
+    A repeated element is refused, not merged: the set would have fewer
+    elements than listed, and k would be misread."""
+    elements = tuple(sorted(elements))
+    if elements and not (0 <= elements[0] and elements[-1] < g.n):
+        raise InputError("difference-set elements out of range")
+    if len(set(elements)) < len(elements):
+        repeated = sorted({x for x, y in zip(elements, elements[1:]) if x == y})
+        raise InputError(f"difference-set element(s) repeated: {repeated}")
+    return elements
+
+
 @dataclass(frozen=True)
 class DifferenceSet:
     group: GroupTable
@@ -158,7 +172,7 @@ class DifferenceSet:
     lam: int
 
     def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(sorted(self.elements)))
+        object.__setattr__(self, "elements", _checked_elements(self.group, self.elements))
 
     @property
     def params(self) -> DesignParams:
@@ -168,14 +182,8 @@ class DifferenceSet:
 def is_difference_set(g: GroupTable, elements, lam: int) -> bool:
     """Does the difference list x^-1 y cover every non-identity element lam times?
 
-    A repeated element is refused, not merged: the set would have fewer
-    elements than listed, and k would be misread."""
-    elements = sorted(elements)
-    if any(not 0 <= e < g.n for e in elements):
-        raise InputError("difference-set elements out of range")
-    repeated = sorted({x for x, y in zip(elements, elements[1:]) if x == y})
-    if repeated:
-        raise InputError(f"difference-set element(s) repeated: {repeated}")
+    Elements out of range or repeated are refused (_checked_elements)."""
+    elements = _checked_elements(g, elements)
     if len(elements) < 2:
         raise InputError("difference set needs at least two elements")
     counts = [0] * g.n

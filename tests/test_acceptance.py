@@ -64,9 +64,9 @@ def test_criterion_2_three_isomorphism_classes():
                  for n in ("biplane16_primitive", "biplane16_c2c8", "biplane16_q8c2")}
         assert named == digests and len(named) == 3
         assert digests == {  # pinned: primitive, C2 x C8, Q8 x C2
-            "fbb72876fc0d8e6cd1a5f28daf3ee4ed06750e979830ed3e7d917127ab2e8682",
-            "4d59186b2688ac222622bcdc4fdb0fb059e4bf2a01b37a95bc90533063b0f787",
-            "bb2bdcaafb103c7df95315b92cb5ea73dee45eac7e5bb59082057f49873c5867"}
+            "f43db628e7472be941b6b083177bd1a0adea662160e2e22ffd71a8e574088965",
+            "2bc86d5d4eaa069a968d909df062b931a91c5570e96a9fb9e388c1b9b6687e3c",
+            "0557c5b6e20a2c188d00f132630a73015a362c18f1dc4ff44a1a711d1ca3b0e8"}
 
 
 def test_criterion_3_automorphism_orders():

@@ -15,42 +15,43 @@ from oracles import brute_force_automorphism_order
 
 # Per catalog design: the group order, the number of automorphisms the search
 # offers as generators, and the SHA-256 canonical digest. Orders never change;
-# digests change only with the refinement, generator counts also with pruning.
+# digests change only with the refinement or the target cell rule, generator
+# counts also with pruning.
 CATALOG_GATE = {
     "fano_complement": (
         168, 5, "dd55c94cfb858c5d420e0cedcf39b5a02eceb2c23a6a00c91c12e503e6c24555"),
     "hadamard11": (
-        660, 4, "7cb586fa16e3d678a0a1a458b1cda874f499e1cccfc7b47e541b8f1ddffd2fdf"),
+        660, 4, "f0d4b439064fd73a9cb4d5d6657299f86d59fb601ebbac0d21c749f39350f75c"),
     "biplane16_primitive": (
-        11520, 6, "fbb72876fc0d8e6cd1a5f28daf3ee4ed06750e979830ed3e7d917127ab2e8682"),
+        11520, 7, "f43db628e7472be941b6b083177bd1a0adea662160e2e22ffd71a8e574088965"),
     "biplane16_c2c8": (
-        768, 6, "4d59186b2688ac222622bcdc4fdb0fb059e4bf2a01b37a95bc90533063b0f787"),
+        768, 4, "2bc86d5d4eaa069a968d909df062b931a91c5570e96a9fb9e388c1b9b6687e3c"),
     "biplane16_q8c2": (
-        384, 4, "bb2bdcaafb103c7df95315b92cb5ea73dee45eac7e5bb59082057f49873c5867"),
+        384, 4, "0557c5b6e20a2c188d00f132630a73015a362c18f1dc4ff44a1a711d1ca3b0e8"),
     "biplane37_qr": (
         333, 2, "5dcc7ab81120696b19f9a60aa3aa8156a42cd42d4a956c900f8760dfb8010b54"),
 }
 
 # Search counters per catalog design: (nodes, leaves, automorphisms recorded).
-# They change only with the refinement or the pruning.
+# They change only with the refinement, the target cell rule or the pruning.
 SEARCH_STATS = {
-    "fano_complement": (21, 6, 5),
+    "fano_complement": (13, 6, 5),
     "hadamard11": (15, 5, 4),
-    "biplane16_primitive": (28, 7, 6),
-    "biplane16_c2c8": (28, 7, 6),
-    "biplane16_q8c2": (15, 5, 4),
+    "biplane16_primitive": (26, 8, 7),
+    "biplane16_c2c8": (11, 5, 4),
+    "biplane16_q8c2": (12, 5, 4),
     "biplane37_qr": (6, 3, 2),
 }
 
 # The same counters with equitable refinement alone, before the Hussain chain
 # split: an upper bound that no refinement step may exceed in nodes.
 SEARCH_STATS_WITHOUT_CHAINS = {
-    "fano_complement": (21, 6, 5),
+    "fano_complement": (13, 6, 5),
     "hadamard11": (15, 5, 4),
-    "biplane16_primitive": (28, 7, 6),
-    "biplane16_c2c8": (64, 29, 4),
-    "biplane16_q8c2": (98, 53, 4),
-    "biplane37_qr": (198, 168, 2),
+    "biplane16_primitive": (26, 8, 7),
+    "biplane16_c2c8": (36, 18, 4),
+    "biplane16_q8c2": (38, 24, 4),
+    "biplane37_qr": (170, 158, 2),
 }
 
 # are_isomorphic(d, d relabeled by a fixed shuffle): the first leaf with the
@@ -58,7 +59,7 @@ SEARCH_STATS_WITHOUT_CHAINS = {
 # pruning; they change with the refinement.
 ISO_MAPPINGS = {
     "hadamard11": "(3,6,8,11,10)(4,5,7,9)",
-    "biplane16_c2c8": "(2,15,16,8,10,14,7)(3,11,13,6,5)(4,9)",
+    "biplane16_c2c8": "(3,10,11,12,14,13,4,5,6,16,15,8,7,9)",
     "biplane16_q8c2": "(2,5,6,14,15,13,3,16,9,4,10,7,11)(8,12)",
     "biplane37_qr": "(2,19,10,8,31,20,13,3,24,37,32,27,16,11,26,5,7,30,14,22,23,29,9,21)"
                     "(4,35,34,33,15,25,17,28,12,6)",
@@ -81,11 +82,11 @@ def test_chain_split_never_adds_nodes(aut_results):
 # (group tag, base set, lambda) -> (order, nodes, leaves, automorphisms), the
 # same as with equitable refinement alone.
 LAMBDA_NOT_2_GATE = {
-    ("c7", (0, 1, 3), 1): (168, 21, 6, 5),
-    ("c13", (0, 1, 3, 9), 1): (5616, 36, 8, 7),
-    ("c15", (0, 1, 2, 4, 5, 8, 10), 3): (20160, 39, 9, 8),
-    # PG(2,5), |PGL(3,5)| = 372000: 796/309/8 before the back-jump
-    ("c31", (0, 1, 3, 8, 12, 18), 1): (372000, 573, 233, 8),
+    ("c7", (0, 1, 3), 1): (168, 11, 5, 4),
+    ("c13", (0, 1, 3, 9), 1): (5616, 18, 7, 6),
+    ("c15", (0, 1, 2, 4, 5, 8, 10), 3): (20160, 17, 7, 6),
+    ("c31", (0, 1, 3, 8, 12, 18), 1): (372000, 19, 8, 7),  # PG(2,5)
+    ("c57", (0, 1, 3, 13, 32, 36, 43, 52), 1): (5630688, 20, 9, 8),  # PG(2,7)
 }
 
 
@@ -96,6 +97,33 @@ def test_lambda_not_2_searches_pinned():
         result = automorphism_group(d)
         stats = result.stats
         assert (result.order, stats.nodes, stats.leaves, stats.automorphisms) == expected, tag
+
+
+# A Singer difference set in the cyclic group of order q^2 + q + 1 per prime
+# power q; its development is the projective plane PG(2,q).
+SINGER_SETS = {
+    2: (0, 1, 3),
+    3: (0, 1, 3, 9),
+    4: (0, 1, 4, 14, 16),
+    5: (0, 1, 3, 8, 12, 18),
+    7: (0, 1, 3, 13, 32, 36, 43, 52),
+    8: (1, 2, 4, 8, 16, 32, 37, 55, 64),
+}
+# Equitable refinement barely splits a projective plane, so a poor choice of
+# target cell shows as a blow-up of the tree; every plane above stays under it.
+PROJECTIVE_PLANE_NODE_CEILING = 100
+
+
+@pytest.mark.parametrize("q", sorted(SINGER_SETS))
+def test_projective_plane_groups(q):
+    # Aut PG(2,q) = PGammaL(3,q), of order e q^3 (q^3 - 1)(q^2 - 1) for q = p^e
+    p = next(p for p in range(2, q + 1) if q % p == 0)
+    e = next(e for e in range(1, q + 1) if p ** e == q)
+    d = develop(DifferenceSet(group=from_tag(f"c{q * q + q + 1}"), elements=SINGER_SETS[q], lam=1))
+    assert d.params == DesignParams(q * q + q + 1, q + 1, 1)
+    result = automorphism_group(d)
+    assert result.order == e * q ** 3 * (q ** 3 - 1) * (q ** 2 - 1)
+    assert result.stats.nodes <= PROJECTIVE_PLANE_NODE_CEILING
 
 
 def _anti_flag_keys(d: Design) -> list[tuple[int, ...]]:
@@ -162,7 +190,6 @@ def _pg25() -> Design:
 
 
 def test_pg25_relabelings_agree():
-    # PG(2,5) is where the back-jump to the first path cuts most nodes
     rng = random.Random(31)
     d = _pg25()
     digest = canonical_form(d).digest
@@ -178,7 +205,7 @@ def test_pg25_relabelings_agree():
 
 # Search counters (nodes, leaves, automorphisms) summed over the 84 developed
 # (16,6,2) difference sets of c2xc8, q8xc2 and e16, unrelabeled.
-DEVELOPED_16_STATS = (1936, 524, 440)
+DEVELOPED_16_STATS = (1572, 532, 448)
 
 
 def test_search_stats_over_developed_16_sets():
@@ -198,8 +225,10 @@ def test_search_stats_over_developed_16_sets():
 
 
 def test_no_schreier_sims_on_catalog_and_developed_16_searches(monkeypatch):
-    # At every orbit computation of these searches, every automorphism found
-    # so far fixes the prefix, so they generate its stabilizer themselves.
+    # At every orbit computation of these searches (the catalog designs, their
+    # duals, the 84 developed (16,6,2) sets and the lambda != 2 developments),
+    # every automorphism found so far fixes the prefix, so they generate its
+    # stabilizer themselves.
     calls = []
     stabilizer_images = aut._stabilizer_images
 
@@ -208,9 +237,12 @@ def test_no_schreier_sims_on_catalog_and_developed_16_searches(monkeypatch):
         return stabilizer_images(alpha, generators)
     monkeypatch.setattr(aut, "_stabilizer_images", counting)
     designs = [catalog.build(name) for name in catalog.constructible_names()]
+    designs += [dual(d) for d in designs]
     designs += [develop(ds) for tag in ("c2xc8", "q8xc2", "e16")
                 for ds in search_difference_sets(from_tag(tag), 6, 2)]
-    assert len(designs) == 6 + 84
+    designs += [develop(DifferenceSet(group=from_tag(tag), elements=elements, lam=lam))
+                for tag, elements, lam in LAMBDA_NOT_2_GATE]
+    assert len(designs) == 6 + 6 + 84 + 5
     for d in designs:
         _searched(d)
     assert calls == []
@@ -252,7 +284,7 @@ def test_isomorphism_mappings_pinned():
 # fixed shuffles: the generator cycle strings that `aut --json` prints, the
 # search counters, and the isomorphism onto a third shuffle with the counters
 # of both of its searches. A change that alters any of them changes the digest.
-LABELED_OUTPUTS_DIGEST = "d58aa27d2523f40b819737e2ad9ad4c8464199aa394d267fb427f5312e5ad15e"
+LABELED_OUTPUTS_DIGEST = "04b7366136b1593d26974c3654605a24d042f62f22ddffd0d4586300a6042ccd"
 
 
 def test_search_outputs_pinned_under_relabeling():
@@ -473,7 +505,7 @@ def test_cell_orbits_are_the_stabilizer_orbits(monkeypatch):
             expected = {tuple(p - 1 for p in orb if p - 1 in members) for orb in group.orbits()}
             assert {tuple(orb) for orb in got.values()} == expected - {()}
         assert all(rep[u] == min(got[rep[u]]) for u in cell)
-        checked.append(all(g[u] == u for g in autos for u in prefix))  # the shortcut
+        checked.append(all(g[u] == u for g in autos for u in prefix))  # no Schreier-Sims
         return rep
 
     cell_orbits, prefix_stabilizer = aut._cell_orbits, _Search._prefix_stabilizer
@@ -481,7 +513,10 @@ def test_cell_orbits_are_the_stabilizer_orbits(monkeypatch):
     monkeypatch.setattr(_Search, "_prefix_stabilizer", recording)
     rng = random.Random(23)
     designs = [(name, catalog.build(name), 3) for name in catalog.constructible_names()]
-    designs.append(("PG(2,5)", _pg25(), 2))
+    # the Paley (19,9,4) design runs Schreier-Sims once under every labeling
+    paley19 = develop(DifferenceSet(group=from_tag("c19"),
+                                    elements=tuple({x * x % 19 for x in range(1, 19)}), lam=4))
+    designs.append(("paley19", paley19, 3))
     for name, d, labelings in designs:
         for labeling in range(labelings):
             images = list(range(1, d.v + 1))
@@ -490,5 +525,5 @@ def test_cell_orbits_are_the_stabilizer_orbits(monkeypatch):
             before = len(checked)
             automorphism_group(d.relabel(Permutation(images)))
             assert len(checked) > before, name
-            assert any(checked[before:]), name  # nodes that take the shortcut
-    assert not all(checked)  # and nodes that run Schreier-Sims (PG(2,5))
+            assert any(checked[before:]), name  # nodes that need no Schreier-Sims
+    assert not all(checked)  # and nodes that run Schreier-Sims (paley19)

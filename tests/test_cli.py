@@ -95,7 +95,7 @@ def test_aut_json(tmp_path, capsys):
 
 def test_stats_leave_stdout_unchanged(tmp_path, capsys):
     path = _design_file(tmp_path, "biplane16_q8c2")
-    counters = {"nodes": 15, "leaves": 5, "automorphisms": 4}
+    counters = {"nodes": 12, "leaves": 5, "automorphisms": 4}
     for argv, stats in ((["aut", path], counters),
                         (["iso", path, path], {"design_a": counters, "design_b": counters}),
                         (["ds", "search", "--group", "q8xc2", "--k", "6"],
@@ -142,6 +142,18 @@ def test_ds_search_and_develop(tmp_path, capsys):
     assert code == OK
     code, _ = _capture(capsys, ["verify", out_path])
     assert code == OK
+
+
+def test_aut_on_pg27(tmp_path, capsys):
+    # PG(2,7): equitable refinement barely splits a projective plane, and the
+    # search must still end quickly; |PGL(3,7)| = 5630688
+    out_path = str(tmp_path / "pg27.json")
+    code, _ = _capture(capsys, ["ds", "develop", "--group", "c57", "--set",
+                                "0,1,3,13,32,36,43,52", "--lambda", "1", "-o", out_path])
+    assert code == OK
+    code, out = _capture(capsys, ["aut", out_path, "--json"])
+    assert code == OK
+    assert json.loads(out)["order"] == 5630688
 
 
 def test_fix_command(tmp_path, capsys):

@@ -73,6 +73,17 @@ def test_repeated_element_refused():
     assert is_difference_set(cyclic(7), (0, 1, 3), 1)
 
 
+def test_difference_set_refuses_bad_elements_when_constructed():
+    # params must never read k off a list with a repeated or foreign element
+    with pytest.raises(InputError, match=r"element\(s\) repeated: \[3\]"):
+        DifferenceSet(group=cyclic(7), elements=(0, 1, 3, 3), lam=1)
+    for elements in ((0, 1, 7), (-1, 0, 1)):
+        with pytest.raises(InputError, match="out of range"):
+            DifferenceSet(group=cyclic(7), elements=elements, lam=1)
+    ds = DifferenceSet(group=cyclic(7), elements=(3, 0, 1), lam=1)
+    assert ds.elements == (0, 1, 3) and ds.params == DesignParams(7, 3, 1)
+
+
 def test_develop_regular_translation_action():
     g = cyclic(37)
     ds = DifferenceSet(group=g, elements=tuple(sorted({pow(x, 4, 37) for x in range(1, 37)})), lam=2)
