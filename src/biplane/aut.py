@@ -2,36 +2,37 @@
 
 The search is individualization-refinement backtracking on the bipartite
 point/block incidence graph. Points and blocks carry distinct initial colors,
-so dualities are never counted as automorphisms. Every change of the
-partition is one pass of `_refine`, which splits cells by a vertex invariant
-in the sense of McKay & Piperno (Practical Graph Isomorphism II, 2014),
-carries each cell's vertex bitmask alongside it, and returns the fragments
-that later rounds must count against. Three keys drive it. Individualizing a
-vertex u splits its cell by w != u. Equitable refinement (`_equitable`)
-splits by neighbor counts in the cells that the previous pass created, until
-nothing splits. The incidence graph of a symmetric design is
-distance-regular, so after u is individualized those counts only separate
-the neighbors of u from the rest; for lambda = 2 and k >= 6 every node below
-the root therefore also splits the cells on the other side of its last
-individualized vertex u by the Hussain chain of each vertex w with u
-(`_chain_key`), and refines again. No key depends on a label, so the
+so dualities are never counted as automorphisms. The partition is an ordered
+list of cells, each carried with its vertex bitmask, and every change of it
+splits cells by a vertex invariant in the sense of McKay & Piperno (Practical
+Graph Isomorphism II, 2014). Individualizing a vertex u replaces its cell by
+(u,) and the rest. Equitable refinement (`_equitable`) splits cells by
+neighbor counts in the cells that the previous round created, until nothing
+splits: each such cell gives, by bit-sliced counting, the masks of the
+vertices with 0, 1, 2, ... neighbors in it, and every cell it reaches is cut
+by those masks. The incidence graph of a symmetric design is distance-regular,
+so after u is individualized those counts only separate the neighbors of u
+from the rest; for lambda = 2 and k >= 6 every node below the root whose
+partition is not yet discrete therefore also splits the cells on the other
+side of its last individualized vertex u by the Hussain chain of each vertex w
+with u (`_chain_key`, computed once per pair and search), in one pass of
+`_refine`, and refines again. No invariant depends on a label, so the
 partition of every node stays label-invariant. For k < 6 every chain is one
 k-cycle, so the chain split is skipped. The target cell is the first
 non-singleton, which is label-invariant as McKay & Piperno require; children
 are taken in ascending vertex order. A child is pruned when it lies in the
 orbit of an explored sibling under the pointwise stabilizer of the prefix in
-the group of the automorphisms found so far (McKay & Piperno). That
-stabilizer maps every cell onto itself, so only its orbits on the target cell
-are computed. It is taken one prefix point at a time, and the Schreier-Sims
-kernel of `perm` runs only for a point that some generator still moves; while
-every automorphism found fixes the prefix, as on the first path, they
-generate it themselves. A leaf with the first leaf's certificate gives an
-automorphism gamma. If gamma is checked to map the leaf's path down to the
-child where it leaves the first path onto that path, the child's subtree is
-the image of an explored one, so the search jumps back to the child's parent
-(McKay, Practical Graph Isomorphism, 1981). Neither cut skips the first leaf
-or the first least leaf, so canonical forms and isomorphisms do not depend on
-them.
+the group of the automorphisms found so far (McKay & Piperno). That stabilizer
+maps every cell onto itself, so only its orbits on the target cell are
+computed. It is taken one prefix point at a time, and the Schreier-Sims kernel
+of `perm` runs only for a point that some generator still moves; while every
+automorphism found fixes the prefix, as on the first path, they generate it
+themselves. A leaf with the first leaf's certificate gives an automorphism
+gamma. If gamma is checked to map the leaf's path down to the child where it
+leaves the first path onto that path, the child's subtree is the image of an
+explored one, so the search jumps back to the child's parent (McKay, Practical
+Graph Isomorphism, 1981). Neither cut skips the first leaf or the first least
+leaf, so canonical forms and isomorphisms do not depend on them.
 """
 
 from __future__ import annotations
@@ -87,43 +88,75 @@ class IsoResult:
 
 def _refine(cells: list[tuple[int, ...]], masks: list[int], key_of
             ) -> tuple[list[tuple[int, ...]], list[int], list[int]]:
-    """Split cells by a vertex invariant; the one place a partition changes.
+    """Split cells by a per-vertex invariant.
 
     masks[i] is the vertex bitmask of cells[i]. key_of(cell, mask) gives the
     key of each vertex of a non-singleton cell, as a function, or None to
-    leave the cell whole. A cell with more than one key is replaced by its
-    fragments in key order, each sorted like the cell, and a mask is built
-    only for a new fragment. Also returned, as `fresh`, are the indices of
-    every fragment but the last of each split cell: if the partition was
+    leave the cell whole; singleton cells are carried over untouched. A cell
+    with more than one key is replaced by its fragments in key order, each
+    sorted like the cell. Also returned, as `fresh`, are the indices of every
+    fragment but the last of each split cell: if the partition was
     equitable, every cell has a constant count into a cell that split, so
     its count into the last fragment follows from the counts into the
-    siblings, which precede it in every signature (see _equitable). The
-    keys must depend on no vertex label, so that the partition stays
-    label-invariant.
+    siblings (see _equitable). When nothing splits, the input lists are
+    returned. The keys must depend on no vertex label, so that the partition
+    stays label-invariant.
     """
     new_cells: list[tuple[int, ...]] = []
     new_masks: list[int] = []
     fresh: list[int] = []
-    for cell, cm in zip(cells, masks):
-        key = len(cell) > 1 and key_of(cell, cm)
-        if key:
-            parts: dict = {}
-            for u in cell:
-                parts.setdefault(key(u), []).append(u)
-            if len(parts) > 1:
-                *split, last = sorted(parts)
-                for k in split:
-                    m = 0
-                    for u in parts[k]:
-                        m |= 1 << u
-                    fresh.append(len(new_cells))
-                    new_cells.append(tuple(parts[k]))
-                    new_masks.append(m)
-                    cm ^= m
-                cell = tuple(parts[last])
-        new_cells.append(cell)
-        new_masks.append(cm)
-    return new_cells, new_masks, fresh
+    done = 0  # cells[:done] are in new_cells
+    for i, cm in enumerate(masks):
+        key = cm & (cm - 1) and key_of(cells[i], cm)
+        if not key:
+            continue
+        parts: dict = {}  # key -> the mask of its vertices
+        for u in cells[i]:
+            k = key(u)
+            parts[k] = parts.get(k, 0) | 1 << u
+        if len(parts) > 1:
+            split = [parts[k] for k in sorted(parts)]
+            new_cells += cells[done:i]
+            new_masks += masks[done:i]
+            done = i + 1
+            fresh += range(len(new_cells), len(new_cells) + len(split) - 1)
+            new_cells += map(_bits, split)
+            new_masks += split
+    if not done:
+        return cells, masks, fresh
+    return new_cells + cells[done:], new_masks + masks[done:], fresh
+
+
+def _bits(m: int) -> tuple[int, ...]:
+    """The set bits of m, ascending."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return tuple(out)
+
+
+def _count_classes(cell: tuple[int, ...], adj: list[int], full: int) -> tuple[int, list[int]]:
+    """The mask of the vertices with a neighbor in cell, and the nonempty
+    masks of the vertices with exactly 0, 1, 2, ... neighbors in cell, in
+    ascending count, by bit-sliced counting: planes[j] holds bit j of every
+    vertex's count."""
+    planes: list[int] = []
+    for s in cell:
+        carry = adj[s]
+        for j, p in enumerate(planes):
+            planes[j] = p ^ carry
+            carry &= p
+            if not carry:
+                break
+        else:
+            planes.append(carry)
+    hits, classes = 0, [full]
+    for p in reversed(planes):  # most significant bit first keeps counts ascending
+        hits |= p
+        classes = [y for x in classes for y in (x & ~p, x & p) if y]
+    return hits, classes
 
 
 def _equitable(cells: list[tuple[int, ...]], masks: list[int], adj: list[int],
@@ -132,26 +165,63 @@ def _equitable(cells: list[tuple[int, ...]], masks: list[int], adj: list[int],
 
     The input must already be equitable towards every cell not listed in
     `fresh`, and a caller may leave out the last fragment of a split cell
-    (see _refine). Each round is one _refine whose key is the vertex's
-    neighbor counts in the fresh cells, counted only in those that some
-    vertex of the cell reaches: a cell is equitable towards every cell that
-    did not split, and a count that is constant on a cell cannot split it
-    or reorder its fragments. The counts depend on no vertex label.
+    (see _refine). Each round splits every non-singleton cell that some
+    fresh cell S reaches by the vertices' neighbor counts in the reaching S,
+    in `fresh` order: the cell's mask is cut by the mask of each count class
+    of S in ascending count, which is the lexicographic order of the tuples
+    of those counts. A cell is equitable towards every cell that did not
+    split, and a count that is constant on a cell cannot split it or reorder
+    its fragments. Fragments stay sorted, and, as in _refine, all but the
+    last of each split cell are the next round's fresh cells. Singleton cells
+    are carried over untouched, a discrete partition ends the refinement, and
+    when nothing splits the input lists are returned. The counts depend on no
+    vertex label.
     """
-    while fresh:
+    n = len(adj)
+    full = (1 << n) - 1
+    while fresh and len(cells) < n:
         splitters = []
+        reach = 0
         for i in fresh:
-            reach = 0
-            for u in cells[i]:
-                reach |= adj[u]
-            splitters.append((masks[i], reach))
-
-        def counts(cell, cm):
-            into = [m for m, reach in splitters if reach & cm]
-            if into:
-                return lambda u: tuple(map(int.bit_count, map(adj[u].__and__, into)))
-            return None
-        cells, masks, fresh = _refine(cells, masks, counts)
+            cell = cells[i]
+            if len(cell) == 1:
+                hits = adj[cell[0]]
+                splitters.append((hits, (full ^ hits, hits)))
+            else:
+                hits, classes = _count_classes(cell, adj, full)
+                splitters.append((hits, classes))
+            reach |= hits
+        new_cells: list[tuple[int, ...]] = []
+        new_masks: list[int] = []
+        fresh = []
+        done = 0  # cells[:done] are in new_cells
+        for i, cm in enumerate(masks):
+            if not cm & reach or not cm & (cm - 1):
+                continue
+            parts = [cm]
+            for hits, classes in splitters:
+                if hits & cm:
+                    split = []
+                    for part in parts:
+                        for c in classes:
+                            q = part & c
+                            if q:
+                                split.append(q)
+                                part ^= q
+                                if not part:
+                                    break
+                    parts = split
+            if len(parts) > 1:
+                new_cells += cells[done:i]
+                new_masks += masks[done:i]
+                done = i + 1
+                fresh += range(len(new_cells), len(new_cells) + len(parts) - 1)
+                new_cells += map(_bits, parts)
+                new_masks += parts
+        if not done:
+            break
+        cells = new_cells + cells[done:]
+        masks = new_masks + masks[done:]
     return cells, masks
 
 
@@ -203,6 +273,7 @@ class _Search:
         # Chain cycles have length >= 3 and sum to k, so for k < 6 every
         # chain is one k-cycle and its key splits nothing.
         self.chains = d.lam == 2 and d.k >= 6
+        self.chain_keys: dict[tuple[int, int], tuple[int, ...]] = {}  # (u, w) -> _chain_key
         # A leaf is its points, 0-based, in the order of its cells.
         self.first_order: tuple[int, ...] | None = None
         self.first_cert, self.first_prefix = None, ()  # the first leaf and its path
@@ -223,14 +294,14 @@ class _Search:
         self.nodes += 1
         adj = self.adj
         cells, masks = _equitable(cells, masks, adj, fresh)
-        if prefix and self.chains:
+        if prefix and self.chains and len(cells) < self.n:
             # u is now a singleton, so a cell lies in adj[u] or misses it;
             # the chain key splits the cells across from u that miss it
             u, side = prefix[-1], prefix[-1] < self.v
 
             def chains(cell, cm):
                 if (cell[0] < self.v) != side and not cm & adj[u]:
-                    return lambda w: _chain_key(adj, u, w)
+                    return lambda w: self._chain(u, w)
                 return None
             cells, masks, fresh = _refine(cells, masks, chains)
             cells, masks = _equitable(cells, masks, adj, fresh)
@@ -248,12 +319,20 @@ class _Search:
                     continue
             explored.append(u)
             # individualize u: its cell splits into (u,) and the rest, fresh is [tgt]
-            split = _refine(cells, masks,
-                            lambda cell, cm: (lambda w: w != u) if cm >> u & 1 else None)
-            jump = self._recurse(*split, prefix + (u,))
+            rest = tuple(w for w in cells[tgt] if w != u)
+            jump = self._recurse(cells[:tgt] + [(u,), rest] + cells[tgt + 1:],
+                                 masks[:tgt] + [1 << u, masks[tgt] ^ 1 << u] + masks[tgt + 1:],
+                                 [tgt], prefix + (u,))
             if jump is not None and jump < len(prefix):
                 return jump
         return None
+
+    def _chain(self, u: int, w: int) -> tuple[int, ...]:
+        """_chain_key(adj, u, w), computed at most once per search."""
+        key = self.chain_keys.get((u, w))
+        if key is None:
+            key = self.chain_keys[u, w] = _chain_key(self.adj, u, w)
+        return key
 
     def _prefix_stabilizer(self, prefix) -> list[tuple[int, ...]]:
         """Generators of the pointwise stabilizer of prefix in the group of the

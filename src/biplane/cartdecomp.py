@@ -127,7 +127,8 @@ def coordinatize(cd: CartesianDecomposition, v: int) -> dict[int, tuple[int, ...
     ]
     for point in range(1, v + 1):
         coords[point] = tuple(table[point] for table in lookup)
-    assert len(set(coords.values())) == v
+    if len(set(coords.values())) != v:
+        raise AssertionError("cartesian coordinates are not injective")
     return coords
 
 
@@ -205,8 +206,10 @@ class PellSolution:
     v: int
 
     def __post_init__(self):
-        assert 8 * self.x * self.x - self.y * self.y == PELL_RHS
-        assert self.u * self.u - 8 * self.v * self.v == 1
+        if 8 * self.x * self.x - self.y * self.y != PELL_RHS:
+            raise AssertionError("Pell solution: 8x^2 - y^2 != PELL_RHS")
+        if self.u * self.u - 8 * self.v * self.v != 1:
+            raise AssertionError("Pell solution: u^2 - 8v^2 != 1")
 
 
 def pell_solutions(n_max: int) -> list[PellSolution]:

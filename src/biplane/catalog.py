@@ -81,7 +81,8 @@ def primitive16_group() -> PermGroup:
 def _fano_complement() -> Design:
     # points 1..7 as the nonzero vectors of F_2^3; lines are the XOR-zero triples
     lines = [set(t) for t in combinations(range(1, 8), 3) if t[0] ^ t[1] ^ t[2] == 0]
-    assert len(lines) == 7
+    if len(lines) != 7:
+        raise AssertionError("Fano plane does not have 7 lines")
     blocks = sorted(tuple(sorted(set(range(1, 8)) - line)) for line in lines)
     return Design(DesignParams(7, 4, 2), blocks)
 
@@ -184,7 +185,8 @@ def build(name: str) -> Design:
     if not d.verify_report.ok:
         raise AssertionError(f"catalog design {name} failed verification: "
                              f"{d.verify_report.violations[:3]}")
-    assert d.params == e.params
+    if d.params != e.params:
+        raise AssertionError(f"catalog design {name} has parameters {d.params}, not {e.params}")
     return d
 
 

@@ -179,7 +179,8 @@ class VerifyReport:
     counts: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        assert self.ok == (len(self.violations) == 0)
+        if self.ok != (len(self.violations) == 0):
+            raise AssertionError("verify report: ok disagrees with its violations")
 
 
 def verify_symmetric_design(d: Design) -> VerifyReport:

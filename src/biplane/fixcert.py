@@ -353,7 +353,8 @@ def certify_conjugacy_bound(d: Design, group: PermGroup, x: Permutation) -> Cert
 
 def _ct(d: dict[int, int]) -> CycleType:
     ct = CycleType.from_dict(d)
-    assert ct.degree == 121
+    if ct.degree != 121:
+        raise AssertionError(f"(121,16,2) cycle type has degree {ct.degree}")
     return ct
 
 

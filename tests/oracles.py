@@ -134,3 +134,79 @@ def landau(n: int) -> int:
                 best[total] = max(best[total], best[total - q] * q)
                 q *= p
     return best[n]
+
+
+# The refinement kernel of the IR search as it was before equitable
+# refinement moved to bitmasks: one pass splits cells by a per-vertex key, and
+# each round of equitable refinement keys every vertex of a reached cell by its
+# tuple of neighbor counts. aut._equitable must return exactly what
+# count_key_equitable returns, cell order and masks included.
+
+def count_key_refine(cells: list[tuple[int, ...]], masks: list[int], key_of
+                     ) -> tuple[list[tuple[int, ...]], list[int], list[int]]:
+    """Split cells by a vertex invariant; the one place a partition changes.
+
+    masks[i] is the vertex bitmask of cells[i]. key_of(cell, mask) gives the
+    key of each vertex of a non-singleton cell, as a function, or None to
+    leave the cell whole. A cell with more than one key is replaced by its
+    fragments in key order, each sorted like the cell, and a mask is built
+    only for a new fragment. Also returned, as `fresh`, are the indices of
+    every fragment but the last of each split cell: if the partition was
+    equitable, every cell has a constant count into a cell that split, so
+    its count into the last fragment follows from the counts into the
+    siblings, which precede it in every signature (see count_key_equitable).
+    The keys must depend on no vertex label, so that the partition stays
+    label-invariant.
+    """
+    new_cells: list[tuple[int, ...]] = []
+    new_masks: list[int] = []
+    fresh: list[int] = []
+    for cell, cm in zip(cells, masks):
+        key = len(cell) > 1 and key_of(cell, cm)
+        if key:
+            parts: dict = {}
+            for u in cell:
+                parts.setdefault(key(u), []).append(u)
+            if len(parts) > 1:
+                *split, last = sorted(parts)
+                for k in split:
+                    m = 0
+                    for u in parts[k]:
+                        m |= 1 << u
+                    fresh.append(len(new_cells))
+                    new_cells.append(tuple(parts[k]))
+                    new_masks.append(m)
+                    cm ^= m
+                cell = tuple(parts[last])
+        new_cells.append(cell)
+        new_masks.append(cm)
+    return new_cells, new_masks, fresh
+
+
+def count_key_equitable(cells: list[tuple[int, ...]], masks: list[int], adj: list[int],
+                        fresh: list[int]) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Refine an ordered partition until every cell is equitable.
+
+    The input must already be equitable towards every cell not listed in
+    `fresh`, and a caller may leave out the last fragment of a split cell
+    (see count_key_refine). Each round is one count_key_refine whose key is
+    the vertex's neighbor counts in the fresh cells, counted only in those that some
+    vertex of the cell reaches: a cell is equitable towards every cell that
+    did not split, and a count that is constant on a cell cannot split it
+    or reorder its fragments. The counts depend on no vertex label.
+    """
+    while fresh:
+        splitters = []
+        for i in fresh:
+            reach = 0
+            for u in cells[i]:
+                reach |= adj[u]
+            splitters.append((masks[i], reach))
+
+        def counts(cell, cm):
+            into = [m for m, reach in splitters if reach & cm]
+            if into:
+                return lambda u: tuple(map(int.bit_count, map(adj[u].__and__, into)))
+            return None
+        cells, masks, fresh = count_key_refine(cells, masks, counts)
+    return cells, masks

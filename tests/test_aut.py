@@ -11,7 +11,7 @@ from biplane.design import Design, DesignParams, dual
 from biplane.diffset import DifferenceSet, develop, from_tag, search_difference_sets
 from biplane.errors import InputError
 from biplane.perm import PermGroup, Permutation
-from oracles import brute_force_automorphism_order
+from oracles import brute_force_automorphism_order, count_key_equitable, count_key_refine
 
 # Per catalog design: the group order, the number of automorphisms the search
 # offers as generators, and the SHA-256 canonical digest. Orders never change;
@@ -224,6 +224,34 @@ def test_search_stats_over_developed_16_sets():
                        ("biplane16_primitive", "biplane16_c2c8", "biplane16_q8c2")}
 
 
+def _developed_16() -> list[Design]:
+    return [develop(ds) for tag in ("c2xc8", "q8xc2", "e16")
+            for ds in search_difference_sets(from_tag(tag), 6, 2)]
+
+
+# _chain_key calls summed over the 84 developed (16,6,2) searches, unrelabeled:
+# each search computes the key of an anti-flag (u, w) at most once (8232 calls
+# when every chain split recomputed its keys).
+DEVELOPED_16_CHAIN_KEYS = 4578
+
+
+def test_chain_keys_computed_once_per_pair_and_search(monkeypatch):
+    calls = []
+    chain_key = aut._chain_key
+
+    def counting(adj, u, w):
+        calls.append((u, w))
+        return chain_key(adj, u, w)
+    monkeypatch.setattr(aut, "_chain_key", counting)
+    total = 0
+    for d in _developed_16():
+        calls.clear()
+        _searched(d)
+        assert len(set(calls)) == len(calls)
+        total += len(calls)
+    assert total == DEVELOPED_16_CHAIN_KEYS
+
+
 def test_no_schreier_sims_on_catalog_and_developed_16_searches(monkeypatch):
     # At every orbit computation of these searches (the catalog designs, their
     # duals, the 84 developed (16,6,2) sets and the lambda != 2 developments),
@@ -238,8 +266,7 @@ def test_no_schreier_sims_on_catalog_and_developed_16_searches(monkeypatch):
     monkeypatch.setattr(aut, "_stabilizer_images", counting)
     designs = [catalog.build(name) for name in catalog.constructible_names()]
     designs += [dual(d) for d in designs]
-    designs += [develop(ds) for tag in ("c2xc8", "q8xc2", "e16")
-                for ds in search_difference_sets(from_tag(tag), 6, 2)]
+    designs += _developed_16()
     designs += [develop(DifferenceSet(group=from_tag(tag), elements=elements, lam=lam))
                 for tag, elements, lam in LAMBDA_NOT_2_GATE]
     assert len(designs) == 6 + 6 + 84 + 5
@@ -426,8 +453,10 @@ def _masks(cells):
 
 def test_fresh_cell_refinement_matches_full_rounds():
     rng = random.Random(17)
-    for name in catalog.constructible_names():
-        s = _Search(catalog.build(name))
+    designs = [(name, catalog.build(name)) for name in catalog.constructible_names()]
+    designs += [(f"developed {i}", d) for i, d in enumerate(_developed_16())]
+    for name, d in designs:
+        s = _Search(d)
         root = [tuple(range(s.v)), tuple(range(s.v, s.n))]
         start, masks = _equitable(root, _masks(root), s.adj, [0, 1])
         assert start == _equitable_full_rounds(root, s.adj), name
@@ -527,3 +556,106 @@ def test_cell_orbits_are_the_stabilizer_orbits(monkeypatch):
             assert len(checked) > before, name
             assert any(checked[before:]), name  # nodes that need no Schreier-Sims
     assert not all(checked)  # and nodes that run Schreier-Sims (paley19)
+
+
+class _Untouchable(tuple):
+    """A cell that fails when it is measured or its vertices are read."""
+
+    def __len__(self):
+        raise AssertionError("cell visited")
+
+    def __iter__(self):
+        raise AssertionError("cell visited")
+
+    def __getitem__(self, i):
+        raise AssertionError("cell visited")
+
+
+class _ReadLog(list):
+    """An adjacency list that records which vertices are read."""
+
+    def __init__(self, adj):
+        super().__init__(adj)
+        self.read = set()
+
+    def __getitem__(self, u):
+        self.read.add(u)
+        return list.__getitem__(self, u)
+
+
+def test_singleton_cells_are_not_visited():
+    # fano_complement with points 0 and 3 individualized: (3,) is the fresh
+    # cell, and the other singletons are left unread and carried over as they are
+    s = _Search(catalog.build("fano_complement"))
+    root = [tuple(range(s.v)), tuple(range(s.v, s.n))]
+    cells, masks = _equitable(root, _masks(root), s.adj, [0, 1])
+    cells, masks = _equitable([(0,), (1, 2, 3, 4, 5, 6)] + cells[1:],
+                              [1, masks[0] ^ 1] + masks[1:], s.adj, [0])
+    tgt = next(i for i, c in enumerate(cells) if len(c) > 1 and 3 in c)
+    rest = tuple(w for w in cells[tgt] if w != 3)
+    split = cells[:tgt] + [(3,), rest] + cells[tgt + 1:]
+    split_masks = _masks(split)
+    expected = count_key_equitable(split, split_masks, s.adj, [tgt])
+    hidden = [i for i, c in enumerate(split) if len(c) == 1 and i != tgt]
+    assert hidden
+    for i in hidden:
+        split[i] = _Untouchable(split[i])
+    adj = _ReadLog(s.adj)
+    got_cells, got_masks = _equitable(split, split_masks, adj, [tgt])
+    assert (got_cells, got_masks) == expected
+    assert 3 in adj.read  # the splitter is counted against
+    assert not any(split_masks[i] >> u & 1 for i in hidden for u in adj.read)
+    assert all(any(c is split[i] for c in got_cells) for i in hidden)
+    # _refine asks for no key of a singleton and passes it over unread
+    asked = []
+
+    def anything(cell, cm):
+        asked.append(cell)
+        return lambda u: u % 2
+    refined = _refine(split, split_masks, anything)[0]
+    assert all(len(c) > 1 for c in asked)
+    assert all(any(c is split[i] for c in refined) for i in hidden)
+
+
+def test_discrete_partition_returned_at_once():
+    cells = [(u,) for u in (3, 0, 2, 1)]
+    masks = _masks(cells)
+
+    class Unread(list):
+        def __getitem__(self, u):
+            raise AssertionError("adjacency read")
+    adj = Unread([0b1100, 0b1100, 0b0011, 0b0011])
+    out = _equitable(cells, masks, adj, [0, 2])
+    assert out[0] is cells and out[1] is masks
+
+
+def test_equitable_matches_the_count_key_oracle(monkeypatch):
+    # Every refinement call of these searches returns exactly what the
+    # per-vertex count-key kernel returns: cells, their order and masks
+    calls = []
+    equitable, refine = aut._equitable, aut._refine
+
+    def checked_equitable(cells, masks, adj, fresh):
+        got = equitable(cells, masks, adj, fresh)
+        assert got == count_key_equitable(cells, masks, adj, fresh)
+        calls.append("equitable")
+        return got
+
+    def checked_refine(cells, masks, key_of):
+        got = refine(cells, masks, key_of)
+        assert got == count_key_refine(cells, masks, key_of)
+        calls.append("refine")
+        return got
+    monkeypatch.setattr(aut, "_equitable", checked_equitable)
+    monkeypatch.setattr(aut, "_refine", checked_refine)
+    rng = random.Random(41)
+    designs = _developed_16() + [_pg25()]
+    for name in catalog.constructible_names():
+        d = catalog.build(name)
+        for _ in range(3):
+            images = list(range(1, d.v + 1))
+            rng.shuffle(images)
+            designs.append(d.relabel(Permutation(images)))
+    for d in designs:
+        _searched(d)
+    assert calls.count("equitable") > len(designs) and "refine" in calls

@@ -1,4 +1,6 @@
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -16,3 +18,23 @@ def test_from_import_binds_the_submodules():
     exec("from biplane import catalog, diffset, fixcert", namespace)
     for name in ("catalog", "diffset", "fixcert"):
         assert namespace[name] is importlib.import_module(f"biplane.{name}")
+
+
+def test_no_bare_assert_in_the_package():
+    # python -O drops assert statements; every internal invariant raises a
+    # named AssertionError instead, which the CLI reports with exit 3
+    package = Path(biplane.__file__).parent
+    bare = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+    assert bare == []
+
+
+def test_internal_invariants_fail_by_name():
+    from biplane.cartdecomp import PellSolution
+    from biplane.design import VerifyReport
+    with pytest.raises(AssertionError, match="verify report: ok disagrees"):
+        VerifyReport(ok=False)
+    with pytest.raises(AssertionError, match="Pell solution: 8x"):
+        PellSolution(n=1, family=0, x=2, y=1, u=3, v=1)
+    with pytest.raises(AssertionError, match="Pell solution: u"):
+        PellSolution(n=1, family=0, x=1, y=1, u=2, v=1)
