@@ -3,36 +3,37 @@
 The search is individualization-refinement backtracking on the bipartite
 point/block incidence graph. Points and blocks carry distinct initial colors,
 so dualities are never counted as automorphisms. The partition is an ordered
-list of cells, each carried with its vertex bitmask, and every change of it
-splits cells by a vertex invariant in the sense of McKay & Piperno (Practical
-Graph Isomorphism II, 2014). Individualizing a vertex u replaces its cell by
-(u,) and the rest. Equitable refinement (`_equitable`) splits cells by
-neighbor counts in the cells that the previous round created, until nothing
-splits: each such cell gives, by bit-sliced counting, the masks of the
-vertices with 0, 1, 2, ... neighbors in it, and every cell it reaches is cut
-by those masks. The incidence graph of a symmetric design is distance-regular,
-so after u is individualized those counts only separate the neighbors of u
-from the rest; for lambda = 2 and k >= 6 every node below the root whose
-partition is not yet discrete therefore also splits the cells on the other
-side of its last individualized vertex u by the Hussain chain of each vertex w
-with u (`_chain_key`, computed once per pair and search), in one pass of
-`_refine`, and refines again. No invariant depends on a label, so the
-partition of every node stays label-invariant. For k < 6 every chain is one
-k-cycle, so the chain split is skipped. The target cell is the first
-non-singleton, which is label-invariant as McKay & Piperno require; children
-are taken in ascending vertex order. A child is pruned when it lies in the
-orbit of an explored sibling under the pointwise stabilizer of the prefix in
-the group of the automorphisms found so far (McKay & Piperno). That stabilizer
-maps every cell onto itself, so only its orbits on the target cell are
-computed. It is taken one prefix point at a time, and the Schreier-Sims kernel
-of `perm` runs only for a point that some generator still moves; while every
-automorphism found fixes the prefix, as on the first path, they generate it
-themselves. A leaf with the first leaf's certificate gives an automorphism
+list of cells, each carried with its vertex bitmask. Individualizing a vertex
+u replaces its cell by (u,) and the rest; every other change of the partition
+is one `_cut`, which cuts the cells that a splitter reaches by the masks of
+its vertex classes, a label-invariant cell splitter in the sense of McKay &
+Piperno (Practical Graph Isomorphism II, 2014). Equitable refinement
+(`_equitable`) cuts by neighbor counts in the cells that the previous round
+created, until nothing splits: each such cell gives, by bit-sliced counting,
+the masks of the vertices with 0, 1, 2, ... neighbors in it. The incidence
+graph of a symmetric design is distance-regular, so after u is individualized
+those counts only separate the neighbors of u from the rest; for lambda = 2
+and k >= 6 every node below the root whose partition is not yet discrete
+therefore also cuts the cells across from its last individualized vertex u
+that miss adj[u] by the Hussain chain of each vertex w with u (`_chain_key`),
+and refines again. The classes of the chain keys are built once per u and
+search, and when all of u's keys agree the split is skipped. No class depends
+on a label, so the partition of every node stays label-invariant. For k < 6
+every chain is one k-cycle, so the chain split is skipped. The target cell is
+the first non-singleton, which is label-invariant as McKay & Piperno require;
+children are taken in ascending vertex order. A child is pruned when it lies
+in the orbit of an explored sibling under the pointwise stabilizer of the
+prefix in the group of the automorphisms found so far (McKay & Piperno). That
+stabilizer maps every cell onto itself, so only its orbits on the target cell
+are computed. It is taken one prefix point at a time, and the Schreier-Sims
+kernel of `perm` runs only for a point that some generator still moves; while
+every automorphism found fixes the prefix, as on the first path, they generate
+it themselves. A leaf with the first leaf's certificate gives an automorphism
 gamma. If gamma is checked to map the leaf's path down to the child where it
 leaves the first path onto that path, the child's subtree is the image of an
 explored one, so the search jumps back to the child's parent (McKay, Practical
-Graph Isomorphism, 1981). Neither cut skips the first leaf or the first least
-leaf, so canonical forms and isomorphisms do not depend on them.
+Graph Isomorphism, 1981). Neither prune skips the first leaf or the first
+least leaf, so canonical forms and isomorphisms do not depend on them.
 """
 
 from __future__ import annotations
@@ -86,47 +87,6 @@ class IsoResult:
     stats: tuple[SearchStats, SearchStats]
 
 
-def _refine(cells: list[tuple[int, ...]], masks: list[int], key_of
-            ) -> tuple[list[tuple[int, ...]], list[int], list[int]]:
-    """Split cells by a per-vertex invariant.
-
-    masks[i] is the vertex bitmask of cells[i]. key_of(cell, mask) gives the
-    key of each vertex of a non-singleton cell, as a function, or None to
-    leave the cell whole; singleton cells are carried over untouched. A cell
-    with more than one key is replaced by its fragments in key order, each
-    sorted like the cell. Also returned, as `fresh`, are the indices of every
-    fragment but the last of each split cell: if the partition was
-    equitable, every cell has a constant count into a cell that split, so
-    its count into the last fragment follows from the counts into the
-    siblings (see _equitable). When nothing splits, the input lists are
-    returned. The keys must depend on no vertex label, so that the partition
-    stays label-invariant.
-    """
-    new_cells: list[tuple[int, ...]] = []
-    new_masks: list[int] = []
-    fresh: list[int] = []
-    done = 0  # cells[:done] are in new_cells
-    for i, cm in enumerate(masks):
-        key = cm & (cm - 1) and key_of(cells[i], cm)
-        if not key:
-            continue
-        parts: dict = {}  # key -> the mask of its vertices
-        for u in cells[i]:
-            k = key(u)
-            parts[k] = parts.get(k, 0) | 1 << u
-        if len(parts) > 1:
-            split = [parts[k] for k in sorted(parts)]
-            new_cells += cells[done:i]
-            new_masks += masks[done:i]
-            done = i + 1
-            fresh += range(len(new_cells), len(new_cells) + len(split) - 1)
-            new_cells += map(_bits, split)
-            new_masks += split
-    if not done:
-        return cells, masks, fresh
-    return new_cells + cells[done:], new_masks + masks[done:], fresh
-
-
 def _bits(m: int) -> tuple[int, ...]:
     """The set bits of m, ascending."""
     out = []
@@ -159,69 +119,84 @@ def _count_classes(cell: tuple[int, ...], adj: list[int], full: int) -> tuple[in
     return hits, classes
 
 
+def _cut(cells: list[tuple[int, ...]], masks: list[int], splitters
+         ) -> tuple[list[tuple[int, ...]], list[int], list[int]]:
+    """Split the cells of an ordered partition by class masks.
+
+    masks[i] is the vertex bitmask of cells[i]. Each splitter is a pair
+    (hits, classes): every non-singleton cell that hits reaches is cut by the
+    masks in classes, in order, and the splitters are applied in turn; the
+    classes must cover the cell. Fragments replace their cell in place, each
+    sorted. Also returned, as `fresh`, are the indices of every fragment but
+    the last of each split cell: if the partition was equitable, every cell
+    has a constant count into a cell that split, so its count into the last
+    fragment follows from the counts into the siblings. Singleton cells are
+    carried over untouched, and when nothing splits the input lists are
+    returned. The classes must depend on no vertex label, so that the
+    partition stays label-invariant.
+    """
+    reach = 0
+    for hits, _ in splitters:
+        reach |= hits
+    new_cells: list[tuple[int, ...]] = []
+    new_masks: list[int] = []
+    fresh: list[int] = []
+    done = 0  # cells[:done] are in new_cells
+    for i, cm in enumerate(masks):
+        if not cm & reach or not cm & (cm - 1):
+            continue
+        parts = [cm]
+        for hits, classes in splitters:
+            if hits & cm:
+                split = []
+                for part in parts:
+                    for c in classes:
+                        q = part & c
+                        if q:
+                            split.append(q)
+                            part ^= q
+                            if not part:
+                                break
+                parts = split
+        if len(parts) > 1:
+            new_cells += cells[done:i]
+            new_masks += masks[done:i]
+            done = i + 1
+            fresh += range(len(new_cells), len(new_cells) + len(parts) - 1)
+            new_cells += map(_bits, parts)
+            new_masks += parts
+    if not done:
+        return cells, masks, fresh
+    return new_cells + cells[done:], new_masks + masks[done:], fresh
+
+
 def _equitable(cells: list[tuple[int, ...]], masks: list[int], adj: list[int],
                fresh: list[int]) -> tuple[list[tuple[int, ...]], list[int]]:
     """Refine an ordered partition until every cell is equitable.
 
     The input must already be equitable towards every cell not listed in
     `fresh`, and a caller may leave out the last fragment of a split cell
-    (see _refine). Each round splits every non-singleton cell that some
-    fresh cell S reaches by the vertices' neighbor counts in the reaching S,
-    in `fresh` order: the cell's mask is cut by the mask of each count class
-    of S in ascending count, which is the lexicographic order of the tuples
-    of those counts. A cell is equitable towards every cell that did not
-    split, and a count that is constant on a cell cannot split it or reorder
-    its fragments. Fragments stay sorted, and, as in _refine, all but the
-    last of each split cell are the next round's fresh cells. Singleton cells
-    are carried over untouched, a discrete partition ends the refinement, and
-    when nothing splits the input lists are returned. The counts depend on no
-    vertex label.
+    (see _cut). Each round is one _cut whose splitters are the fresh cells S,
+    in `fresh` order: S gives the masks of its count classes, the vertices
+    with 0, 1, 2, ... neighbors in S, in ascending count, which is the
+    lexicographic order of the tuples of those counts. A cell is equitable
+    towards every cell that did not split, and a count that is constant on a
+    cell cannot split it or reorder its fragments. A discrete partition ends
+    the refinement, and when nothing splits the input lists are returned.
+    The counts depend on no vertex label.
     """
     n = len(adj)
     full = (1 << n) - 1
     while fresh and len(cells) < n:
         splitters = []
-        reach = 0
         for i in fresh:
             cell = cells[i]
             if len(cell) == 1:
                 hits = adj[cell[0]]
                 splitters.append((hits, (full ^ hits, hits)))
             else:
-                hits, classes = _count_classes(cell, adj, full)
-                splitters.append((hits, classes))
-            reach |= hits
-        new_cells: list[tuple[int, ...]] = []
-        new_masks: list[int] = []
-        fresh = []
-        done = 0  # cells[:done] are in new_cells
-        for i, cm in enumerate(masks):
-            if not cm & reach or not cm & (cm - 1):
-                continue
-            parts = [cm]
-            for hits, classes in splitters:
-                if hits & cm:
-                    split = []
-                    for part in parts:
-                        for c in classes:
-                            q = part & c
-                            if q:
-                                split.append(q)
-                                part ^= q
-                                if not part:
-                                    break
-                    parts = split
-            if len(parts) > 1:
-                new_cells += cells[done:i]
-                new_masks += masks[done:i]
-                done = i + 1
-                fresh += range(len(new_cells), len(new_cells) + len(parts) - 1)
-                new_cells += map(_bits, parts)
-                new_masks += parts
-        if not done:
-            break
-        cells = new_cells + cells[done:]
-        masks = new_masks + masks[done:]
+                splitters.append(_count_classes(cell, adj, full))
+        cells, masks, fresh = _cut(cells, masks, splitters)
     return cells, masks
 
 
@@ -273,7 +248,7 @@ class _Search:
         # Chain cycles have length >= 3 and sum to k, so for k < 6 every
         # chain is one k-cycle and its key splits nothing.
         self.chains = d.lam == 2 and d.k >= 6
-        self.chain_keys: dict[tuple[int, int], tuple[int, ...]] = {}  # (u, w) -> _chain_key
+        self.chain_splits: dict[int, tuple[int, list[int]] | None] = {}  # u -> _chain_split(u)
         # A leaf is its points, 0-based, in the order of its cells.
         self.first_order: tuple[int, ...] | None = None
         self.first_cert, self.first_prefix = None, ()  # the first leaf and its path
@@ -295,16 +270,10 @@ class _Search:
         adj = self.adj
         cells, masks = _equitable(cells, masks, adj, fresh)
         if prefix and self.chains and len(cells) < self.n:
-            # u is now a singleton, so a cell lies in adj[u] or misses it;
-            # the chain key splits the cells across from u that miss it
-            u, side = prefix[-1], prefix[-1] < self.v
-
-            def chains(cell, cm):
-                if (cell[0] < self.v) != side and not cm & adj[u]:
-                    return lambda w: self._chain(u, w)
-                return None
-            cells, masks, fresh = _refine(cells, masks, chains)
-            cells, masks = _equitable(cells, masks, adj, fresh)
+            split = self._chain_split(prefix[-1])
+            if split:
+                cells, masks, fresh = _cut(cells, masks, [split])
+                cells, masks = _equitable(cells, masks, adj, fresh)
         tgt = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
         if tgt is None:
             return self._leaf(cells, prefix)
@@ -327,12 +296,30 @@ class _Search:
                 return jump
         return None
 
-    def _chain(self, u: int, w: int) -> tuple[int, ...]:
-        """_chain_key(adj, u, w), computed at most once per search."""
-        key = self.chain_keys.get((u, w))
-        if key is None:
-            key = self.chain_keys[u, w] = _chain_key(self.adj, u, w)
-        return key
+    def _chain_split(self, u: int) -> tuple[int, list[int]] | None:
+        """The splitter of the Hussain chain split below the individualized
+        vertex u, built at most once per search, or None if it splits nothing.
+
+        Its hits are the vertices across from u that are not adjacent to u,
+        and its classes the masks of those with equal _chain_key(adj, u, w),
+        in ascending key order, then the rest. Below u, equitable refinement
+        has made u a singleton, so every cell lies in adj[u] or misses it and
+        the split cuts exactly the cells across from u that miss it.
+        """
+        if u in self.chain_splits:
+            return self.chain_splits[u]
+        adj = self.adj
+        side = (1 << self.n) - (1 << self.v) if u < self.v else (1 << self.v) - 1
+        hits = side & ~adj[u]
+        parts: dict[tuple[int, ...], int] = {}  # key -> the mask of its vertices
+        for w in _bits(hits):
+            key = _chain_key(adj, u, w)
+            parts[key] = parts.get(key, 0) | 1 << w
+        split = None
+        if len(parts) > 1:
+            split = (hits, [parts[k] for k in sorted(parts)] + [((1 << self.n) - 1) ^ hits])
+        self.chain_splits[u] = split
+        return split
 
     def _prefix_stabilizer(self, prefix) -> list[tuple[int, ...]]:
         """Generators of the pointwise stabilizer of prefix in the group of the

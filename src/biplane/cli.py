@@ -51,9 +51,9 @@ def _load_design(path: str) -> design.Design:
     return _load_json(path, "design", design.Design.from_json_dict)
 
 
-def _load_group(path: str) -> perm.PermGroup:
+def _load_group(path: str, degree: int) -> perm.PermGroup:
     from . import perm
-    return _load_json(path, "group", perm.group_from_json_dict)
+    return _load_json(path, "group", lambda data: perm.group_from_json_dict(data, degree))
 
 
 def _load_cd(path: str) -> cartdecomp.CartesianDecomposition:
@@ -263,7 +263,7 @@ def _cmd_cart(args) -> int:
     cd = _load_cd(args.cd)
     group = None
     if args.group:
-        group = _load_group(args.group)
+        group = _load_group(args.group, d.v)
         d.automorphism_actions(group.generators)
     report = cartdecomp.verify_cartesian(cd, d.v)
     payload = {"ok": report.ok, "homogeneous": report.homogeneous,

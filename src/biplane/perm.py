@@ -437,10 +437,20 @@ def group_to_json_dict(group: PermGroup) -> dict:
     }
 
 
-def group_from_json_dict(data: dict) -> PermGroup:
+def group_from_json_dict(data: dict, degree: int) -> PermGroup:
+    """The group of a group file, which must act on `degree` points.
+
+    The file's degree is compared with `degree` before any generator is
+    parsed, so a huge degree is refused without allocating for it; the
+    generators must be a list of cycle strings.
+    """
     try:
-        degree = json_int(data["degree"], "degree")
-        gens = list(data["generators"])
+        declared = json_int(data["degree"], "degree")
+        gens = data["generators"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad group file: {exc}") from exc
+    if declared != degree:
+        raise InputError(f"bad group file: degree {declared}, expected {degree}")
+    if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
+        raise InputError(f"bad group file: generators {gens!r:.60} are not a list of strings")
     return PermGroup.from_cycles(degree, gens)

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from biplane import aut, catalog
-from biplane.aut import (CanonicalCertificate, _chain_key, _equitable, _refine, _Search,
+from biplane.aut import (CanonicalCertificate, _chain_key, _cut, _equitable, _Search,
                          _searched, are_isomorphic, automorphism_group,
                          canonical_form, isomorphism)
 from biplane.design import Design, DesignParams, dual
@@ -230,26 +230,43 @@ def _developed_16() -> list[Design]:
 
 
 # _chain_key calls summed over the 84 developed (16,6,2) searches, unrelabeled:
-# each search computes the key of an anti-flag (u, w) at most once (8232 calls
-# when every chain split recomputed its keys).
-DEVELOPED_16_CHAIN_KEYS = 4578
+# each search builds the chain splitter of an individualized vertex u once, and
+# keys every vertex across from u that misses adj[u].
+DEVELOPED_16_CHAIN_KEYS = 5080
+# Chain splits at the nodes of the same searches: (skipped because all keys
+# of u agree, cut).
+DEVELOPED_16_CHAIN_SPLITS = (740, 216)
 
 
 def test_chain_keys_computed_once_per_pair_and_search(monkeypatch):
-    calls = []
-    chain_key = aut._chain_key
+    calls, built, skipped = [], [], []
+    chain_key, chain_split = aut._chain_key, _Search._chain_split
 
     def counting(adj, u, w):
         calls.append((u, w))
         return chain_key(adj, u, w)
+
+    def recording(self, u):
+        before = len(calls)
+        split = chain_split(self, u)
+        if len(calls) > before:  # built here, keying all of u's anti-flags in one go
+            side = range(self.v, self.n) if u < self.v else range(self.v)
+            assert calls[before:] == [(u, w) for w in side if not self.adj[u] >> w & 1]
+            built.append(u)
+        skipped.append(split is None)
+        return split
     monkeypatch.setattr(aut, "_chain_key", counting)
+    monkeypatch.setattr(_Search, "_chain_split", recording)
     total = 0
     for d in _developed_16():
         calls.clear()
+        built.clear()
         _searched(d)
         assert len(set(calls)) == len(calls)
+        assert len(set(built)) == len(built)
         total += len(calls)
     assert total == DEVELOPED_16_CHAIN_KEYS
+    assert (skipped.count(True), skipped.count(False)) == DEVELOPED_16_CHAIN_SPLITS
 
 
 def test_no_schreier_sims_on_catalog_and_developed_16_searches(monkeypatch):
@@ -458,18 +475,18 @@ def test_fresh_cell_refinement_matches_full_rounds():
     for name, d in designs:
         s = _Search(d)
         root = [tuple(range(s.v)), tuple(range(s.v, s.n))]
-        start, masks = _equitable(root, _masks(root), s.adj, [0, 1])
+        start, start_masks = _equitable(root, _masks(root), s.adj, [0, 1])
         assert start == _equitable_full_rounds(root, s.adj), name
-        assert masks == _masks(start), name
+        assert start_masks == _masks(start), name
         for _ in range(6):
-            cells = start
+            cells, masks = start, start_masks
             while len(cells) < s.n:
                 tgt = rng.choice([i for i, c in enumerate(cells) if len(c) > 1])
                 u = rng.choice(cells[tgt])
-                split, split_masks, fresh = _refine(
-                    cells, _masks(cells),
-                    lambda cell, cm: (lambda w: w != u) if cm >> u & 1 else None)
-                assert fresh == [tgt] and split[tgt] == (u,), name
+                # individualize u as the search does: (u,), then the rest
+                rest = tuple(w for w in cells[tgt] if w != u)
+                split = cells[:tgt] + [(u,), rest] + cells[tgt + 1:]
+                split_masks = masks[:tgt] + [1 << u, masks[tgt] ^ 1 << u] + masks[tgt + 1:]
                 assert split_masks == _masks(split), name
                 cells, masks = _equitable(split, split_masks, s.adj, [tgt, tgt + 1])
                 assert cells == _equitable_full_rounds(split, s.adj), name
@@ -478,19 +495,25 @@ def test_fresh_cell_refinement_matches_full_rounds():
                 assert _equitable(split, split_masks, s.adj, [tgt]) == (cells, masks), name
 
 
-def test_refine_on_a_hand_made_partition():
-    cells = [(0, 2, 4, 6, 8), (1,), (3, 5, 7)]
+def test_cut_on_a_hand_made_partition():
+    cells = [(0, 2, 4, 6, 8), (1,), (3, 5, 7), (9, 10)]
     masks = _masks(cells)
-    assert _refine(cells, masks, lambda cell, cm: lambda u: 0) == (cells, masks, [])
-    asked = []
-
-    def thirds(cell, cm):
-        asked.append((cell, cm))
-        return (lambda u: -(u % 3)) if 0 in cell else None
-    split = [(2, 8), (4,), (0, 6), (1,), (3, 5, 7)]
-    assert _refine(cells, masks, thirds) == (split, _masks(split), [0, 1])
-    # key_of sees each non-singleton cell with its mask; None leaves it whole
-    assert asked == [(cells[0], masks[0]), (cells[2], masks[2])]
+    full = (1 << 11) - 1
+    # nothing splits: one class, or a splitter that reaches only a singleton
+    for splitter in ((full, [full]), (1 << 1, [1 << 1, full ^ 1 << 1])):
+        got = _cut(cells, masks, [splitter])
+        assert got[0] is cells and got[1] is masks and got[2] == []
+    # a reaches cells 0, 1 (a singleton) and 2; b reaches cell 0 only
+    a_class = _masks([(4, 5, 6, 8)])[0]
+    a = (masks[0] | masks[1] | masks[2], [a_class, full ^ a_class])
+    b_class = _masks([(0, 8)])[0]
+    b = (masks[0], [b_class, full ^ b_class])
+    cells[1] = _Untouchable(cells[1])
+    split = [(8,), (4, 6), (0,), (2,), (1,), (5,), (3, 7), (9, 10)]
+    got_cells, got_masks, fresh = _cut(cells, masks, [a, b])
+    # fragments in the order of a's classes, each cut again by b's
+    assert (got_cells, got_masks, fresh) == (split, _masks(split), [0, 1, 2, 5])
+    assert got_cells[4] is cells[1] and got_cells[7] is cells[3]
 
 
 def test_cell_orbits_are_the_stabilizer_orbits(monkeypatch):
@@ -606,14 +629,11 @@ def test_singleton_cells_are_not_visited():
     assert 3 in adj.read  # the splitter is counted against
     assert not any(split_masks[i] >> u & 1 for i in hidden for u in adj.read)
     assert all(any(c is split[i] for c in got_cells) for i in hidden)
-    # _refine asks for no key of a singleton and passes it over unread
-    asked = []
-
-    def anything(cell, cm):
-        asked.append(cell)
-        return lambda u: u % 2
-    refined = _refine(split, split_masks, anything)[0]
-    assert all(len(c) > 1 for c in asked)
+    # _cut passes a singleton over unread, even when a splitter reaches it
+    full = (1 << s.n) - 1
+    odd = sum(1 << u for u in range(1, s.n, 2))
+    refined = _cut(split, split_masks, [(full, [odd, full ^ odd])])[0]
+    assert len(refined) > len(split)
     assert all(any(c is split[i] for c in refined) for i in hidden)
 
 
@@ -630,24 +650,46 @@ def test_discrete_partition_returned_at_once():
 
 
 def test_equitable_matches_the_count_key_oracle(monkeypatch):
-    # Every refinement call of these searches returns exactly what the
-    # per-vertex count-key kernel returns: cells, their order and masks
+    # Every refinement of these searches returns exactly what the per-vertex
+    # key kernel returns: cells, their order and masks. _equitable is checked
+    # against count_key_equitable, and the chain split, cut or skipped,
+    # against one count_key_refine pass that keys the cells across from u
+    # missing adj[u] by _chain_key.
     calls = []
-    equitable, refine = aut._equitable, aut._refine
+    last = {}  # the partition of the last _equitable call and the last chain splitter
+    equitable, cut, chain_split = aut._equitable, aut._cut, _Search._chain_split
 
     def checked_equitable(cells, masks, adj, fresh):
         got = equitable(cells, masks, adj, fresh)
         assert got == count_key_equitable(cells, masks, adj, fresh)
+        last["partition"] = got
         calls.append("equitable")
         return got
 
-    def checked_refine(cells, masks, key_of):
-        got = refine(cells, masks, key_of)
-        assert got == count_key_refine(cells, masks, key_of)
-        calls.append("refine")
+    def checked_chain_split(self, u):
+        split = last["split"] = chain_split(self, u)
+
+        def chains(cell, cm):
+            if (cell[0] < self.v) != (u < self.v) and not cm & self.adj[u]:
+                return lambda w: _chain_key(self.adj, u, w)
+            return None
+        last["oracle"] = count_key_refine(*last["partition"], chains)
+        if split is None:
+            assert last["oracle"][2] == []  # the keys split no cell
+        calls.append("skipped" if split is None else "split")
+        return split
+
+    def checked_cut(cells, masks, splitters):
+        got = cut(cells, masks, splitters)
+        if len(splitters) == 1 and splitters[0] is last.get("split"):
+            assert (cells, masks) == last["partition"]
+            assert got == last.pop("oracle")
+            last.pop("split")
+            calls.append("cut")
         return got
     monkeypatch.setattr(aut, "_equitable", checked_equitable)
-    monkeypatch.setattr(aut, "_refine", checked_refine)
+    monkeypatch.setattr(aut, "_cut", checked_cut)
+    monkeypatch.setattr(_Search, "_chain_split", checked_chain_split)
     rng = random.Random(41)
     designs = _developed_16() + [_pg25()]
     for name in catalog.constructible_names():
@@ -658,4 +700,5 @@ def test_equitable_matches_the_count_key_oracle(monkeypatch):
             designs.append(d.relabel(Permutation(images)))
     for d in designs:
         _searched(d)
-    assert calls.count("equitable") > len(designs) and "refine" in calls
+    assert calls.count("equitable") > len(designs) and "skipped" in calls
+    assert calls.count("cut") == calls.count("split") > 0

@@ -357,8 +357,10 @@ def _hostile_files(tmp_path):
     7-point design, copies of the group and the 7-point design with a float
     where an integer goes, and an output path in a missing directory; also
     the translates of {0,1,15,2,14,8} mod 16, which do not verify, a
-    16-point biplane whose automorphisms do not include the group, and a
-    transposition, which is no automorphism and preserves no decomposition."""
+    16-point biplane whose automorphisms do not include the group, a
+    transposition, which is no automorphism and preserves no decomposition,
+    groups whose generator is an integer or a list, and a group of degree
+    10^9."""
     d7 = catalog.build("fano_complement").to_json_dict()
     g16 = group_to_json_dict(catalog.primitive16_group())
     junk16 = Design(DesignParams(16, 6, 2),
@@ -380,7 +382,10 @@ def _hostile_files(tmp_path):
              "d7": d7,
              "d7_float_v": dict(d7, v=7.9),
              "d7_float_point": dict(d7, blocks=[[1.9] + d7["blocks"][0][1:]] + d7["blocks"][1:]),
-             "g16_float_degree": dict(g16, degree=16.0)}
+             "g16_float_degree": dict(g16, degree=16.0),
+             "g16_int_generator": {"degree": 16, "generators": [5]},
+             "g16_nested_generator": {"degree": 16, "generators": [["(1,2)"]]},
+             "g_huge_degree": {"degree": 10**9, "generators": ["(1,2)"]}}
     paths = {}
     for key, data in files.items():
         path = tmp_path / f"{key}.json"
@@ -417,6 +422,9 @@ def _hostile_files(tmp_path):
     ["dual", "{d7}", "-o", "{unwritable}"],
     ["psp4", "--q", str(2**2000)],
     ["feasible", "params", "--k", str(10**2500)],
+    ["cart", "verify", "--design", "{d16}", "--cd", "{cd16}", "--group", "{g16_int_generator}"],
+    ["cart", "verify", "--design", "{d16}", "--cd", "{cd16}", "--group", "{g16_nested_generator}"],
+    ["cart", "verify", "--design", "{d16}", "--cd", "{cd16}", "--group", "{g_huge_degree}"],
 ])
 def test_hostile_arguments_exit_2(tmp_path, capsys, argv):
     paths = _hostile_files(tmp_path)

@@ -259,7 +259,7 @@ def test_group_json_roundtrip():
     g = PermGroup.from_cycles(16, ALPHA)
     data = group_to_json_dict(g)
     assert data["degree"] == 16
-    h = group_from_json_dict(data)
+    h = group_from_json_dict(data, 16)
     assert h.order() == g.order()
 
 
@@ -268,7 +268,20 @@ def test_group_from_json_dict_takes_an_integer_degree_only(degree):
     data = group_to_json_dict(PermGroup.from_cycles(16, ALPHA))
     data["degree"] = degree
     with pytest.raises(InputError, match=f"^bad group file: degree: {degree!r} is not"):
-        group_from_json_dict(data)
+        group_from_json_dict(data, 16)
+
+
+@pytest.mark.parametrize("generators", [[5], [["(1,2)"]], "(1,2)", {"g": "(1,2)"}, None])
+def test_group_from_json_dict_takes_a_list_of_strings_only(generators):
+    with pytest.raises(InputError, match="^bad group file: generators .* not a list of strings"):
+        group_from_json_dict({"degree": 16, "generators": generators}, 16)
+
+
+def test_group_from_json_dict_refuses_another_degree_before_parsing():
+    # a generator that would not parse shows that none is parsed
+    for degree in (8, 10**9):
+        with pytest.raises(InputError, match=f"^bad group file: degree {degree}, expected 16$"):
+            group_from_json_dict({"degree": degree, "generators": ["(1,x)"]}, 16)
 
 
 def test_chain_deterministic_across_rebuilds():
