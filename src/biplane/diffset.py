@@ -217,18 +217,21 @@ def develop(ds: DifferenceSet) -> Design:
 
 def _canonical_rep(g: GroupTable, subset: tuple[int, ...],
                    automorphisms: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    """Least representative of the subset's class under translation (and
-    the supplied group automorphisms, if any).
+    """Least representative of a difference set's class under translation
+    (and the supplied group automorphisms, if any).
 
-    A sorted tuple starting with 0 beats any tuple without 0, so only the k
-    right translates by e^-1, e in the image, can be least.
+    Every image is a difference set, so it has lam right translates through
+    {0, 1}, and a sorted tuple starting with 0, 1 beats any other. The right
+    translate by e^-1 contains 0 when e is in the image and 1 when 1*e is,
+    so only those lam translates per image are sorted, not all k.
     """
     mul, inv = g.mul, g.inv
+    one = mul[1]
     images = [subset]
     if automorphisms:
         images = [tuple(a[e] for e in subset) for a in automorphisms]
     return min(tuple(sorted(mul[f][inv[e]] for f in img))
-               for img in images for e in img)
+               for img in images for e in img if one[e] in img)
 
 
 @dataclass(frozen=True)
@@ -243,54 +246,58 @@ class DiffsetSearchStats:
 def _pair_sets(g: GroupTable, k: int,
                lam: int) -> tuple[list[tuple[int, ...]], DiffsetSearchStats]:
     """Every (n,k,lam) difference set in g that contains {0, 1}, ascending,
-    and the search's counters.
+    and the search's counters; 3 <= k <= n - 2.
 
     Starts from the pair {0, 1} and backtracks over the elements after 1 in
-    increasing order, so it reaches at most C(n-2,k-2) subsets. The count of
-    each difference x^-1 y (both orders of every pair) is kept in one array,
-    and a branch is cut when a count exceeds lam or too few elements remain
-    to fill the set. Since k(k-1) = lam(n-1), a full set with no count above
-    lam has every count equal to lam.
+    increasing order, with forward checking: a node keeps only the later
+    candidates that can still be added, so it reaches at most C(n-2,k-2)
+    subsets and usually far fewer.
+
+    The count of every difference x^-1 y (both orders of every pair) is
+    packed into one int, a w-bit field per group element, each biased by
+    2^(w-1) - 1 - lam, so some count exceeds lam exactly when a field's top
+    bit is set: one AND with `over`. A node holds its counts and the
+    ascending candidates (y, counts with y added) that keep every count at
+    most lam. The child after y filters the later candidates z with one
+    addition each: z's counts, plus y's differences with the chosen
+    elements, plus pair[y][z]. Counts only grow along a path, so a dropped
+    candidate never comes back, and a child is entered only when enough
+    candidates survive to fill the set. Since k(k-1) = lam(n-1), a full set
+    with no count above lam has every count equal to lam.
     """
     n, mul, inv = g.n, g.mul, g.inv
-    # left[y][x] = x^-1 y and right[y][x] = y^-1 x: the two differences of
-    # the pair {x, y}, read from the rows of the element being added
-    right = [mul[inv[y]] for y in range(n)]
-    left = [[mul[inv[x]][y] for x in range(n)] for y in range(n)]
-    counts = [0] * n
-    counts[1] += 1
-    counts[inv[1]] += 1
+    w = (lam + 2).bit_length() + 1  # a tested field reaches 2 lam + 2 plus the bias
+    unit = [1 << w * e for e in range(n)]
+    # pair[x][y] adds the differences x^-1 y and y^-1 x = (x^-1 y)^-1
+    both = [unit[d] + unit[inv[d]] for d in range(n)]
+    pair = [[both[d] for d in mul[inv[x]]] for x in range(n)]
+    ones = sum(unit)
+    top = 1 << (w - 1)
+    over = ones * top
+    root = ones * (top - 1 - lam) + pair[0][1]  # the biased counts of {0, 1}
     chosen = [0, 1]
     found: list[tuple[int, ...]] = []
     nodes = 0
 
-    def extend(start: int) -> None:
+    def extend(counts: int, cands: list[tuple[int, int]], need: int) -> None:
         nonlocal nodes
         nodes += 1
-        depth = len(chosen)
-        if depth == k:
+        if not need:
             found.append(tuple(chosen))
             return
-        for y in range(start, n - k + depth + 1):
-            ly, ry = left[y], right[y]
-            added = 0
-            for x in chosen:
-                a, b = ly[x], ry[x]
-                counts[a] += 1
-                counts[b] += 1
-                added += 1
-                if counts[a] > lam or counts[b] > lam:
-                    break
-            else:
+        for i in range(len(cands) - need + 1):
+            y, t = cands[i]
+            py, added = pair[y], t - counts
+            later = [(z, u) for z, tz in cands[i + 1:]
+                     if not (u := tz + added + py[z]) & over] if need > 1 else []
+            if len(later) >= need - 1:
                 chosen.append(y)
-                extend(y + 1)
+                extend(t, later, need - 1)
                 chosen.pop()
-            for x in chosen[:added]:
-                counts[ly[x]] -= 1
-                counts[ry[x]] -= 1
 
-    if counts[1] <= lam:  # 1 = 1^-1 is counted twice when 1 is an involution
-        extend(2)
+    if not root & over:  # 1 = 1^-1 is counted twice when 1 is an involution
+        extend(root, [(y, u) for y in range(2, n)
+                      if not (u := root + pair[0][y] + pair[1][y]) & over], k - 2)
     return found, DiffsetSearchStats(nodes=nodes, hits=len(found))
 
 
@@ -300,21 +307,27 @@ def difference_set_search(g: GroupTable, k: int, lam: int, automorphisms=None
     supplied automorphisms of g, given as image tables), with the counters
     of the search.
 
-    Each non-identity element is a right difference f e^-1 of a difference
-    set exactly lam times, so every translation class has lam right
-    translates that contain {0, 1} (one when D = G). The search therefore
-    runs over subsets containing {0, 1}, at most C(n-2,k-2) of them.
-    Results are in ascending representative order.
+    When k >= n - 1 the answer is closed-form and no node is spent: no set
+    when k > n; G itself when k = n; when k = n - 1 every (n-1)-subset is a
+    difference set with lam = n - 2, all are translates of G minus its last
+    element, and n - 2 of them contain {0, 1}. Otherwise each non-identity
+    element is a right difference f e^-1 of a difference set exactly lam
+    times, so every translation class has lam right translates that contain
+    {0, 1}, and the search runs over subsets containing {0, 1}, at most
+    C(n-2,k-2) of them. Results are in ascending representative order.
     """
     if k < 2:
         raise InputError("difference set needs at least two elements")
     if lam < 1:
         raise InputError(f"lambda must be positive, got {lam}")
-    if k * (k - 1) != lam * (g.n - 1):
+    n = g.n
+    if k * (k - 1) != lam * (n - 1) or k > n:
         return [], DiffsetSearchStats(nodes=0, hits=0)
-    reach = g.n - 2  # k(k-1) = lam(n-1) > 0 gives n >= 2
-    if comb(reach, k - 2) > SEARCH_SUBSET_CAP:
-        raise ScaleError(f"C({reach},{k - 2}) exceeds the search cap {SEARCH_SUBSET_CAP}")
+    if k >= n - 1:
+        ds = DifferenceSet(group=g, elements=tuple(range(k)), lam=lam)
+        return [ds], DiffsetSearchStats(nodes=0, hits=1 if k == n else n - 2)
+    if comb(n - 2, k - 2) > SEARCH_SUBSET_CAP:
+        raise ScaleError(f"C({n - 2},{k - 2}) exceeds the search cap {SEARCH_SUBSET_CAP}")
     autos = tuple(tuple(a) for a in automorphisms) if automorphisms else ()
     hits, stats = _pair_sets(g, k, lam)
     reps = {_canonical_rep(g, subset, autos) for subset in hits}

@@ -4,6 +4,7 @@ package against. Nothing in the package calls them."""
 from itertools import permutations
 
 from biplane.design import Design
+from biplane.diffset import DiffsetSearchStats, GroupTable
 from biplane.errors import ScaleError
 from biplane.fixcert import FixReport
 from biplane.perm import CycleType, Permutation
@@ -118,6 +119,71 @@ def brute_force_table_automorphisms(g) -> list[tuple[int, ...]]:
     n, mul = g.n, g.mul
     return [phi for phi in ((0,) + rest for rest in permutations(range(1, n)))
             if all(phi[mul[a][b]] == mul[phi[a]][phi[b]] for a in range(n) for b in range(n))]
+
+
+def incremental_pair_sets(g: GroupTable, k: int,
+                          lam: int) -> tuple[list[tuple[int, ...]], DiffsetSearchStats]:
+    """Every (n,k,lam) difference set in g that contains {0, 1}, ascending,
+    and the search's counters: the reference for `diffset._pair_sets`, which
+    must find the same sets in the same order in no more nodes.
+
+    Starts from the pair {0, 1} and backtracks over the elements after 1 in
+    increasing order, so it reaches at most C(n-2,k-2) subsets. The count of
+    each difference x^-1 y (both orders of every pair) is kept in one array,
+    and a branch is cut when a count exceeds lam or too few elements remain
+    to fill the set. Since k(k-1) = lam(n-1), a full set with no count above
+    lam has every count equal to lam.
+    """
+    n, mul, inv = g.n, g.mul, g.inv
+    # left[y][x] = x^-1 y and right[y][x] = y^-1 x: the two differences of
+    # the pair {x, y}, read from the rows of the element being added
+    right = [mul[inv[y]] for y in range(n)]
+    left = [[mul[inv[x]][y] for x in range(n)] for y in range(n)]
+    counts = [0] * n
+    counts[1] += 1
+    counts[inv[1]] += 1
+    chosen = [0, 1]
+    found: list[tuple[int, ...]] = []
+    nodes = 0
+
+    def extend(start: int) -> None:
+        nonlocal nodes
+        nodes += 1
+        depth = len(chosen)
+        if depth == k:
+            found.append(tuple(chosen))
+            return
+        for y in range(start, n - k + depth + 1):
+            ly, ry = left[y], right[y]
+            added = 0
+            for x in chosen:
+                a, b = ly[x], ry[x]
+                counts[a] += 1
+                counts[b] += 1
+                added += 1
+                if counts[a] > lam or counts[b] > lam:
+                    break
+            else:
+                chosen.append(y)
+                extend(y + 1)
+                chosen.pop()
+            for x in chosen[:added]:
+                counts[ly[x]] -= 1
+                counts[ry[x]] -= 1
+
+    if counts[1] <= lam:  # 1 = 1^-1 is counted twice when 1 is an involution
+        extend(2)
+    return found, DiffsetSearchStats(nodes=nodes, hits=len(found))
+
+
+def all_translates_rep(g: GroupTable, subset: tuple[int, ...],
+                       automorphisms: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """Least sorted right translate by e^-1, over every e of every image of
+    the subset under the automorphisms (the subset itself when there are
+    none): the reference for `diffset._canonical_rep`."""
+    mul, inv = g.mul, g.inv
+    images = [tuple(a[e] for e in subset) for a in automorphisms] if automorphisms else [subset]
+    return min(tuple(sorted(mul[f][inv[e]] for f in img)) for img in images for e in img)
 
 
 def landau(n: int) -> int:

@@ -99,7 +99,7 @@ def test_stats_leave_stdout_unchanged(tmp_path, capsys):
     for argv, stats in ((["aut", path], counters),
                         (["iso", path, path], {"design_a": counters, "design_b": counters}),
                         (["ds", "search", "--group", "q8xc2", "--k", "6"],
-                         {"nodes": 360, "hits": 88})):
+                         {"nodes": 247, "hits": 88})):
         assert run(argv) == OK
         plain = capsys.readouterr()
         assert plain.err == ""
@@ -207,6 +207,20 @@ def test_ds_search_oversized_group(capsys):
     # 20 * 19 != 2 * 120: no difference set, whatever the cap
     assert run(["ds", "search", "--group", "c121ab", "--k", "20"]) == OK
     assert capsys.readouterr().out.startswith("0 difference set class(es) in ")
+
+
+@pytest.mark.parametrize("tag,k,lam,hits", [("c995", 995, 995, 1), ("c1000", 999, 998, 998),
+                                            ("c1024", 1024, 1024, 1)])
+def test_ds_search_trivial_rows_answer_at_once(capsys, tag, k, lam, hits):
+    # k >= n - 1 is answered in closed form; c995 and c1000 used to end in a
+    # RecursionError
+    start = time.perf_counter()
+    assert run(["ds", "search", "--group", tag, "--k", str(k), "--lambda", str(lam),
+                "--json", "--stats"]) == OK
+    assert time.perf_counter() - start < 2.0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["count"] == 1 and payload["sets"] == [list(range(k))]
+    assert payload["stats"] == {"nodes": 0, "hits": hits}
 
 
 def test_verify_oversized_design(tmp_path, capsys):

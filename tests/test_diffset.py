@@ -1,6 +1,8 @@
 import hashlib
 import random
+import time
 from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -15,7 +17,8 @@ from biplane.diffset import (GROUP_ORDER_CAP, DifferenceSet, LanderWitness,
 from biplane.errors import InputError, ScaleError
 from biplane.ntheory import is_prime, square_free_part
 from biplane.perm import Permutation
-from oracles import brute_force_table_automorphisms
+from oracles import (all_translates_rep, brute_force_table_automorphisms,
+                     incremental_pair_sets)
 
 QR11 = (1, 3, 4, 5, 9)
 
@@ -117,17 +120,21 @@ def test_search_results_are_difference_sets():
         assert is_difference_set(g, ds.elements, 2)
 
 
+def _relabeled(g, seed):
+    """g with its non-identity elements renamed by a seeded permutation."""
+    n = g.n
+    perm = [0] + random.Random(seed).sample(range(1, n), n - 1)  # identity stays at 0
+    inv = [0] * n
+    for i, p in enumerate(perm):
+        inv[p] = i
+    mul = [[perm[g.mul[inv[a]][inv[b]]] for b in range(n)] for a in range(n)]
+    return diffset._build_table("relabeled", mul)
+
+
 def test_search_class_count_invariant_under_relabeling():
     g = from_tag("c2xc8")
     base = len(search_difference_sets(g, 6, 2))
-    rng = random.Random(4)
-    perm = [0] + rng.sample(range(1, 16), 15)  # identity stays at 0
-    inv = [0] * 16
-    for i, p in enumerate(perm):
-        inv[p] = i
-    mul = [[perm[g.mul[inv[a]][inv[b]]] for b in range(16)] for a in range(16)]
-    relabeled = diffset._build_table("relabeled", mul)
-    assert len(search_difference_sets(relabeled, 6, 2)) == base
+    assert len(search_difference_sets(_relabeled(g, 4), 6, 2)) == base
 
 
 def test_c16_classes_within_known_certificates():
@@ -216,6 +223,29 @@ def test_search_matches_subset_scan(tag, k, lam):
     assert len(pair_hits) == lam * len(found)
 
 
+@pytest.mark.parametrize("tag,k,lam", [("c3", 2, 1), ("c4", 3, 2), ("c5", 4, 3), ("c6", 5, 4),
+                                       ("c2xc8", 15, 14), ("c5", 5, 5), ("q8xc2", 16, 16)])
+def test_rows_with_k_at_least_n_minus_1_are_closed_form(tag, k, lam):
+    g = _table(tag)
+    hits = _scan(g, k, lam)
+    autos = table_automorphisms(g)
+    found, stats = diffset.difference_set_search(g, k, lam)
+    assert [ds.elements for ds in found] == _classes(g, hits) == [tuple(range(k))]
+    assert [ds.elements for ds in search_difference_sets(g, k, lam, autos)] == _classes(
+        g, hits, autos)
+    assert stats == diffset.DiffsetSearchStats(
+        nodes=0, hits=sum(1 in subset for subset in hits))
+
+
+@pytest.mark.parametrize("n,k,lam", [(995, 995, 995), (1000, 999, 998), (1024, 1024, 1024)])
+def test_large_trivial_rows_answer_at_once(n, k, lam):
+    start = time.perf_counter()
+    found, stats = diffset.difference_set_search(cyclic(n), k, lam)
+    assert time.perf_counter() - start < 2.0
+    assert [ds.elements for ds in found] == [tuple(range(k))]
+    assert stats == diffset.DiffsetSearchStats(nodes=0, hits=1 if k == n else n - 2)
+
+
 @pytest.mark.parametrize("tag,k,lam,expected", [
     ("c2", 2, 2, [(0, 1)]),
     ("c7", 7, 7, [tuple(range(7))]),  # D = G: one translate, not lam
@@ -228,14 +258,54 @@ def test_trivial_and_empty_searches(tag, k, lam, expected):
 
 # (nodes, hits) of the (16,6,2) search: calls of the extend step, and the
 # sets through {0, 1}, lam = 2 per translation class
-ORDER16_SEARCH_STATS = {"c16": (231, 0), "c2xc8": (251, 24), "q8xc2": (360, 88),
-                        "e16": (304, 56), "c4xc4": (275, 24), "c2xc2xc4": (304, 56)}
+ORDER16_SEARCH_STATS = {"c16": (67, 0), "c2xc8": (107, 24), "q8xc2": (247, 88),
+                        "e16": (179, 56), "c4xc4": (113, 24), "c2xc2xc4": (179, 56)}
 
 
 @pytest.mark.parametrize("tag", list(ORDER16_SEARCH_STATS))
 def test_order16_search_stats_pinned(tag):
     _, stats = diffset.difference_set_search(_table(tag), 6, 2)
     assert (stats.nodes, stats.hits) == ORDER16_SEARCH_STATS[tag]
+
+
+def _pair_set_cases():
+    cases = [pytest.param(_table(tag), k, lam, id=f"{tag}-{k}-{lam}")
+             for tag, k, lam in ORACLE_CASES]
+    cases += [pytest.param(cyclic(n), k, lam, id=f"c{n}-{k}-{lam}")
+              for n, k, lam in ((15, 7, 3), (19, 9, 4), (23, 11, 5), (37, 9, 2))]
+    cases += [pytest.param(_relabeled(_table(tag), seed), 6, 2, id=f"{tag}-relabeled-{seed}")
+              for tag in ORDER16_SEARCH_STATS for seed in range(5)]
+    return cases
+
+
+@pytest.mark.parametrize("g,k,lam", _pair_set_cases())
+def test_pair_sets_match_incremental_oracle(g, k, lam):
+    hits, stats = diffset._pair_sets(g, k, lam)
+    oracle_hits, oracle_stats = incremental_pair_sets(g, k, lam)
+    assert hits == oracle_hits
+    assert stats.hits == oracle_stats.hits
+    assert stats.nodes <= oracle_stats.nodes
+
+
+def _multipliers(n):
+    """Aut(C_n): x -> u x for every unit u, as image tuples."""
+    return [tuple(u * x % n for x in range(n)) for u in range(1, n) if gcd(u, n) == 1]
+
+
+@pytest.mark.parametrize("tag,k,lam", ORACLE_CASES)
+def test_canonical_rep_matches_all_translates(tag, k, lam):
+    g = _table(tag)
+    if tag == "e16":  # 20160 automorphisms: 15 s over its 56 hits, so plain only
+        autos = ()
+    elif g.n <= diffset.TABLE_AUT_CAP:
+        autos = tuple(table_automorphisms(g))
+    else:
+        autos = tuple(_multipliers(g.n))
+    hits, _ = diffset._pair_sets(g, k, lam)
+    for subset in hits:
+        for automorphisms in ((), autos):
+            assert (diffset._canonical_rep(g, subset, automorphisms)
+                    == all_translates_rep(g, subset, automorphisms))
 
 
 @pytest.mark.parametrize("tag", ["c2xc8", "q8xc2", "c4xc4", "c2xc2xc4"])
@@ -250,7 +320,7 @@ def test_c37_k9_classes():
     g = from_tag("c37")
     found, stats = diffset.difference_set_search(g, 9, 2)
     assert len(found) == 4
-    assert (stats.nodes, stats.hits) == (88678, 8)
+    assert (stats.nodes, stats.hits) == (17185, 8)
     quartic = {pow(x, 4, 37) for x in range(1, 37)}
     translates = {tuple(sorted((q + x) % 37 for q in quartic)) for x in range(37)}
     assert sum(ds.elements in translates for ds in found) == 1
