@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from math import comb, gcd, isqrt
+from operator import itemgetter
 
 from .errors import InputError, ScaleError, json_int
 from .ntheory import is_square, square_free_part, ternary_isotropic
@@ -60,10 +61,11 @@ class Design:
     inside a block, repeated blocks); whether the structure satisfies the
     symmetric-design axioms is the job of verify_symmetric_design.
 
-    The one incidence view of the package (block_index, the incidence
-    bitmasks, block_action) and verify_report are cached outside the fields,
-    so they take no part in equality or hashing. require_verified and
-    automorphism_actions are the input gates of every search and certificate.
+    The one incidence view of the package (block_index, block_getters, the
+    incidence bitmasks, block_action) and verify_report are cached outside
+    the fields, so they take no part in equality or hashing. require_verified
+    and automorphism_actions are the input gates of every search and
+    certificate.
     """
 
     params: DesignParams
@@ -102,6 +104,19 @@ class Design:
         return {frozenset(b): i for i, b in enumerate(self.blocks)}
 
     @cached_property
+    def block_getters(self) -> tuple:
+        """For each block, a map from a 1-based image list to the images of
+        the block's points: one operator.itemgetter over its 0-based point
+        indices (itemgetter returns a bare value for one index and refuses
+        none, so a smaller block gets a plain function)."""
+        def getter(indices):
+            if len(indices) > 1:
+                return itemgetter(*indices)
+            return lambda images: tuple(images[i] for i in indices)
+
+        return tuple(getter([p - 1 for p in b]) for b in self.blocks)
+
+    @cached_property
     def incidence(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(through, points): through[p] is the bitmask of the 0-based indices
         of the blocks through point p (through[0] is 0), and points[i] is the
@@ -120,7 +135,7 @@ class Design:
         if len(images) != self.v:
             raise InputError(f"permutation degree {len(images)} != v = {self.v}")
         index = self.block_index
-        out = tuple([index.get(frozenset([images[p - 1] for p in b])) for b in self.blocks])
+        out = tuple([index.get(frozenset(get(images))) for get in self.block_getters])
         return None if None in out else out
 
     @cached_property
@@ -142,8 +157,8 @@ class Design:
         actions = [self.block_action(x.images) for x in perms]
         if None in actions:
             images = perms[actions.index(None)].images
-            b = next(b for b in self.blocks
-                     if frozenset(images[p - 1] for p in b) not in self.block_index)
+            b = next(b for b, get in zip(self.blocks, self.block_getters)
+                     if frozenset(get(images)) not in self.block_index)
             raise InputError(f"not an automorphism: block {b} maps outside the design")
         return actions
 

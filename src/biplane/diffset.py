@@ -218,7 +218,7 @@ def develop(ds: DifferenceSet) -> Design:
 def _canonical_rep(g: GroupTable, subset: tuple[int, ...],
                    automorphisms: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     """Least representative of a difference set's class under translation
-    (and the supplied group automorphisms, if any).
+    and the supplied group automorphisms.
 
     Every image is a difference set, so it has lam right translates through
     {0, 1}, and a sorted tuple starting with 0, 1 beats any other. The right
@@ -227,9 +227,7 @@ def _canonical_rep(g: GroupTable, subset: tuple[int, ...],
     """
     mul, inv = g.mul, g.inv
     one = mul[1]
-    images = [subset]
-    if automorphisms:
-        images = [tuple(a[e] for e in subset) for a in automorphisms]
+    images = [tuple(a[e] for e in subset) for a in automorphisms]
     return min(tuple(sorted(mul[f][inv[e]] for f in img))
                for img in images for e in img if one[e] in img)
 
@@ -305,7 +303,8 @@ def difference_set_search(g: GroupTable, k: int, lam: int, automorphisms=None
                           ) -> tuple[list[DifferenceSet], DiffsetSearchStats]:
     """All (n,k,lam) difference sets in g, up to translation (and up to the
     supplied automorphisms of g, given as image tables), with the counters
-    of the search.
+    of the search. A table that is not an automorphism of g is refused
+    (_checked_automorphisms).
 
     When k >= n - 1 the answer is closed-form and no node is spent: no set
     when k > n; G itself when k = n; when k = n - 1 every (n-1)-subset is a
@@ -321,6 +320,7 @@ def difference_set_search(g: GroupTable, k: int, lam: int, automorphisms=None
     if lam < 1:
         raise InputError(f"lambda must be positive, got {lam}")
     n = g.n
+    autos = _checked_automorphisms(g, automorphisms) if automorphisms else ()
     if k * (k - 1) != lam * (n - 1) or k > n:
         return [], DiffsetSearchStats(nodes=0, hits=0)
     if k >= n - 1:
@@ -328,16 +328,64 @@ def difference_set_search(g: GroupTable, k: int, lam: int, automorphisms=None
         return [ds], DiffsetSearchStats(nodes=0, hits=1 if k == n else n - 2)
     if comb(n - 2, k - 2) > SEARCH_SUBSET_CAP:
         raise ScaleError(f"C({n - 2},{k - 2}) exceeds the search cap {SEARCH_SUBSET_CAP}")
-    autos = tuple(tuple(a) for a in automorphisms) if automorphisms else ()
     hits, stats = _pair_sets(g, k, lam)
-    reps = {_canonical_rep(g, subset, autos) for subset in hits}
-    return [DifferenceSet(group=g, elements=rep, lam=lam) for rep in sorted(reps)], stats
+    if autos:
+        reps = sorted({_canonical_rep(g, subset, autos) for subset in hits})
+    else:
+        # The hits of one class are its lam translates through {0, 1}, and
+        # the hits come in ascending order, so the first hit of a class is
+        # its least member; the others are marked seen when it is taken.
+        mul, inv, one = g.mul, g.inv, g.mul[1]
+        reps, seen = [], set()
+        for subset in hits:
+            if subset not in seen:
+                reps.append(subset)
+                seen.update(tuple(sorted(mul[f][inv[e]] for f in subset))
+                            for e in subset if one[e] in subset)
+    return [DifferenceSet(group=g, elements=rep, lam=lam) for rep in reps], stats
 
 
 def search_difference_sets(g: GroupTable, k: int, lam: int,
                            automorphisms=None) -> list[DifferenceSet]:
     """The classes of `difference_set_search`, without its counters."""
     return difference_set_search(g, k, lam, automorphisms)[0]
+
+
+def _generators(g: GroupTable) -> tuple[list[int], list[int]]:
+    """Generators g_1 < g_2 < ... of g, each the least element outside the
+    subgroup the earlier ones generate, and the elements of g breadth first
+    from 0 along the edges x -> x*g_i."""
+    gens, reached = [], [0]  # reached: <gens>, breadth first along x -> x*g_i
+    for x in range(g.n):
+        if x not in reached:
+            gens.append(x)
+            reached = [0]
+            for y in reached:
+                reached += [z for z in (g.mul[y][s] for s in gens) if z not in reached]
+    return gens, reached
+
+
+def _checked_automorphisms(g: GroupTable, tables) -> tuple[tuple[int, ...], ...]:
+    """The tables as tuples, or InputError unless each is an automorphism of
+    g: a permutation of its elements with phi(x*s) = phi(x)*phi(s) for every
+    x and every generator s of _generators. A bijection that respects the
+    generators respects every product, since each y is a product of them."""
+    n, mul = g.n, g.mul
+    gens = _generators(g)[0]
+    elements = set(range(n))
+    out = []
+    for i, phi in enumerate(tables):
+        phi = tuple(phi)
+        if len(phi) != n or set(phi) != elements:
+            raise InputError(f"automorphism table {i} is not a permutation of 0..{n - 1}")
+        for s in gens:
+            t = phi[s]
+            x = next((x for x in range(n) if phi[mul[x][s]] != mul[phi[x]][t]), None)
+            if x is not None:
+                raise InputError(f"automorphism table {i} is not a homomorphism: "
+                                 f"phi({x}*{s}) != phi({x})*phi({s})")
+        out.append(phi)
+    return tuple(out)
 
 
 def table_automorphisms(g: GroupTable) -> list[tuple[int, ...]]:
@@ -360,13 +408,7 @@ def table_automorphisms(g: GroupTable) -> list[tuple[int, ...]]:
             y = mul[y][x]
             e += 1
         order.append(e)
-    gens, reached = [], [0]  # reached: <gens>, breadth first along x -> x*g_i
-    for x in range(n):
-        if x not in reached:
-            gens.append(x)
-            reached = [0]
-            for y in reached:
-                reached += [z for z in (mul[y][s] for s in gens) if z not in reached]
+    gens, reached = _generators(g)
 
     def extend(images):
         phi = [0] + [None] * (n - 1)

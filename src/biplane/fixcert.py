@@ -21,7 +21,6 @@ is a union of cycles, and every 2-cycle that meets it lies inside it.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from math import isqrt, prod
 
@@ -77,14 +76,21 @@ class FixReport:
 
 
 def _walk(images, first: int) -> tuple[CycleType, tuple[int, ...], int, int]:
-    """From one walk of the cycles of images (perm._cycles): the cycle type,
-    the fixed elements in ascending order, and the bitmasks (bit i for
+    """From one pass over the cycles of images (perm._cycles): the cycle
+    type, the fixed elements in ascending order, and the bitmasks (bit i for
     element i) of the fixed elements and of the elements on 2-cycles."""
-    cycles = list(_cycles(images, first))
-    fixed = tuple(c[0] for c in cycles if len(c) == 1)
-    two = sum(1 << c[0] | 1 << c[1] for c in cycles if len(c) == 2)  # disjoint bits
-    return (CycleType.from_dict(Counter(map(len, cycles))), fixed,
-            sum(1 << i for i in fixed), two)
+    counts: dict[int, int] = {}
+    fixed = []
+    fix = two = 0
+    for c in _cycles(images, first):
+        length = len(c)
+        counts[length] = counts.get(length, 0) + 1
+        if length == 1:
+            fixed.append(c[0])
+            fix |= 1 << c[0]
+        elif length == 2:
+            two |= 1 << c[0] | 1 << c[1]
+    return CycleType(tuple(sorted(counts.items()))), tuple(fixed), fix, two
 
 
 def fix_report(d: Design, x: Permutation) -> FixReport:
@@ -138,6 +144,7 @@ def _checks(d: Design, x: Permutation) -> CertResult:
     k = d.k
     f = rep.f_points
     order = tp.order
+    identity = x.is_identity()
     checks: list[Check] = []
 
     def add(name, status, detail=""):
@@ -153,8 +160,9 @@ def _checks(d: Design, x: Permutation) -> CertResult:
         f"points={tp} blocks={tb}")
 
     # incident fixed point/block pairs have the same number of 2-orbits
+    points = d.incidence[1]
     pairs = [(p, j) for p in rep.fixed_points for j in rep.fixed_blocks
-             if p in d.blocks[j]]
+             if points[j] >> p & 1]
     if not pairs:
         add("incident-two-orbit-counts", NA, "no incident fixed point/block pair")
     else:
@@ -180,7 +188,7 @@ def _checks(d: Design, x: Permutation) -> CertResult:
         add("fixed-point-count-formula", FAIL if bad else PASS, f"f={f}")
 
     # fixed substructure is a subdesign when no fixed block meets a 2-orbit
-    if x.is_identity():
+    if identity:
         add("fixed-substructure", NA, "identity")
     elif rep.f_blocks == 0:
         add("fixed-substructure", NA, "no fixed blocks")
@@ -261,7 +269,7 @@ def _checks(d: Design, x: Permutation) -> CertResult:
     # odd order: f = s_B(s_B-1)/2 + 1 and f <= k/2 unless k-2 is a square
     if order % 2 == 0:
         add("odd-order-fixed-count-branch", NA, f"order {order}")
-    elif x.is_identity():
+    elif identity:
         add("odd-order-fixed-count-branch", NA, "identity")
     elif f == 0:
         add("odd-order-fixed-count-branch", NA, "no fixed points")
@@ -274,7 +282,7 @@ def _checks(d: Design, x: Permutation) -> CertResult:
         add("odd-order-fixed-count-branch", PASS if ok else FAIL, f"f={f} s={sorted(svals)}")
 
     # global bound for any nontrivial automorphism
-    if x.is_identity():
+    if identity:
         add("fixed-count-bound", NA, "identity")
     else:
         ok = _bound_holds(f, k)

@@ -1,13 +1,14 @@
 """Slow, obviously correct reference routines that the tests compare the
 package against. Nothing in the package calls them."""
 
+from collections import Counter
 from itertools import permutations
 
 from biplane.design import Design
 from biplane.diffset import DiffsetSearchStats, GroupTable
-from biplane.errors import ScaleError
+from biplane.errors import InputError, ScaleError
 from biplane.fixcert import FixReport
-from biplane.perm import CycleType, Permutation
+from biplane.perm import CycleType, Permutation, _cycles
 
 
 def closure(generators, degree: int, cap: int = 10**6) -> set[Permutation]:
@@ -35,6 +36,27 @@ def brute_force_automorphism_order(d: Design, cap_degree: int = 8) -> int:
         raise ScaleError(f"brute force capped at degree {cap_degree}")
     return sum(d.block_action(images) is not None
                for images in permutations(range(1, d.v + 1)))
+
+
+def reference_block_action(d: Design, images) -> tuple[int, ...] | None:
+    """Design.block_action by building the image set of every block from
+    its point list, against a block index of its own: the reference for the
+    cached block getters."""
+    if len(images) != d.v:
+        raise InputError(f"permutation degree {len(images)} != v = {d.v}")
+    index = {frozenset(b): i for i, b in enumerate(d.blocks)}
+    out = tuple([index.get(frozenset([images[p - 1] for p in b])) for b in d.blocks])
+    return None if None in out else out
+
+
+def reference_walk(images, first: int) -> tuple[CycleType, tuple[int, ...], int, int]:
+    """fixcert._walk from the list of cycles, counted with a Counter and
+    read three more times: the reference for its one-pass form."""
+    cycles = list(_cycles(images, first))
+    fixed = tuple(c[0] for c in cycles if len(c) == 1)
+    two = sum(1 << c[0] | 1 << c[1] for c in cycles if len(c) == 2)  # disjoint bits
+    return (CycleType.from_dict(Counter(map(len, cycles))), fixed,
+            sum(1 << i for i in fixed), two)
 
 
 def reference_cycles(x: Permutation) -> list[tuple[int, ...]]:

@@ -1,4 +1,6 @@
+import itertools
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -13,6 +15,7 @@ from biplane.design import (PARAMS_K_CAP, VIOLATION_SAMPLE, Design, DesignParams
 from biplane.errors import InputError, ScaleError
 from biplane.ntheory import ternary_isotropic
 from biplane.perm import Permutation
+from oracles import reference_block_action
 
 
 def test_catalog_designs_verify():
@@ -260,24 +263,39 @@ def test_from_json_dict_takes_json_integers_only(field, value):
 
 
 def _reference_view(d):
-    """Block index, incidence bitmasks and a block-action function rebuilt
-    from the block list alone."""
+    """Block index and incidence bitmasks rebuilt from the block list alone."""
     index = {frozenset(b): i for i, b in enumerate(d.blocks)}
     through = tuple(sum(1 << i for i, b in enumerate(d.blocks) if p in b)
                     for p in range(d.v + 1))
     points = tuple(sum(1 << p for p in b) for b in d.blocks)
+    return index, (through, points)
 
-    def action(images):
-        out = [index.get(frozenset(images[p - 1] for p in b)) for b in d.blocks]
-        return None if None in out else tuple(out)
 
-    return index, (through, points), action
+def _same_action(d, images):
+    """block_action and its reference agree, InputError message included."""
+    try:
+        want = reference_block_action(d, images)
+    except InputError as exc:
+        with pytest.raises(InputError, match=f"^{re.escape(str(exc))}$"):
+            d.block_action(images)
+        return None
+    got = d.block_action(images)
+    assert got == want, images
+    return got
 
 
 def test_incidence_view_matches_reference(aut_results):
+    # three labelings of every catalog design; block_action against the
+    # reference kernel on every group element of the small designs and 200
+    # of the large ones (all automorphisms), on 50 random permutations
+    # (almost none are), on the swap (1,2) and on lists one point short and
+    # one point long
     rng = random.Random(8)
     for name in catalog.constructible_names():
         base = catalog.build(name)
+        elements = list(aut_results[name].group.elements())
+        if len(elements) > 200:
+            elements = rng.sample(elements, 200)
         sigmas = [list(range(1, base.v + 1)) for _ in range(3)]
         for images in sigmas[1:]:
             rng.shuffle(images)
@@ -286,14 +304,18 @@ def test_incidence_view_matches_reference(aut_results):
             inverse = {q: p for p, q in enumerate(sigma, start=1)}
             # automorphisms of d: sigma g sigma^-1 for g in Aut(base)
             autos = [tuple(sigma[g(inverse[q]) - 1] for q in range(1, d.v + 1))
-                     for g in aut_results[name].group.generators]
-            swap = (2, 1) + tuple(range(3, d.v + 1))
-            index, incidence, action = _reference_view(d)
+                     for g in elements]
+            index, incidence = _reference_view(d)
             assert d.block_index == index
             assert d.incidence == incidence
-            assert d.block_action(swap) is None and action(swap) is None
-            for images in autos + [tuple(range(1, d.v + 1))]:
-                assert d.block_action(images) == action(images) is not None
+            assert all(_same_action(d, images) is not None for images in autos), name
+            assert _same_action(d, (2, 1) + tuple(range(3, d.v + 1))) is None
+            for _ in range(50):
+                images = list(range(1, d.v + 1))
+                rng.shuffle(images)
+                _same_action(d, images)
+            _same_action(d, tuple(range(1, d.v)))
+            _same_action(d, tuple(range(1, d.v + 2)))
             # the cached view is not part of equality or hashing
             fresh = Design(d.params, d.blocks)
             assert "incidence" in vars(d) and "incidence" not in vars(fresh)
@@ -304,3 +326,18 @@ def test_block_action_rejects_wrong_length():
     d = catalog.build("fano_complement")
     with pytest.raises(InputError, match="permutation degree 3 != v = 7"):
         d.block_action((2, 1, 3))
+
+
+def test_block_action_on_blocks_of_two_points_or_fewer():
+    # itemgetter returns a bare value for one index and refuses none
+    d = Design(DesignParams(3, 1, 1), [(1,), (2,), (3,)])
+    for images in itertools.permutations((1, 2, 3)):
+        assert _same_action(d, images) == tuple(q - 1 for q in images)
+    assert _same_action(d, (1, 1, 2)) == (0, 0, 1)  # not a permutation: sets as given
+    _same_action(d, (1, 2))
+    empty = Design(DesignParams(2, 1, 1), [(), (1,), (2,)])
+    assert _same_action(empty, (2, 1)) == (0, 2, 1)
+    triangle = Design(DesignParams(3, 2, 1), [(1, 2), (1, 3), (2, 3)])
+    assert all(_same_action(triangle, images) is not None
+               for images in itertools.permutations((1, 2, 3)))
+    assert _same_action(triangle, (2, 3, 1)) == (2, 0, 1)

@@ -295,17 +295,41 @@ def _multipliers(n):
 @pytest.mark.parametrize("tag,k,lam", ORACLE_CASES)
 def test_canonical_rep_matches_all_translates(tag, k, lam):
     g = _table(tag)
-    if tag == "e16":  # 20160 automorphisms: 15 s over its 56 hits, so plain only
-        autos = ()
+    if tag == "e16":  # 20160 automorphisms: 15 s over its 56 hits, so the identity only
+        autos = (tuple(g.elements()),)
     elif g.n <= diffset.TABLE_AUT_CAP:
         autos = tuple(table_automorphisms(g))
     else:
         autos = tuple(_multipliers(g.n))
     hits, _ = diffset._pair_sets(g, k, lam)
     for subset in hits:
-        for automorphisms in ((), autos):
-            assert (diffset._canonical_rep(g, subset, automorphisms)
-                    == all_translates_rep(g, subset, automorphisms))
+        assert diffset._canonical_rep(g, subset, autos) == all_translates_rep(g, subset, autos)
+
+
+@pytest.mark.parametrize("tag,k,lam", ORACLE_CASES)
+def test_plain_classes_match_all_translates(tag, k, lam):
+    # without automorphisms each class is kept at its first hit
+    g = _table(tag)
+    hits, _ = diffset._pair_sets(g, k, lam)
+    found = [ds.elements for ds in search_difference_sets(g, k, lam)]
+    assert found == sorted({all_translates_rep(g, subset, ()) for subset in hits})
+
+
+def test_search_refuses_tables_that_are_not_automorphisms():
+    g = cyclic(7)
+    for tables, message in [
+            ([(0, 2, 1, 4, 3, 6, 5)],  # a permutation fixing 0, not a homomorphism
+             r"^automorphism table 0 is not a homomorphism: phi\(1\*1\) != phi\(1\)\*phi\(1\)$"),
+            ([tuple(range(7)), (0, 1, 1, 3, 4, 5, 6)],
+             r"^automorphism table 1 is not a permutation of 0\.\.6$"),
+            ([(0, 2, 4, 6, 1, 3)], r"^automorphism table 0 is not a permutation of 0\.\.6$"),
+            ([(0, 1, 2, 3, 4, 5, None)],
+             r"^automorphism table 0 is not a permutation of 0\.\.6$")]:
+        with pytest.raises(InputError, match=message):
+            diffset.difference_set_search(g, 3, 1, tables)
+    # x -> 2x is an automorphism; it fixes {1, 2, 4}, so both classes stay
+    found, _ = diffset.difference_set_search(g, 3, 1, [(0, 2, 4, 6, 1, 3, 5)])
+    assert [ds.elements for ds in found] == [(0, 1, 3), (0, 1, 5)]
 
 
 @pytest.mark.parametrize("tag", ["c2xc8", "q8xc2", "c4xc4", "c2xc2xc4"])
@@ -433,7 +457,9 @@ def test_table_digests_pinned(key):
     ("e8", elementary_abelian(2, 3)), ("c2xc4", direct_product(cyclic(2), cyclic(4))),
 ])
 def test_table_automorphisms_match_brute_force(name, g):
-    assert table_automorphisms(g) == brute_force_table_automorphisms(g)
+    autos = table_automorphisms(g)
+    assert autos == brute_force_table_automorphisms(g)
+    assert diffset._checked_automorphisms(g, autos) == tuple(autos)
 
 
 ORDER16_AUT_ORDERS = {"c16": 8, "c2xc8": 16, "q8xc2": 192, "e16": 20160,
@@ -442,9 +468,11 @@ ORDER16_AUT_ORDERS = {"c16": 8, "c2xc8": 16, "q8xc2": 192, "e16": 20160,
 
 @pytest.mark.parametrize("tag", list(ORDER16_AUT_ORDERS))
 def test_order16_automorphism_orders(tag):
-    autos = table_automorphisms(_table(tag))
+    g = _table(tag)
+    autos = table_automorphisms(g)
     assert len(autos) == ORDER16_AUT_ORDERS[tag]
     assert autos == sorted(set(autos))
+    assert diffset._checked_automorphisms(g, autos) == tuple(autos)
 
 
 def test_table_automorphisms_cap():
