@@ -3,11 +3,11 @@
 The search is individualization-refinement backtracking on the bipartite
 point/block incidence graph. Points and blocks carry distinct initial colors,
 so dualities are never counted as automorphisms. The partition is an ordered
-list of cells, each carried with its vertex bitmask. Individualizing a vertex
-u replaces its cell by (u,) and the rest; every other change of the partition
-is one `_cut`, which cuts the cells that a splitter reaches by the masks of
-its vertex classes, a label-invariant cell splitter in the sense of McKay &
-Piperno (Practical Graph Isomorphism II, 2014). Equitable refinement
+list of cells, each its vertex bitmask. Individualizing a vertex u replaces
+its cell by {u} and the rest; every other change of the partition is one
+`_cut`, which cuts the cells that a splitter reaches by the masks of its
+vertex classes, a label-invariant cell splitter in the sense of McKay & Piperno
+(Practical Graph Isomorphism II, 2014). Equitable refinement
 (`_equitable`) cuts by neighbor counts in the cells that the previous round
 created, until nothing splits: each such cell gives, by bit-sliced counting,
 the masks of the vertices with 0, 1, 2, ... neighbors in it. The incidence
@@ -97,13 +97,13 @@ def _bits(m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _count_classes(cell: tuple[int, ...], adj: list[int], full: int) -> tuple[int, list[int]]:
-    """The mask of the vertices with a neighbor in cell, and the nonempty
-    masks of the vertices with exactly 0, 1, 2, ... neighbors in cell, in
-    ascending count, by bit-sliced counting: planes[j] holds bit j of every
-    vertex's count."""
+def _count_classes(cell: int, adj: list[int], full: int) -> tuple[int, list[int]]:
+    """The mask of the vertices with a neighbor in the cell with vertex
+    bitmask cell, and the nonempty masks of the vertices with exactly 0, 1,
+    2, ... neighbors in it, in ascending count, by bit-sliced counting:
+    planes[j] holds bit j of every vertex's count."""
     planes: list[int] = []
-    for s in cell:
+    for s in _bits(cell):
         carry = adj[s]
         for j, p in enumerate(planes):
             planes[j] = p ^ carry
@@ -119,29 +119,27 @@ def _count_classes(cell: tuple[int, ...], adj: list[int], full: int) -> tuple[in
     return hits, classes
 
 
-def _cut(cells: list[tuple[int, ...]], masks: list[int], splitters
-         ) -> tuple[list[tuple[int, ...]], list[int], list[int]]:
+def _cut(masks: list[int], splitters) -> tuple[list[int], list[int]]:
     """Split the cells of an ordered partition by class masks.
 
-    masks[i] is the vertex bitmask of cells[i]. Each splitter is a pair
-    (hits, classes): every non-singleton cell that hits reaches is cut by the
-    masks in classes, in order, and the splitters are applied in turn; the
-    classes must cover the cell. Fragments replace their cell in place, each
-    sorted. Also returned, as `fresh`, are the indices of every fragment but
-    the last of each split cell: if the partition was equitable, every cell
-    has a constant count into a cell that split, so its count into the last
+    Each cell is its vertex bitmask. Each splitter is a pair (hits, classes):
+    every non-singleton cell that hits reaches is cut by the masks in
+    classes, in order, and the splitters are applied in turn; the classes
+    must cover the cell. Fragments replace their cell in place. Also
+    returned, as `fresh`, are the indices of every fragment but the last of
+    each split cell: if the partition was equitable, every cell has a
+    constant count into a cell that split, so its count into the last
     fragment follows from the counts into the siblings. Singleton cells are
-    carried over untouched, and when nothing splits the input lists are
+    carried over untouched, and when nothing splits the input list is
     returned. The classes must depend on no vertex label, so that the
     partition stays label-invariant.
     """
     reach = 0
     for hits, _ in splitters:
         reach |= hits
-    new_cells: list[tuple[int, ...]] = []
     new_masks: list[int] = []
     fresh: list[int] = []
-    done = 0  # cells[:done] are in new_cells
+    done = 0  # masks[:done] are in new_masks
     for i, cm in enumerate(masks):
         if not cm & reach or not cm & (cm - 1):
             continue
@@ -159,20 +157,18 @@ def _cut(cells: list[tuple[int, ...]], masks: list[int], splitters
                                 break
                 parts = split
         if len(parts) > 1:
-            new_cells += cells[done:i]
             new_masks += masks[done:i]
             done = i + 1
-            fresh += range(len(new_cells), len(new_cells) + len(parts) - 1)
-            new_cells += map(_bits, parts)
+            fresh += range(len(new_masks), len(new_masks) + len(parts) - 1)
             new_masks += parts
     if not done:
-        return cells, masks, fresh
-    return new_cells + cells[done:], new_masks + masks[done:], fresh
+        return masks, fresh
+    return new_masks + masks[done:], fresh
 
 
-def _equitable(cells: list[tuple[int, ...]], masks: list[int], adj: list[int],
-               fresh: list[int]) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Refine an ordered partition until every cell is equitable.
+def _equitable(masks: list[int], adj: list[int], fresh: list[int]) -> list[int]:
+    """Refine an ordered partition, each cell its vertex bitmask, until
+    every cell is equitable.
 
     The input must already be equitable towards every cell not listed in
     `fresh`, and a caller may leave out the last fragment of a split cell
@@ -182,22 +178,22 @@ def _equitable(cells: list[tuple[int, ...]], masks: list[int], adj: list[int],
     lexicographic order of the tuples of those counts. A cell is equitable
     towards every cell that did not split, and a count that is constant on a
     cell cannot split it or reorder its fragments. A discrete partition ends
-    the refinement, and when nothing splits the input lists are returned.
+    the refinement, and when nothing splits the input list is returned.
     The counts depend on no vertex label.
     """
     n = len(adj)
     full = (1 << n) - 1
-    while fresh and len(cells) < n:
+    while fresh and len(masks) < n:
         splitters = []
         for i in fresh:
-            cell = cells[i]
-            if len(cell) == 1:
-                hits = adj[cell[0]]
-                splitters.append((hits, (full ^ hits, hits)))
+            m = masks[i]
+            if m & (m - 1):
+                splitters.append(_count_classes(m, adj, full))
             else:
-                splitters.append(_count_classes(cell, adj, full))
-        cells, masks, fresh = _cut(cells, masks, splitters)
-    return cells, masks
+                hits = adj[m.bit_length() - 1]
+                splitters.append((hits, (full ^ hits, hits)))
+        masks, fresh = _cut(masks, splitters)
+    return masks
 
 
 def _cell_orbits(cell: tuple[int, ...], generators) -> dict[int, int]:
@@ -258,39 +254,36 @@ class _Search:
         self.nodes = self.leaves = 0
 
     def run(self) -> None:
-        cells = [tuple(range(self.v)), tuple(range(self.v, self.n))]
-        masks = [(1 << self.v) - 1, (1 << self.n) - (1 << self.v)]
-        self._recurse(cells, masks, [0, 1], ())
+        self._recurse([(1 << self.v) - 1, (1 << self.n) - (1 << self.v)], [0, 1], ())
 
     # -- tree walk ---------------------------------------------------------
 
-    def _recurse(self, cells, masks, fresh: list[int], prefix: tuple[int, ...]) -> int | None:
+    def _recurse(self, masks, fresh: list[int], prefix: tuple[int, ...]) -> int | None:
         """Search below prefix; return the depth to jump back to, or None."""
         self.nodes += 1
         adj = self.adj
-        cells, masks = _equitable(cells, masks, adj, fresh)
-        if prefix and self.chains and len(cells) < self.n:
+        masks = _equitable(masks, adj, fresh)
+        if prefix and self.chains and len(masks) < self.n:
             split = self._chain_split(prefix[-1])
             if split:
-                cells, masks, fresh = _cut(cells, masks, [split])
-                cells, masks = _equitable(cells, masks, adj, fresh)
-        tgt = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
-        if tgt is None:
-            return self._leaf(cells, prefix)
+                masks, fresh = _cut(masks, [split])
+                masks = _equitable(masks, adj, fresh)
+        if len(masks) == self.n:
+            return self._leaf(masks, prefix)
+        tgt = next(i for i, m in enumerate(masks) if m & (m - 1))
+        cell = _bits(masks[tgt])
         explored: list[int] = []
         nautos = 0
-        for u in cells[tgt]:
+        for u in cell:
             if explored and self.autos:
                 if len(self.autos) != nautos:
                     nautos = len(self.autos)
-                    orbit_of = _cell_orbits(cells[tgt], self._prefix_stabilizer(prefix))
+                    orbit_of = _cell_orbits(cell, self._prefix_stabilizer(prefix))
                 if any(orbit_of[u] == orbit_of[e] for e in explored):
                     continue
             explored.append(u)
-            # individualize u: its cell splits into (u,) and the rest, fresh is [tgt]
-            rest = tuple(w for w in cells[tgt] if w != u)
-            jump = self._recurse(cells[:tgt] + [(u,), rest] + cells[tgt + 1:],
-                                 masks[:tgt] + [1 << u, masks[tgt] ^ 1 << u] + masks[tgt + 1:],
+            # individualize u: its cell splits into {u} and the rest, fresh is [tgt]
+            jump = self._recurse(masks[:tgt] + [1 << u, masks[tgt] ^ 1 << u] + masks[tgt + 1:],
                                  [tgt], prefix + (u,))
             if jump is not None and jump < len(prefix):
                 return jump
@@ -339,10 +332,11 @@ class _Search:
 
     # -- leaves ------------------------------------------------------------
 
-    def _leaf(self, cells, prefix) -> int | None:
+    def _leaf(self, masks, prefix) -> int | None:
         """Score this leaf; return the depth to jump back to, or None."""
         self.leaves += 1
-        order = tuple(c[0] for c in cells if c[0] < self.v)
+        points = 1 << self.v
+        order = tuple(m.bit_length() - 1 for m in masks if m < points)
         rank = [0] * (self.v + 1)  # 1-based point -> its 1-based place in order
         for i, p in enumerate(order, start=1):
             rank[p + 1] = i

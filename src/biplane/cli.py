@@ -38,12 +38,14 @@ def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
 
 def _load_json(path: str, what: str, parse):
     """parse(the JSON content of path); a file that cannot be read or
-    decoded raises InputError naming the kind of file."""
+    decoded, or holds an integer longer than int() reads, raises InputError
+    naming the kind of file."""
     try:
         with open(path) as fh:
-            return parse(json.load(fh))
-    except (OSError, json.JSONDecodeError) as exc:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:  # JSONDecodeError, UnicodeDecodeError, int() limit
         raise InputError(f"cannot read {what} file {path}: {exc}") from exc
+    return parse(data)
 
 
 def _load_design(path: str) -> design.Design:

@@ -146,8 +146,12 @@ def from_tag(tag: str) -> GroupTable:
     """Build one of the documented group tags; c<N> means cyclic of order N."""
     if tag in _TAG_BUILDERS:
         return _TAG_BUILDERS[tag]()
-    if tag.startswith("c") and tag[1:].isdigit():
-        return cyclic(int(tag[1:]))
+    digits = tag[1:]
+    if tag.startswith("c") and digits.isdecimal():
+        if len(digits) > len(str(GROUP_ORDER_CAP)):  # refused before int() reads it
+            raise ScaleError(f"group order of c<N> with {len(digits)} digits exceeds "
+                             f"the cap {GROUP_ORDER_CAP}")
+        return cyclic(int(digits))
     raise InputError(f"unknown group tag {tag!r}; known: {sorted(_TAG_BUILDERS)} and c<N>")
 
 
@@ -200,19 +204,25 @@ def is_difference_set(g: GroupTable, elements, lam: int) -> bool:
 def develop(ds: DifferenceSet) -> Design:
     """The development: blocks are the right translates D*x, x over the group.
 
-    The right-multiplication action of the group is checked to embed as a
-    point-regular automorphism subgroup.
+    The input gate is is_difference_set. Right multiplication by y maps D*x
+    to D*xy, so the group acts on the development as a point-regular
+    automorphism group; the tests check every right translation on every
+    catalog set and every order-16 class, so no call repeats that check.
     """
     g = ds.group
     if not is_difference_set(g, ds.elements, ds.lam):
         raise InputError("not a difference set; refusing to develop")
     mul = g.mul
     blocks = sorted(tuple(sorted(mul[d][x] + 1 for d in ds.elements)) for x in g.elements())
-    design = Design(ds.params, blocks)
-    for x in g.elements():
-        if design.block_action([mul[e][x] + 1 for e in g.elements()]) is None:
-            raise AssertionError("right translation does not preserve the development")
-    return design
+    return Design(ds.params, blocks)
+
+
+def _pair_translates(g: GroupTable, subset: tuple[int, ...]):
+    """The right translates of a difference set that contain {0, 1}, each
+    sorted: the translate by e^-1 contains 0 when e is in the set and 1 when
+    1*e is, so there are lam of them, and only those are sorted, not all k."""
+    mul, inv, one = g.mul, g.inv, g.mul[1]
+    return (tuple(sorted(mul[f][inv[e]] for f in subset)) for e in subset if one[e] in subset)
 
 
 def _canonical_rep(g: GroupTable, subset: tuple[int, ...],
@@ -220,16 +230,12 @@ def _canonical_rep(g: GroupTable, subset: tuple[int, ...],
     """Least representative of a difference set's class under translation
     and the supplied group automorphisms.
 
-    Every image is a difference set, so it has lam right translates through
-    {0, 1}, and a sorted tuple starting with 0, 1 beats any other. The right
-    translate by e^-1 contains 0 when e is in the image and 1 when 1*e is,
-    so only those lam translates per image are sorted, not all k.
+    Every image is a difference set, so its least translate is one of its
+    lam translates through {0, 1} (_pair_translates): a sorted tuple
+    starting with 0, 1 beats any other.
     """
-    mul, inv = g.mul, g.inv
-    one = mul[1]
-    images = [tuple(a[e] for e in subset) for a in automorphisms]
-    return min(tuple(sorted(mul[f][inv[e]] for f in img))
-               for img in images for e in img if one[e] in img)
+    images = (tuple(a[e] for e in subset) for a in automorphisms)
+    return min(t for img in images for t in _pair_translates(g, img))
 
 
 @dataclass(frozen=True)
@@ -335,13 +341,11 @@ def difference_set_search(g: GroupTable, k: int, lam: int, automorphisms=None
         # The hits of one class are its lam translates through {0, 1}, and
         # the hits come in ascending order, so the first hit of a class is
         # its least member; the others are marked seen when it is taken.
-        mul, inv, one = g.mul, g.inv, g.mul[1]
         reps, seen = [], set()
         for subset in hits:
             if subset not in seen:
                 reps.append(subset)
-                seen.update(tuple(sorted(mul[f][inv[e]] for f in subset))
-                            for e in subset if one[e] in subset)
+                seen.update(_pair_translates(g, subset))
     return [DifferenceSet(group=g, elements=rep, lam=lam) for rep in reps], stats
 
 

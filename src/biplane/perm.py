@@ -73,8 +73,10 @@ class Permutation:
             raise InputError(f"unparsable cycle notation: {text!r}")
         images = list(range(1, degree + 1))
         seen: set[int] = set()
+        digits = len(str(degree))
         for m in _CYCLE_RE.finditer(stripped):
-            pts = [int(t) for t in m.group(1).split(",")]
+            # a point with more digits than degree is out of range; int() never reads it
+            pts = [int(t) if len(t.strip()) <= digits else 0 for t in m.group(1).split(",")]
             if any(not 1 <= p <= degree for p in pts):
                 raise InputError(f"point out of range 1..{degree} in {text!r}")
             if len(set(pts)) != len(pts) or seen & set(pts):

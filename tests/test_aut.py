@@ -302,15 +302,15 @@ def test_jump_only_when_gamma_maps_the_path_onto_the_first_path():
     nautos = len(s.autos)
     for h in s.autos:
         inv = sorted(range(s.n), key=h.__getitem__)
-        cells = [(inv[p],) for p in s.first_order]
+        masks = [1 << inv[p] for p in s.first_order]
         if h[f0] != f0:
             y = next(u for u in range(s.v) if u not in (f0, inv[f0]))
-            assert s._leaf(cells, (inv[f0], f1)) == 0
-            assert s._leaf(cells, (y, f1)) is None
+            assert s._leaf(masks, (inv[f0], f1)) == 0
+            assert s._leaf(masks, (y, f1)) is None
             if h[f1] != f1:  # the paths part at depth 1, but h moves f0
-                assert s._leaf(cells, (f0, inv[f1])) is None
+                assert s._leaf(masks, (f0, inv[f1])) is None
         elif h[f1] != f1:
-            assert s._leaf(cells, (f0, inv[f1])) == 1
+            assert s._leaf(masks, (f0, inv[f1])) == 1
     assert len(s.autos) == nautos  # returned again, not recorded again
 
 
@@ -468,6 +468,11 @@ def _masks(cells):
     return [sum(1 << u for u in cell) for cell in cells]
 
 
+def _cells(masks):
+    """The cells of a partition of vertex bitmasks, as sorted vertex tuples."""
+    return [tuple(u for u in range(m.bit_length()) if m >> u & 1) for m in masks]
+
+
 def test_fresh_cell_refinement_matches_full_rounds():
     rng = random.Random(17)
     designs = [(name, catalog.build(name)) for name in catalog.constructible_names()]
@@ -475,45 +480,38 @@ def test_fresh_cell_refinement_matches_full_rounds():
     for name, d in designs:
         s = _Search(d)
         root = [tuple(range(s.v)), tuple(range(s.v, s.n))]
-        start, start_masks = _equitable(root, _masks(root), s.adj, [0, 1])
-        assert start == _equitable_full_rounds(root, s.adj), name
-        assert start_masks == _masks(start), name
+        start = _equitable(_masks(root), s.adj, [0, 1])
+        assert _cells(start) == _equitable_full_rounds(root, s.adj), name
         for _ in range(6):
-            cells, masks = start, start_masks
-            while len(cells) < s.n:
-                tgt = rng.choice([i for i, c in enumerate(cells) if len(c) > 1])
-                u = rng.choice(cells[tgt])
-                # individualize u as the search does: (u,), then the rest
-                rest = tuple(w for w in cells[tgt] if w != u)
-                split = cells[:tgt] + [(u,), rest] + cells[tgt + 1:]
-                split_masks = masks[:tgt] + [1 << u, masks[tgt] ^ 1 << u] + masks[tgt + 1:]
-                assert split_masks == _masks(split), name
-                cells, masks = _equitable(split, split_masks, s.adj, [tgt, tgt + 1])
-                assert cells == _equitable_full_rounds(split, s.adj), name
-                assert masks == _masks(cells), name
+            masks = start
+            while len(masks) < s.n:
+                tgt = rng.choice([i for i, m in enumerate(masks) if m & (m - 1)])
+                u = rng.choice(_cells(masks)[tgt])
+                # individualize u as the search does: {u}, then the rest
+                split = masks[:tgt] + [1 << u, masks[tgt] ^ 1 << u] + masks[tgt + 1:]
+                masks = _equitable(split, s.adj, [tgt, tgt + 1])
+                assert _cells(masks) == _equitable_full_rounds(_cells(split), s.adj), name
                 # the search leaves the rest of the individualized cell out
-                assert _equitable(split, split_masks, s.adj, [tgt]) == (cells, masks), name
+                assert _equitable(split, s.adj, [tgt]) == masks, name
 
 
 def test_cut_on_a_hand_made_partition():
-    cells = [(0, 2, 4, 6, 8), (1,), (3, 5, 7), (9, 10)]
-    masks = _masks(cells)
+    masks = _masks([(0, 2, 4, 6, 8), (1,), (3, 5, 7), (9, 10)])
     full = (1 << 11) - 1
     # nothing splits: one class, or a splitter that reaches only a singleton
     for splitter in ((full, [full]), (1 << 1, [1 << 1, full ^ 1 << 1])):
-        got = _cut(cells, masks, [splitter])
-        assert got[0] is cells and got[1] is masks and got[2] == []
+        got = _cut(masks, [splitter])
+        assert got[0] is masks and got[1] == []
     # a reaches cells 0, 1 (a singleton) and 2; b reaches cell 0 only
     a_class = _masks([(4, 5, 6, 8)])[0]
     a = (masks[0] | masks[1] | masks[2], [a_class, full ^ a_class])
     b_class = _masks([(0, 8)])[0]
     b = (masks[0], [b_class, full ^ b_class])
-    cells[1] = _Untouchable(cells[1])
     split = [(8,), (4, 6), (0,), (2,), (1,), (5,), (3, 7), (9, 10)]
-    got_cells, got_masks, fresh = _cut(cells, masks, [a, b])
+    got, fresh = _cut(masks, [a, b])
     # fragments in the order of a's classes, each cut again by b's
-    assert (got_cells, got_masks, fresh) == (split, _masks(split), [0, 1, 2, 5])
-    assert got_cells[4] is cells[1] and got_cells[7] is cells[3]
+    assert (got, fresh) == (_masks(split), [0, 1, 2, 5])
+    assert got[4] == masks[1] and got[7] is masks[3]
 
 
 def test_cell_orbits_are_the_stabilizer_orbits(monkeypatch):
@@ -581,19 +579,6 @@ def test_cell_orbits_are_the_stabilizer_orbits(monkeypatch):
     assert not all(checked)  # and nodes that run Schreier-Sims (paley19)
 
 
-class _Untouchable(tuple):
-    """A cell that fails when it is measured or its vertices are read."""
-
-    def __len__(self):
-        raise AssertionError("cell visited")
-
-    def __iter__(self):
-        raise AssertionError("cell visited")
-
-    def __getitem__(self, i):
-        raise AssertionError("cell visited")
-
-
 class _ReadLog(list):
     """An adjacency list that records which vertices are read."""
 
@@ -607,46 +592,38 @@ class _ReadLog(list):
 
 
 def test_singleton_cells_are_not_visited():
-    # fano_complement with points 0 and 3 individualized: (3,) is the fresh
+    # fano_complement with points 0 and 3 individualized: {3} is the fresh
     # cell, and the other singletons are left unread and carried over as they are
     s = _Search(catalog.build("fano_complement"))
-    root = [tuple(range(s.v)), tuple(range(s.v, s.n))]
-    cells, masks = _equitable(root, _masks(root), s.adj, [0, 1])
-    cells, masks = _equitable([(0,), (1, 2, 3, 4, 5, 6)] + cells[1:],
-                              [1, masks[0] ^ 1] + masks[1:], s.adj, [0])
-    tgt = next(i for i, c in enumerate(cells) if len(c) > 1 and 3 in c)
-    rest = tuple(w for w in cells[tgt] if w != 3)
-    split = cells[:tgt] + [(3,), rest] + cells[tgt + 1:]
-    split_masks = _masks(split)
-    expected = count_key_equitable(split, split_masks, s.adj, [tgt])
-    hidden = [i for i, c in enumerate(split) if len(c) == 1 and i != tgt]
+    masks = _equitable([(1 << s.v) - 1, (1 << s.n) - (1 << s.v)], s.adj, [0, 1])
+    masks = _equitable([1, masks[0] ^ 1] + masks[1:], s.adj, [0])
+    tgt = next(i for i, m in enumerate(masks) if m & (m - 1) and m >> 3 & 1)
+    split = masks[:tgt] + [1 << 3, masks[tgt] ^ 1 << 3] + masks[tgt + 1:]
+    expected = count_key_equitable(_cells(split), split, s.adj, [tgt])
+    hidden = [i for i, m in enumerate(split) if not m & (m - 1) and i != tgt]
     assert hidden
-    for i in hidden:
-        split[i] = _Untouchable(split[i])
     adj = _ReadLog(s.adj)
-    got_cells, got_masks = _equitable(split, split_masks, adj, [tgt])
-    assert (got_cells, got_masks) == expected
+    got = _equitable(split, adj, [tgt])
+    assert (_cells(got), got) == expected
     assert 3 in adj.read  # the splitter is counted against
-    assert not any(split_masks[i] >> u & 1 for i in hidden for u in adj.read)
-    assert all(any(c is split[i] for c in got_cells) for i in hidden)
-    # _cut passes a singleton over unread, even when a splitter reaches it
+    assert not any(split[i] >> u & 1 for i in hidden for u in adj.read)
+    assert all(split[i] in got for i in hidden)
+    # _cut passes a singleton over whole, even when a splitter reaches it
     full = (1 << s.n) - 1
     odd = sum(1 << u for u in range(1, s.n, 2))
-    refined = _cut(split, split_masks, [(full, [odd, full ^ odd])])[0]
+    refined = _cut(split, [(full, [odd, full ^ odd])])[0]
     assert len(refined) > len(split)
-    assert all(any(c is split[i] for c in refined) for i in hidden)
+    assert all(split[i] in refined for i in hidden)
 
 
 def test_discrete_partition_returned_at_once():
-    cells = [(u,) for u in (3, 0, 2, 1)]
-    masks = _masks(cells)
+    masks = _masks([(u,) for u in (3, 0, 2, 1)])
 
     class Unread(list):
         def __getitem__(self, u):
             raise AssertionError("adjacency read")
     adj = Unread([0b1100, 0b1100, 0b0011, 0b0011])
-    out = _equitable(cells, masks, adj, [0, 2])
-    assert out[0] is cells and out[1] is masks
+    assert _equitable(masks, adj, [0, 2]) is masks
 
 
 def test_equitable_matches_the_count_key_oracle(monkeypatch):
@@ -659,10 +636,10 @@ def test_equitable_matches_the_count_key_oracle(monkeypatch):
     last = {}  # the partition of the last _equitable call and the last chain splitter
     equitable, cut, chain_split = aut._equitable, aut._cut, _Search._chain_split
 
-    def checked_equitable(cells, masks, adj, fresh):
-        got = equitable(cells, masks, adj, fresh)
-        assert got == count_key_equitable(cells, masks, adj, fresh)
-        last["partition"] = got
+    def checked_equitable(masks, adj, fresh):
+        got = equitable(masks, adj, fresh)
+        last["partition"] = (_cells(got), got)
+        assert last["partition"] == count_key_equitable(_cells(masks), masks, adj, fresh)
         calls.append("equitable")
         return got
 
@@ -679,11 +656,11 @@ def test_equitable_matches_the_count_key_oracle(monkeypatch):
         calls.append("skipped" if split is None else "split")
         return split
 
-    def checked_cut(cells, masks, splitters):
-        got = cut(cells, masks, splitters)
+    def checked_cut(masks, splitters):
+        got = cut(masks, splitters)
         if len(splitters) == 1 and splitters[0] is last.get("split"):
-            assert (cells, masks) == last["partition"]
-            assert got == last.pop("oracle")
+            assert masks == last["partition"][1]
+            assert (_cells(got[0]), *got) == last.pop("oracle")
             last.pop("split")
             calls.append("cut")
         return got

@@ -365,6 +365,9 @@ def test_usage_errors():
     assert run(["catalog", "build", "biplane121"]) == USAGE  # metadata-only
 
 
+LONG = "9" * 5000  # longer than the 4,300 digits int() reads from text
+
+
 def _hostile_files(tmp_path):
     """Paths of a 16-point design, its cartesian decomposition, one with an
     empty part, one with no partitions, groups of degree 8 and 20 (padded with fixed points), a
@@ -374,7 +377,8 @@ def _hostile_files(tmp_path):
     16-point biplane whose automorphisms do not include the group, a
     transposition, which is no automorphism and preserves no decomposition,
     groups whose generator is an integer or a list, and a group of degree
-    10^9."""
+    10^9, a file that is not UTF-8, and files that hold an integer longer
+    than int() reads."""
     d7 = catalog.build("fano_complement").to_json_dict()
     g16 = group_to_json_dict(catalog.primitive16_group())
     junk16 = Design(DesignParams(16, 6, 2),
@@ -406,6 +410,20 @@ def _hostile_files(tmp_path):
         path.write_text(json.dumps(data))
         paths[key] = str(path)
     paths["unwritable"] = str(tmp_path / "missing" / "out.json")
+    (tmp_path / "undecodable.json").write_bytes(b"\xff\xfe{}")
+    paths["undecodable"] = str(tmp_path / "undecodable.json")
+    # integers longer than int() reads, written as text: json.dumps cannot convert them
+    long_texts = {
+        "d_long_v": json.dumps(dict(files["d16"], v=0)).replace('"v": 0', f'"v": {LONG}'),
+        "d_long_point": json.dumps(files["d16"]).replace("[1, ", f"[{LONG}, ", 1),
+        "cd_long_point": json.dumps(files["cd16"]).replace("[1, ", f"[{LONG}, ", 1),
+        "g_long_degree": json.dumps(dict(g16, degree=0)).replace('"degree": 0',
+                                                                 f'"degree": {LONG}'),
+        "g_long_point": json.dumps({"degree": 16, "generators": [f"(1,{LONG})"]})}
+    for key, text in long_texts.items():
+        assert LONG in text
+        (tmp_path / f"{key}.json").write_text(text)
+        paths[key] = str(tmp_path / f"{key}.json")
     return paths
 
 
@@ -439,6 +457,16 @@ def _hostile_files(tmp_path):
     ["cart", "verify", "--design", "{d16}", "--cd", "{cd16}", "--group", "{g16_int_generator}"],
     ["cart", "verify", "--design", "{d16}", "--cd", "{cd16}", "--group", "{g16_nested_generator}"],
     ["cart", "verify", "--design", "{d16}", "--cd", "{cd16}", "--group", "{g_huge_degree}"],
+    ["verify", "{undecodable}"],
+    ["ds", "search", "--group", "c\u00b2", "--k", "3"],  # a digit that int() does not read
+    ["verify", "{d_long_v}"],
+    ["aut", "{d_long_point}"],
+    ["fix", "--design", "{d16}", "--perm", f"(1,{LONG})"],
+    ["cart", "verify", "--design", "{d16}", "--cd", "{cd_long_point}"],
+    ["cart", "verify", "--design", "{d16}", "--cd", "{cd16}", "--group", "{g_long_degree}"],
+    ["cart", "verify", "--design", "{d16}", "--cd", "{cd16}", "--group", "{g_long_point}"],
+    ["ds", "search", "--group", f"c{LONG}", "--k", "3"],
+    ["ds", "develop", "--group", f"c{LONG}", "--set", "0,1,3"],
 ])
 def test_hostile_arguments_exit_2(tmp_path, capsys, argv):
     paths = _hostile_files(tmp_path)

@@ -88,13 +88,27 @@ def test_difference_set_refuses_bad_elements_when_constructed():
 
 
 def test_develop_regular_translation_action():
+    # develop does not check its translations: every right translation must
+    # be an automorphism of the development, on the c37 set, every catalog
+    # development, and every class of the six order-16 searches, on each table
+    # and on one seeded relabeling of it
     g = cyclic(37)
-    ds = DifferenceSet(group=g, elements=tuple(sorted({pow(x, 4, 37) for x in range(1, 37)})), lam=2)
-    d = develop(ds)
-    blocks = d.block_index.keys()
-    for x in range(37):
-        perm = Permutation(g.mul[e][x] + 1 for e in range(37))
-        assert all(perm.apply_set(b) in blocks for b in d.blocks)
+    sets = [DifferenceSet(group=g, elements=tuple(sorted({pow(x, 4, 37) for x in range(1, 37)})),
+                          lam=2)]
+    developments = [e.construct.args for e in catalog.list_known()
+                    if getattr(e.construct, "func", None) is catalog._development]
+    assert len(developments) == 5
+    sets += [DifferenceSet(group=from_tag(tag), elements=tuple(elements), lam=2)
+             for tag, elements in developments]
+    for tag in ("c16", "c2xc8", "q8xc2", "e16", "c4xc4", "c2xc2xc4"):
+        for table in (_table(tag), _relabeled(_table(tag), 7)):
+            sets += search_difference_sets(table, 6, 2)
+    assert len(sets) == 1 + 5 + 2 * 124  # 0 + 12 + 44 + 28 + 12 + 28 classes per labeling
+    for ds in sets:
+        g, d = ds.group, develop(ds)
+        translations = [Permutation(g.mul[e][x] + 1 for e in g.elements()) for x in g.elements()]
+        actions = d.automorphism_actions(translations)
+        assert len(set(actions)) == g.n  # and they act regularly on the blocks
 
 
 SEARCH_EXPECTATIONS = [
