@@ -38,15 +38,14 @@ least leaf, so canonical forms and isomorphisms do not depend on them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .design import Design
 from .errors import InputError
 from .perm import PermGroup, Permutation, _stabilizer_images, orbit
 
 
-@dataclass(frozen=True)
-class CanonicalCertificate:
+class CanonicalCertificate(NamedTuple):
     """Relabeling-invariant fingerprint: the canonical block list plus a digest."""
 
     blocks: tuple[tuple[int, ...], ...]
@@ -61,8 +60,7 @@ class CanonicalCertificate:
         return cls(blocks, digest)
 
 
-@dataclass(frozen=True)
-class SearchStats:
+class SearchStats(NamedTuple):
     """Counters of one search: tree nodes visited (leaves included), leaves,
     and distinct non-identity automorphisms recorded."""
 
@@ -71,15 +69,13 @@ class SearchStats:
     automorphisms: int
 
 
-@dataclass(frozen=True)
-class AutResult:
+class AutResult(NamedTuple):
     group: PermGroup
     order: int
     stats: SearchStats | None = None
 
 
-@dataclass(frozen=True)
-class IsoResult:
+class IsoResult(NamedTuple):
     """A point bijection carrying the blocks of a onto those of b, or None,
     with the counters of the searches over a and b."""
 

@@ -9,10 +9,9 @@ recurrence; no irrational arithmetic enters the artifact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 from math import isqrt
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InputError, ScaleError, json_int
 from .ntheory import is_square
@@ -35,13 +34,16 @@ PELL_N_CAP = 1000
 PSP4_Q_CAP = 2**1000
 
 
-@dataclass(frozen=True)
-class CartesianDecomposition:
-    """Partitions of {1..v}, at least one; parts are non-empty and sorted by least element."""
-
+class _CartesianDecomposition(NamedTuple):
     partitions: tuple[tuple[frozenset, ...], ...]
 
-    def __init__(self, partitions):
+
+class CartesianDecomposition(_CartesianDecomposition):
+    """Partitions of {1..v}, at least one; parts are non-empty and sorted by least element."""
+
+    __slots__ = ()
+
+    def __new__(cls, partitions):
         parts = []
         for i, partition in enumerate(partitions):
             partition = [frozenset(p) for p in partition]
@@ -50,7 +52,7 @@ class CartesianDecomposition:
             parts.append(tuple(sorted(partition, key=min)))
         if not parts:
             raise InputError("no partitions")
-        object.__setattr__(self, "partitions", tuple(parts))
+        return super().__new__(cls, tuple(parts))
 
     @property
     def d(self) -> int:
@@ -72,8 +74,7 @@ class CartesianDecomposition:
         return cls(parts)
 
 
-@dataclass(frozen=True)
-class CartesianReport:
+class CartesianReport(NamedTuple):
     ok: bool
     homogeneous: bool
     d: int
@@ -190,14 +191,7 @@ def block_coordinate_pairs(d: Design, cd: CartesianDecomposition,
     return counts
 
 
-@dataclass(frozen=True)
-class PellSolution:
-    """A positive solution of 8x^2 - y^2 = 7, with its generating pair.
-
-    (u, v) satisfies u^2 - 8v^2 = 1; family 1 is (x, y) = (u+v, u+8v) and
-    family 2 is (x, y) = (u-v, -u+8v).
-    """
-
+class _PellSolution(NamedTuple):
     n: int
     family: int
     x: int
@@ -205,11 +199,22 @@ class PellSolution:
     u: int
     v: int
 
-    def __post_init__(self):
-        if 8 * self.x * self.x - self.y * self.y != PELL_RHS:
+
+class PellSolution(_PellSolution):
+    """A positive solution of 8x^2 - y^2 = 7, with its generating pair.
+
+    (u, v) satisfies u^2 - 8v^2 = 1; family 1 is (x, y) = (u+v, u+8v) and
+    family 2 is (x, y) = (u-v, -u+8v).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, family: int, x: int, y: int, u: int, v: int):
+        if 8 * x * x - y * y != PELL_RHS:
             raise AssertionError("Pell solution: 8x^2 - y^2 != PELL_RHS")
-        if self.u * self.u - 8 * self.v * self.v != 1:
+        if u * u - 8 * v * v != 1:
             raise AssertionError("Pell solution: u^2 - 8v^2 != 1")
+        return super().__new__(cls, n, family, x, y, u, v)
 
 
 def pell_solutions(n_max: int) -> list[PellSolution]:
@@ -245,8 +250,7 @@ def pell_brute_force(x_max: int) -> list[tuple[int, int]]:
     return out
 
 
-@dataclass(frozen=True)
-class Psp4Report:
+class Psp4Report(NamedTuple):
     q: int
     c: int
     pell_value: int

@@ -21,10 +21,9 @@ metadata only: no construction is available here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import combinations
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .design import Design, DesignParams
 from .errors import InputError
@@ -60,17 +59,33 @@ CART16_PARTITIONS = (
 QR11 = (1, 3, 4, 5, 9)  # quadratic residues mod 11
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
+    """One catalog row; construct, the construction or None, takes no part in
+    equality and is left out of the repr."""
+
     name: str
     params: DesignParams
     examples_for_params: str
-    expected: dict = field(default_factory=dict)
-    construct: Callable[[], Design] | None = field(default=None, compare=False, repr=False)
+    expected: dict
+    construct: Callable[[], Design] | None = None
 
     @property
     def constructible(self) -> bool:
         return self.construct is not None
+
+    def __eq__(self, other):
+        if isinstance(other, CatalogEntry):
+            return self[:4] == other[:4]
+        return NotImplemented
+
+    def __ne__(self, other):
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    def __repr__(self):
+        return (f"CatalogEntry(name={self.name!r}, params={self.params!r}, "
+                f"examples_for_params={self.examples_for_params!r}, "
+                f"expected={self.expected!r})")
 
 
 def primitive16_group() -> PermGroup:

@@ -13,7 +13,14 @@ unchanged.
 Each handler imports the package modules it runs, and nothing is imported
 at module level beyond `errors`: every call starts a fresh interpreter, so
 `biplane pell` never compiles the automorphism search and `biplane aut`
-never loads the certificates.
+never loads the certificates. Beyond `cli` and `errors`, `verify` loads
+`design` and `ntheory`; `aut` and `iso` add `perm` and `aut`; `fix` and
+`cert121` add `perm` and `fixcert`; `cart verify` adds `perm` and
+`cartdecomp`; `ds` adds `diffset`; `catalog` adds `catalog` (and `diffset`
+to build); `pell` and `psp4` load `cartdecomp` and `ntheory` only. The
+records are named tuples, so no call loads `dataclasses` or the `inspect`
+it imports. A short call pays the interpreter start, those imports and
+build_parser.
 """
 
 from __future__ import annotations
@@ -21,9 +28,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 
-from .errors import BiplaneError, InputError
+from .errors import BiplaneError, InputError, clipped
 
 OK, CHECK_FAILED, USAGE, INTERNAL = 0, 1, 2, 3
 
@@ -106,7 +112,8 @@ def _parse_set(text: str) -> tuple[int, ...]:
         try:
             elements.append(int(token))
         except ValueError:
-            raise InputError(f"--set: {token!r} is not an integer") from None
+            raise InputError(f"--set: {clipped(token)} is not an integer of at most "
+                             f"{sys.get_int_max_str_digits()} digits") from None
     return tuple(elements)
 
 
@@ -159,7 +166,7 @@ def _cmd_aut(args) -> int:
                "generators": [g.cycle_string() for g in result.group.generators]}
     lines = [f"automorphism group order {result.order}"]
     lines += [f"  {g.cycle_string()}" for g in result.group.generators]
-    _add_stats(args, payload, asdict(result.stats))
+    _add_stats(args, payload, result.stats._asdict())
     _emit(payload, args.json, lines)
     return OK
 
@@ -173,8 +180,8 @@ def _cmd_iso(args) -> int:
     payload = {"isomorphic": sigma is not None,
                "mapping": sigma.cycle_string() if sigma else None}
     lines = ["isomorphic: " + ("yes " + sigma.cycle_string() if sigma else "no")]
-    _add_stats(args, payload, {"design_a": asdict(result.stats[0]),
-                               "design_b": asdict(result.stats[1])})
+    _add_stats(args, payload, {"design_a": result.stats[0]._asdict(),
+                               "design_b": result.stats[1]._asdict()})
     _emit(payload, args.json, lines)
     return OK if sigma is not None else CHECK_FAILED
 
@@ -202,7 +209,7 @@ def _cmd_ds(args) -> int:
                    "sets": [list(ds.elements) for ds in found]}
         lines = [f"{len(found)} difference set class(es) in {group.name}"]
         lines += [f"  {list(ds.elements)}" for ds in found]
-        _add_stats(args, payload, asdict(stats))
+        _add_stats(args, payload, stats._asdict())
         _emit(payload, args.json, lines)
         return OK
     # develop

@@ -6,11 +6,11 @@ immutable after construction and all operations are pure functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from math import comb, gcd, isqrt
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import InputError, ScaleError, json_int
 from .ntheory import is_square, square_free_part, ternary_isotropic
@@ -34,15 +34,20 @@ VIOLATION_SAMPLE = 20
 PARAMS_K_CAP = 10**2000
 
 
-@dataclass(frozen=True)
-class DesignParams:
+class _DesignParams(NamedTuple):
     v: int
     k: int
     lam: int
 
-    def __post_init__(self):
-        if self.v < 1 or self.k < 1 or self.lam < 1:
+
+class DesignParams(_DesignParams):
+    __slots__ = ()
+
+    def __new__(cls, v: int, k: int, lam: int):
+        self = super().__new__(cls, v, k, lam)
+        if v < 1 or k < 1 or lam < 1:
             raise InputError(f"parameters must be positive: {self}")
+        return self
 
     @property
     def symmetric_feasible(self) -> bool:
@@ -53,7 +58,6 @@ class DesignParams:
         return (self.v, self.k, self.lam)
 
 
-@dataclass(frozen=True)
 class Design:
     """Incidence structure with point set {1..v} and an ordered list of blocks.
 
@@ -61,11 +65,12 @@ class Design:
     inside a block, repeated blocks); whether the structure satisfies the
     symmetric-design axioms is the job of verify_symmetric_design.
 
-    The one incidence view of the package (block_index, block_getters, the
-    incidence bitmasks, block_action) and verify_report are cached outside
-    the fields, so they take no part in equality or hashing. require_verified
-    and automorphism_actions are the input gates of every search and
-    certificate.
+    The fields params and blocks are read-only, and equality, hashing and
+    repr read them alone. The one incidence view of the package
+    (block_index, block_getters, the incidence bitmasks, block_action) and
+    verify_report are cached beside them by cached_property, which is why
+    Design is a plain class and not a named tuple. require_verified and
+    automorphism_actions are the input gates of every search and certificate.
     """
 
     params: DesignParams
@@ -86,6 +91,23 @@ class Design:
             cleaned.append(b)
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "blocks", tuple(cleaned))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.params, self.blocks) == (other.params, other.blocks)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.params, self.blocks))
+
+    def __repr__(self):
+        return f"Design(params={self.params!r}, blocks={self.blocks!r})"
 
     @property
     def v(self) -> int:
@@ -185,17 +207,22 @@ class Design:
         return cls(params, blocks)
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class _VerifyReport(NamedTuple):
+    ok: bool
+    violations: tuple[tuple, ...]
+    counts: dict[str, int]
+
+
+class VerifyReport(_VerifyReport):
     """The first VIOLATION_SAMPLE violations, and the number of each kind."""
 
-    ok: bool
-    violations: tuple[tuple, ...] = field(default_factory=tuple)
-    counts: dict[str, int] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.ok != (len(self.violations) == 0):
+    def __new__(cls, ok: bool, violations: tuple[tuple, ...] = (),
+                counts: dict[str, int] | None = None):
+        if ok != (len(violations) == 0):
             raise AssertionError("verify report: ok disagrees with its violations")
+        return super().__new__(cls, ok, violations, {} if counts is None else counts)
 
 
 def verify_symmetric_design(d: Design) -> VerifyReport:

@@ -8,7 +8,6 @@ Lander witness scan is the arithmetic route to nonexistence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import product
 from math import comb
@@ -33,8 +32,7 @@ LANDER_V_CAP = 10**6
 TABLE_AUT_CAP = 16
 
 
-@dataclass(frozen=True)
-class GroupTable:
+class GroupTable(NamedTuple):
     """A finite group as an n x n multiplication table; element 0 is the identity."""
 
     name: str
@@ -169,14 +167,20 @@ def _checked_elements(g: GroupTable, elements) -> tuple[int, ...]:
     return elements
 
 
-@dataclass(frozen=True)
-class DifferenceSet:
+class _DifferenceSet(NamedTuple):
     group: GroupTable
     elements: tuple[int, ...]
     lam: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "elements", _checked_elements(self.group, self.elements))
+
+class DifferenceSet(_DifferenceSet):
+    """A difference set of a group table; the elements are stored sorted,
+    and _checked_elements refuses repeated or out-of-range ones."""
+
+    __slots__ = ()
+
+    def __new__(cls, group: GroupTable, elements, lam: int):
+        return super().__new__(cls, group, _checked_elements(group, elements), lam)
 
     @property
     def params(self) -> DesignParams:
@@ -238,8 +242,7 @@ def _canonical_rep(g: GroupTable, subset: tuple[int, ...],
     return min(t for img in images for t in _pair_translates(g, img))
 
 
-@dataclass(frozen=True)
-class DiffsetSearchStats:
+class DiffsetSearchStats(NamedTuple):
     """Counters of one difference-set search: nodes are calls of its extend
     step, hits the sets it found that contain {0, 1}."""
 

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the integer check of the
-JSON file loaders."""
+"""Exception types shared across the package, the integer check of the JSON
+file loaders, and the clipped echo of user text in error messages."""
 
 
 class BiplaneError(Exception):
@@ -22,4 +22,11 @@ def json_int(value, field: str) -> int:
     """
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    raise InputError(f"{field}: {value!r} is not an integer")
+    raise InputError(f"{field}: {clipped(value)} is not an integer")
+
+
+def clipped(value) -> str:
+    """repr(value) for an error message, cut to 60 characters with its length
+    named when it is longer, so that hostile input cannot fill the line."""
+    shown = repr(value)
+    return shown if len(shown) <= 60 else f"{shown:.60}... ({len(shown)} characters)"

@@ -21,8 +21,8 @@ is a union of cycles, and every 2-cycle that meets it lies inside it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import isqrt, prod
+from typing import NamedTuple
 
 from .design import Design, restrict_subdesign, subdesign_constraint
 from .errors import InputError
@@ -32,8 +32,7 @@ from .perm import CycleType, Permutation, PermGroup, _cycles
 PASS, FAIL, NA = "pass", "fail", "n/a"
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     status: str
     detail: str = ""
@@ -43,11 +42,23 @@ class Check:
         return self.status != FAIL
 
 
-@dataclass(frozen=True)
-class CertResult:
+class CertResult(NamedTuple):
     checks: tuple[Check, ...]
-    # the fixed-point report the checks were computed from (certify_fix_lemmas)
-    report: FixReport | None = field(default=None, compare=False)
+    # the fixed-point report the checks were computed from (certify_fix_lemmas);
+    # equality and hashing read the checks alone
+    report: FixReport | None = None
+
+    def __eq__(self, other):
+        if isinstance(other, CertResult):
+            return self.checks == other.checks
+        return NotImplemented
+
+    def __ne__(self, other):
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    def __hash__(self):
+        return hash((self.checks,))
 
     @property
     def ok(self) -> bool:
@@ -63,16 +74,15 @@ class CertResult:
         raise KeyError(name)
 
 
-@dataclass(frozen=True)
-class FixReport:
+class FixReport(NamedTuple):
     f_points: int
     f_blocks: int
     fixed_points: tuple[int, ...]
     fixed_blocks: tuple[int, ...]
-    s_point: dict[int, int] = field(default_factory=dict)
-    r_point: dict[int, int] = field(default_factory=dict)
-    s_block: dict[int, int] = field(default_factory=dict)
-    r_block: dict[int, int] = field(default_factory=dict)
+    s_point: dict[int, int]
+    r_point: dict[int, int]
+    s_block: dict[int, int]
+    r_block: dict[int, int]
 
 
 def _walk(images, first: int) -> tuple[CycleType, tuple[int, ...], int, int]:
@@ -421,8 +431,7 @@ def sylow_bound_121(p: int) -> tuple[int, str]:
 ALLOWED_79_ORDERS = (1, 3, 110)
 
 
-@dataclass(frozen=True)
-class Classification79:
+class Classification79(NamedTuple):
     order: int
     order_allowed: bool
     three_element_checks: tuple[Check, ...]

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from itertools import compress
 from math import gcd, lcm, prod
 from operator import itemgetter, ne
+from typing import NamedTuple
 
-from .errors import InputError, ScaleError, json_int
+from .errors import InputError, ScaleError, clipped, json_int
 
 _CYCLE_RE = re.compile(r"\(\s*([0-9]+(?:\s*,\s*[0-9]+)*)\s*\)")
 
@@ -70,7 +70,7 @@ class Permutation:
         if stripped in ("", "()"):
             return cls.identity(degree)
         if _CYCLE_RE.sub("", stripped):
-            raise InputError(f"unparsable cycle notation: {text!r}")
+            raise InputError(f"unparsable cycle notation: {clipped(text)}")
         images = list(range(1, degree + 1))
         seen: set[int] = set()
         digits = len(str(degree))
@@ -78,9 +78,9 @@ class Permutation:
             # a point with more digits than degree is out of range; int() never reads it
             pts = [int(t) if len(t.strip()) <= digits else 0 for t in m.group(1).split(",")]
             if any(not 1 <= p <= degree for p in pts):
-                raise InputError(f"point out of range 1..{degree} in {text!r}")
+                raise InputError(f"point out of range 1..{degree} in {clipped(text)}")
             if len(set(pts)) != len(pts) or seen & set(pts):
-                raise InputError(f"cycles not disjoint in {text!r}")
+                raise InputError(f"cycles not disjoint in {clipped(text)}")
             seen.update(pts)
             for a, b in zip(pts, pts[1:] + pts[:1]):
                 images[a - 1] = b
@@ -134,8 +134,7 @@ class Permutation:
         return f"Permutation({self.cycle_string()!r}, degree={self.degree})"
 
 
-@dataclass(frozen=True)
-class CycleType:
+class CycleType(NamedTuple):
     """Multiset {cycle length -> multiplicity}, fixed points included as length 1."""
 
     counts: tuple[tuple[int, int], ...]

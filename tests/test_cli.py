@@ -279,27 +279,40 @@ def test_cli_import_leaves_numpy_out():
 
 
 # The package modules each subcommand may load beyond biplane, cli and errors;
-# none of them hashes, so none loads hashlib.
+# none of them hashes, so none loads hashlib. The records are named tuples,
+# so none loads dataclasses or the inspect module that it imports.
 _BASE = {"design", "ntheory"}
 
 
 @pytest.mark.parametrize("argv, allowed", [
     (["catalog", "list"], _BASE | {"catalog"}),
+    (["catalog", "build", "hadamard11"], _BASE | {"catalog", "diffset"}),
     (["verify", "d16.json"], _BASE),
     (["aut", "d16.json"], _BASE | {"perm", "aut"}),
+    (["iso", "d16.json", "d16.json"], _BASE | {"perm", "aut"}),
     (["fix", "--design", "d16.json", "--perm", "(3,5)(4,6)(11,13)(12,14)"],
      _BASE | {"perm", "fixcert"}),
+    (["cert121", "--order", "3"], _BASE | {"perm", "fixcert"}),
+    (["cart", "verify", "--design", "d16.json", "--cd", "cd.json", "--group", "g.json"],
+     _BASE | {"perm", "cartdecomp"}),
     (["pell", "--n", "3"], {"cartdecomp", "ntheory"}),
+    (["ds", "search", "--group", "c2xc8", "--k", "6"], _BASE | {"diffset"}),
     (["ds", "lander", "--v", "121", "--k", "16"], _BASE | {"diffset"}),
-], ids=["catalog-list", "verify", "aut", "fix", "pell", "ds-lander"])
+], ids=["catalog-list", "catalog-build", "verify", "aut", "iso", "fix", "cert121",
+        "cart-verify", "pell", "ds-search", "ds-lander"])
 def test_subcommand_loads_only_its_modules(tmp_path, argv, allowed):
-    d16 = catalog.build("biplane16_primitive").to_json_dict()
-    (tmp_path / "d16.json").write_text(json.dumps(d16))
+    from biplane.cartdecomp import CartesianDecomposition
+    from biplane.perm import group_to_json_dict
+    files = {"d16.json": catalog.build("biplane16_primitive").to_json_dict(),
+             "cd.json": CartesianDecomposition(catalog.CART16_PARTITIONS).to_json_dict(),
+             "g.json": group_to_json_dict(catalog.primitive16_group())}
+    for name, data in files.items():
+        (tmp_path / name).write_text(json.dumps(data))
     exit_code, modules = _modules_loaded(argv, cwd=tmp_path)
     assert exit_code == OK
     loaded = {m.removeprefix("biplane.") for m in modules if m.startswith("biplane.")}
     assert loaded <= allowed | {"cli", "errors"}
-    assert not modules & {"hashlib", "numpy"}
+    assert not modules & {"hashlib", "numpy", "dataclasses", "inspect"}
 
 
 def test_cert121(capsys):
@@ -400,6 +413,7 @@ def _hostile_files(tmp_path):
              "d7": d7,
              "d7_float_v": dict(d7, v=7.9),
              "d7_float_point": dict(d7, blocks=[[1.9] + d7["blocks"][0][1:]] + d7["blocks"][1:]),
+             "d7_long_text_v": dict(d7, v=LONG),
              "g16_float_degree": dict(g16, degree=16.0),
              "g16_int_generator": {"degree": 16, "generators": [5]},
              "g16_nested_generator": {"degree": 16, "generators": [["(1,2)"]]},
@@ -467,6 +481,11 @@ def _hostile_files(tmp_path):
     ["cart", "verify", "--design", "{d16}", "--cd", "{cd16}", "--group", "{g_long_point}"],
     ["ds", "search", "--group", f"c{LONG}", "--k", "3"],
     ["ds", "develop", "--group", f"c{LONG}", "--set", "0,1,3"],
+    ["ds", "develop", "--group", "c11", "--set", f"1,{LONG}"],
+    ["ds", "develop", "--group", "c11", "--set", f"1,{LONG}x"],
+    ["fix", "--design", "{d16}", "--perm", f"(1,2)(2,{'3,' * 3000}4)"],
+    ["fix", "--design", "{d16}", "--perm", f"(1,2)x{LONG}"],
+    ["verify", "{d7_long_text_v}"],
 ])
 def test_hostile_arguments_exit_2(tmp_path, capsys, argv):
     paths = _hostile_files(tmp_path)
@@ -478,6 +497,9 @@ def test_hostile_arguments_exit_2(tmp_path, capsys, argv):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        # hostile input is echoed clipped; the test's own directory is not counted
+        line = captured.err.removesuffix("\n").replace(str(tmp_path), "")
+        assert len(line.encode()) < 200
         assert "Traceback" not in captured.err
 
 

@@ -29,6 +29,20 @@ def test_no_bare_assert_in_the_package():
     assert bare == []
 
 
+def test_no_module_imports_dataclasses():
+    # the records are named tuples: importing dataclasses also loads inspect,
+    # ast, dis and tokenize, several milliseconds of every CLI call
+    package = Path(biplane.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            found += [f"{path.name}:{node.lineno}" for n in names
+                      if n and n.split(".")[0] == "dataclasses"]
+    assert found == []
+
+
 def test_internal_invariants_fail_by_name():
     from biplane.cartdecomp import PellSolution
     from biplane.design import VerifyReport
