@@ -182,6 +182,12 @@ class DifferenceSet(_DifferenceSet):
     def __new__(cls, group: GroupTable, elements, lam: int):
         return super().__new__(cls, group, _checked_elements(group, elements), lam)
 
+    @classmethod
+    def _trusted(cls, group: GroupTable, elements: tuple[int, ...], lam: int) -> "DifferenceSet":
+        """Wrap elements that are ascending, distinct and in range by
+        construction, unchecked."""
+        return _DifferenceSet.__new__(cls, group, elements, lam)
+
     @property
     def params(self) -> DesignParams:
         return DesignParams(self.group.n, len(self.elements), self.lam)
@@ -208,14 +214,19 @@ def is_difference_set(g: GroupTable, elements, lam: int) -> bool:
 def develop(ds: DifferenceSet) -> Design:
     """The development: blocks are the right translates D*x, x over the group.
 
-    The input gate is is_difference_set. Right multiplication by y maps D*x
-    to D*xy, so the group acts on the development as a point-regular
-    automorphism group; the tests check every right translation on every
-    catalog set and every order-16 class, so no call repeats that check.
+    The input gate is is_difference_set. D = G, the (n,n,n) set, is refused
+    too: every translate of G is G, so its development is one block n times.
+    Right multiplication by y maps D*x to D*xy, so the group acts on the
+    development as a point-regular automorphism group; the tests check every
+    right translation on every catalog set and every order-16 class, so no
+    call repeats that check.
     """
     g = ds.group
     if not is_difference_set(g, ds.elements, ds.lam):
         raise InputError("not a difference set; refusing to develop")
+    if len(ds.elements) == g.n:
+        raise InputError(f"the set is all of the group: every translate of G is G, so the "
+                         f"development repeats one block {g.n} times; refusing to develop")
     mul = g.mul
     blocks = sorted(tuple(sorted(mul[d][x] + 1 for d in ds.elements)) for x in g.elements())
     return Design(ds.params, blocks)
@@ -270,7 +281,9 @@ def _pair_sets(g: GroupTable, k: int,
     elements, plus pair[y][z]. Counts only grow along a path, so a dropped
     candidate never comes back, and a child is entered only when enough
     candidates survive to fill the set. Since k(k-1) = lam(n-1), a full set
-    with no count above lam has every count equal to lam.
+    with no count above lam has every count equal to lam, so a node that
+    needs one more element completes a set with each of its candidates: it
+    appends them all in one step, and counts each as a node of its own.
     """
     n, mul, inv = g.n, g.mul, g.inv
     w = (lam + 2).bit_length() + 1  # a tested field reaches 2 lam + 2 plus the bias
@@ -289,14 +302,14 @@ def _pair_sets(g: GroupTable, k: int,
     def extend(counts: int, cands: list[tuple[int, int]], need: int) -> None:
         nonlocal nodes
         nodes += 1
-        if not need:
-            found.append(tuple(chosen))
+        if need == 1:  # every candidate completes a set: one node and one hit each
+            nodes += len(cands)
+            found.extend([(*chosen, y) for y, _ in cands])
             return
         for i in range(len(cands) - need + 1):
             y, t = cands[i]
             py, added = pair[y], t - counts
-            later = [(z, u) for z, tz in cands[i + 1:]
-                     if not (u := tz + added + py[z]) & over] if need > 1 else []
+            later = [(z, u) for z, tz in cands[i + 1:] if not (u := tz + added + py[z]) & over]
             if len(later) >= need - 1:
                 chosen.append(y)
                 extend(t, later, need - 1)
@@ -322,7 +335,11 @@ def difference_set_search(g: GroupTable, k: int, lam: int, automorphisms=None
     element is a right difference f e^-1 of a difference set exactly lam
     times, so every translation class has lam right translates that contain
     {0, 1}, and the search runs over subsets containing {0, 1}, at most
-    C(n-2,k-2) of them. Results are in ascending representative order.
+    C(n-2,k-2) of them. The least of a class's lam hits is its
+    representative; without automorphisms a hit is tested against its
+    lam - 1 other translates through {0, 1} by one bitmask comparison each,
+    and nothing is stored across hits. Results are in ascending
+    representative order.
     """
     if k < 2:
         raise InputError("difference set needs at least two elements")
@@ -341,15 +358,30 @@ def difference_set_search(g: GroupTable, k: int, lam: int, automorphisms=None
     if autos:
         reps = sorted({_canonical_rep(g, subset, autos) for subset in hits})
     else:
-        # The hits of one class are its lam translates through {0, 1}, and
-        # the hits come in ascending order, so the first hit of a class is
-        # its least member; the others are marked seen when it is taken.
-        reps, seen = [], set()
+        # The hits of one class are its lam translates through {0, 1}: D
+        # and D e^-1 for each e != 0 in D with 1 e in D. A hit is its class's
+        # least member, the representative, unless one of those is smaller;
+        # for sets of equal size, D' < D exactly when the lowest bit of
+        # D xor D' lies in D'.
+        mul, inv, one = g.mul, g.inv, g.mul[1]
+        reps = []
         for subset in hits:
-            if subset not in seen:
+            mask = 0
+            for f in subset:
+                mask |= 1 << f
+            for e in subset[1:]:
+                if mask >> one[e] & 1:
+                    ie, other = inv[e], 0
+                    for f in subset:
+                        other |= 1 << mul[f][ie]
+                    low = other ^ mask
+                    if low & -low & other:
+                        break
+            else:
                 reps.append(subset)
-                seen.update(_pair_translates(g, subset))
-    return [DifferenceSet(group=g, elements=rep, lam=lam) for rep in reps], stats
+    # _pair_sets and _pair_translates emit ascending, distinct, in-range
+    # tuples, so the records skip _checked_elements
+    return [DifferenceSet._trusted(g, rep, lam) for rep in reps], stats
 
 
 def search_difference_sets(g: GroupTable, k: int, lam: int,

@@ -486,6 +486,7 @@ def _hostile_files(tmp_path):
     ["fix", "--design", "{d16}", "--perm", f"(1,2)(2,{'3,' * 3000}4)"],
     ["fix", "--design", "{d16}", "--perm", f"(1,2)x{LONG}"],
     ["verify", "{d7_long_text_v}"],
+    ["ds", "develop", "--group", "c3", "--set", "0,1,2", "--lambda", "3"],
 ])
 def test_hostile_arguments_exit_2(tmp_path, capsys, argv):
     paths = _hostile_files(tmp_path)

@@ -87,6 +87,19 @@ def test_difference_set_refuses_bad_elements_when_constructed():
     assert ds.elements == (0, 1, 3) and ds.params == DesignParams(7, 3, 1)
 
 
+@pytest.mark.parametrize("tag", ["c2", "c3", "c7", "q8xc2"])
+def test_develop_refuses_the_whole_group(tag, monkeypatch):
+    # G is an (n,n,n) difference set (the closed-form row of the search),
+    # but every translate of G is G: refused before any block is built
+    g = from_tag(tag)
+    (ds,), _ = diffset.difference_set_search(g, g.n, g.n)
+    assert ds.elements == tuple(range(g.n))
+    monkeypatch.setattr(diffset, "Design", None)
+    with pytest.raises(InputError, match=rf"^the set is all of the group: every translate of "
+                       rf"G is G, so the development repeats one block {g.n} times"):
+        develop(ds)
+
+
 def test_develop_regular_translation_action():
     # develop does not check its translations: every right translation must
     # be an automorphism of the development, on the c37 set, every catalog
@@ -320,13 +333,32 @@ def test_canonical_rep_matches_all_translates(tag, k, lam):
         assert diffset._canonical_rep(g, subset, autos) == all_translates_rep(g, subset, autos)
 
 
-@pytest.mark.parametrize("tag,k,lam", ORACLE_CASES)
-def test_plain_classes_match_all_translates(tag, k, lam):
-    # without automorphisms each class is kept at its first hit
-    g = _table(tag)
+@pytest.mark.parametrize("g,k,lam", _pair_set_cases())
+def test_plain_classes_match_all_translates(g, k, lam):
+    # without automorphisms a hit is kept when none of its lam - 1 other
+    # translates through {0, 1} is smaller; lam reaches 5 on c23 and the
+    # order-16 tables are relabeled
     hits, _ = diffset._pair_sets(g, k, lam)
     found = [ds.elements for ds in search_difference_sets(g, k, lam)]
     assert found == sorted({all_translates_rep(g, subset, ()) for subset in hits})
+    assert len(hits) == lam * len(found)
+
+
+@pytest.mark.parametrize("g,k,lam", _pair_set_cases())
+def test_search_records_equal_validated_records(g, k, lam):
+    # the search wraps its records unchecked (DifferenceSet._trusted); each
+    # must be what the validating constructor builds from the same elements
+    searches = [None]
+    if g.name.startswith("cyclic("):
+        searches.append(_multipliers(g.n))
+    for autos in searches:
+        for ds in diffset.difference_set_search(g, k, lam, autos)[0]:
+            e = ds.elements
+            assert type(ds) is DifferenceSet and type(e) is tuple
+            assert all(type(x) is int for x in e)
+            assert len(e) == k and list(e) == sorted(set(e)) and 0 <= e[0] and e[-1] < g.n
+            assert ds == DifferenceSet(group=g, elements=e, lam=lam)
+            assert ds.params == DesignParams(g.n, k, lam)
 
 
 def test_search_refuses_tables_that_are_not_automorphisms():
