@@ -28,12 +28,16 @@ stabilizer maps every cell onto itself, so only its orbits on the target cell
 are computed. It is taken one prefix point at a time, and the Schreier-Sims
 kernel of `perm` runs only for a point that some generator still moves; while
 every automorphism found fixes the prefix, as on the first path, they generate
-it themselves. A leaf with the first leaf's certificate gives an automorphism
-gamma. If gamma is checked to map the leaf's path down to the child where it
-leaves the first path onto that path, the child's subtree is the image of an
-explored one, so the search jumps back to the child's parent (McKay, Practical
-Graph Isomorphism, 1981). Neither prune skips the first leaf or the first
-least leaf, so canonical forms and isomorphisms do not depend on them.
+it themselves. The map of a leaf's points onto the first leaf's is an
+automorphism gamma exactly when the two leaves have equal certificates, so
+each leaf tests that map with Design.block_action first, and only the first
+leaf and a leaf that is not its automorphic image build a certificate. If
+gamma is checked to map the leaf's path down to the child where it leaves
+the first path onto that path, the child's subtree is the image of an
+explored one, so the search jumps back to the child's parent (McKay,
+Practical Graph Isomorphism, 1981). Neither prune skips the first leaf or
+the first least leaf, so canonical forms and isomorphisms do not depend on
+them.
 """
 
 from __future__ import annotations
@@ -329,38 +333,50 @@ class _Search:
     # -- leaves ------------------------------------------------------------
 
     def _leaf(self, masks, prefix) -> int | None:
-        """Score this leaf; return the depth to jump back to, or None."""
+        """Score this leaf; return the depth to jump back to, or None.
+
+        The map of the leaf's point order onto the first leaf's is an
+        automorphism exactly when the two leaves have equal certificates, so
+        it is tested first (Design.block_action) and a certificate is built
+        only for the first leaf and for a leaf that is not an automorphic
+        image of it."""
         self.leaves += 1
         points = 1 << self.v
         order = tuple(m.bit_length() - 1 for m in masks if m < points)
+        first_order = self.first_order
+        if first_order is None:
+            cert = self._certificate(order)
+            self.first_cert, self.first_order, self.first_prefix = cert, order, prefix
+            self.best_cert, self.best_order = cert, order
+            return None
+        if order == first_order:  # gamma is the identity: nothing to record
+            return None
+        images = [q + 1 for _, q in sorted(zip(order, first_order))]
+        blocks = self.d.block_action(images)
+        if blocks is None:
+            cert = self._certificate(order)
+            if cert == self.first_cert:
+                raise AssertionError("leaf with equal certificate is not an automorphism")
+            if cert < self.best_cert:
+                self.best_cert, self.best_order = cert, order
+            return None
+        # gamma, the automorphism as a 0-based full-vertex image tuple
+        gamma = tuple(p - 1 for p in images) + tuple(self.v + j for j in blocks)
+        self.autos[gamma] = None
+        first = self.first_prefix
+        # neither leaf lies below the other, so their paths part at some d
+        d = next(i for i, (u, f) in enumerate(zip(prefix, first)) if u != f)
+        if all(gamma[u] == f for u, f in zip(prefix[:d + 1], first)):
+            return d
+        return None
+
+    def _certificate(self, order) -> tuple[tuple[int, ...], ...]:
+        """The sorted block list of the design relabeled by the places of the
+        points in order."""
         rank = [0] * (self.v + 1)  # 1-based point -> its 1-based place in order
         for i, p in enumerate(order, start=1):
             rank[p + 1] = i
-        cert = tuple(sorted(tuple(sorted(map(rank.__getitem__, b))) for b in self.d.blocks))
-        if self.best_cert is None or cert < self.best_cert:
-            self.best_cert, self.best_order = cert, order
-        if self.first_cert is None:
-            self.first_cert, self.first_order, self.first_prefix = cert, order, prefix
-        elif cert == self.first_cert:
-            gamma, first = self._record_automorphism(order), self.first_prefix
-            # neither leaf lies below the other, so their paths part at some d
-            d = next(i for i, (u, f) in enumerate(zip(prefix, first)) if u != f)
-            if gamma and all(gamma[u] == f for u, f in zip(prefix[:d + 1], first)):
-                return d
-        return None
-
-    def _record_automorphism(self, order) -> tuple[int, ...] | None:
-        """Record the map of this leaf's point order onto the first leaf's;
-        return it, new or not, as a 0-based full-vertex image tuple."""
-        if order == self.first_order:
-            return None
-        images = [q + 1 for _, q in sorted(zip(order, self.first_order))]
-        blocks = self.d.block_action(images)
-        if blocks is None:
-            raise AssertionError("leaf with equal certificate is not an automorphism")
-        full_t = tuple(p - 1 for p in images) + tuple(self.v + j for j in blocks)
-        self.autos[full_t] = None
-        return full_t
+        return tuple(sorted(tuple(sorted(map(rank.__getitem__, b))) for b in self.d.blocks))
 
     def stats(self) -> SearchStats:
         return SearchStats(self.nodes, self.leaves, len(self.autos))

@@ -20,7 +20,7 @@ never loads the certificates. Beyond `cli` and `errors`, `verify` loads
 to build); `pell` and `psp4` load `cartdecomp` and `ntheory` only. The
 records are named tuples, so no call loads `dataclasses` or the `inspect`
 it imports. A short call pays the interpreter start, those imports and
-build_parser.
+the parser: run builds the arguments of the one subcommand argv names.
 """
 
 from __future__ import annotations
@@ -341,130 +341,143 @@ def _cmd_feasible(args) -> int:
 
 # -- parser ------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand. Given a command, only the subcommand
+    of that name gets its arguments (and its actions); the others are
+    registered with their help alone, which is all that top-level usage,
+    help and errors read."""
     top = argparse.ArgumentParser(
         prog="biplane",
         description="Construct, verify and analyze biplanes (symmetric 2-(v,k,2) designs).")
     sub = top.add_subparsers(dest="command", required=True)
 
+    def subcommand(name, text):
+        """Register name with its help; its parser, if it gets its arguments."""
+        p = sub.add_parser(name, help=text)
+        return p if command is None or command == name else None
+
     def add_json(p):
         p.add_argument("--json", action="store_true", help="emit JSON")
 
-    p = sub.add_parser("catalog", help="list or build the known small biplanes")
-    ssub = p.add_subparsers(dest="action", required=True)
-    pl = ssub.add_parser("list")
-    add_json(pl)
-    pl.set_defaults(func=_cmd_catalog)
-    pb = ssub.add_parser("build")
-    pb.add_argument("name")
-    pb.add_argument("-o", "--output")
-    add_json(pb)
-    pb.set_defaults(func=_cmd_catalog)
+    if p := subcommand("catalog", "list or build the known small biplanes"):
+        ssub = p.add_subparsers(dest="action", required=True)
+        pl = ssub.add_parser("list")
+        add_json(pl)
+        pl.set_defaults(func=_cmd_catalog)
+        pb = ssub.add_parser("build")
+        pb.add_argument("name")
+        pb.add_argument("-o", "--output")
+        add_json(pb)
+        pb.set_defaults(func=_cmd_catalog)
 
-    p = sub.add_parser("verify", help="verify the symmetric design axioms")
-    p.add_argument("design")
-    add_json(p)
-    p.set_defaults(func=_cmd_verify)
+    if p := subcommand("verify", "verify the symmetric design axioms"):
+        p.add_argument("design")
+        add_json(p)
+        p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("dual", help="compute the dual design")
-    p.add_argument("design")
-    p.add_argument("-o", "--output")
-    add_json(p)
-    p.set_defaults(func=_cmd_dual)
+    if p := subcommand("dual", "compute the dual design"):
+        p.add_argument("design")
+        p.add_argument("-o", "--output")
+        add_json(p)
+        p.set_defaults(func=_cmd_dual)
 
     def add_stats(p):
         p.add_argument("--stats", action="store_true",
                        help="report search counters (stderr, or a stats key with --json)")
 
-    p = sub.add_parser("aut", help="automorphism group (point action)")
-    p.add_argument("design")
-    add_json(p)
-    add_stats(p)
-    p.set_defaults(func=_cmd_aut)
+    if p := subcommand("aut", "automorphism group (point action)"):
+        p.add_argument("design")
+        add_json(p)
+        add_stats(p)
+        p.set_defaults(func=_cmd_aut)
 
-    p = sub.add_parser("iso", help="isomorphism test between two designs")
-    p.add_argument("design_a")
-    p.add_argument("design_b")
-    add_json(p)
-    add_stats(p)
-    p.set_defaults(func=_cmd_iso)
+    if p := subcommand("iso", "isomorphism test between two designs"):
+        p.add_argument("design_a")
+        p.add_argument("design_b")
+        add_json(p)
+        add_stats(p)
+        p.set_defaults(func=_cmd_iso)
 
-    p = sub.add_parser("ds", help="difference sets: search, develop, lander")
-    ssub = p.add_subparsers(dest="action", required=True)
-    ps = ssub.add_parser("search")
-    ps.add_argument("--group", required=True)
-    ps.add_argument("--k", type=int, required=True)
-    ps.add_argument("--lambda", dest="lam", type=int, default=2)
-    add_json(ps)
-    add_stats(ps)
-    ps.set_defaults(func=_cmd_ds)
-    pd = ssub.add_parser("develop")
-    pd.add_argument("--group", required=True)
-    pd.add_argument("--set", required=True, help="comma-separated elements, e.g. 1,3,4,5,9")
-    pd.add_argument("--lambda", dest="lam", type=int, default=2)
-    pd.add_argument("-o", "--output")
-    add_json(pd)
-    pd.set_defaults(func=_cmd_ds)
-    pm = ssub.add_parser("lander")
-    pm.add_argument("--v", type=int, required=True)
-    pm.add_argument("--k", type=int, required=True)
-    pm.add_argument("--lambda", dest="lam", type=int, default=2)
-    add_json(pm)
-    pm.set_defaults(func=_cmd_ds)
+    if p := subcommand("ds", "difference sets: search, develop, lander"):
+        ssub = p.add_subparsers(dest="action", required=True)
+        ps = ssub.add_parser("search")
+        ps.add_argument("--group", required=True)
+        ps.add_argument("--k", type=int, required=True)
+        ps.add_argument("--lambda", dest="lam", type=int, default=2)
+        add_json(ps)
+        add_stats(ps)
+        ps.set_defaults(func=_cmd_ds)
+        pd = ssub.add_parser("develop")
+        pd.add_argument("--group", required=True)
+        pd.add_argument("--set", required=True, help="comma-separated elements, e.g. 1,3,4,5,9")
+        pd.add_argument("--lambda", dest="lam", type=int, default=2)
+        pd.add_argument("-o", "--output")
+        add_json(pd)
+        pd.set_defaults(func=_cmd_ds)
+        pm = ssub.add_parser("lander")
+        pm.add_argument("--v", type=int, required=True)
+        pm.add_argument("--k", type=int, required=True)
+        pm.add_argument("--lambda", dest="lam", type=int, default=2)
+        add_json(pm)
+        pm.set_defaults(func=_cmd_ds)
 
-    p = sub.add_parser("fix", help="fixed-point report and lemma certification")
-    p.add_argument("--design", required=True)
-    p.add_argument("--perm", required=True, help='cycle notation, e.g. "(1,2)(3,4)"')
-    add_json(p)
-    p.set_defaults(func=_cmd_fix)
+    if p := subcommand("fix", "fixed-point report and lemma certification"):
+        p.add_argument("--design", required=True)
+        p.add_argument("--perm", required=True, help='cycle notation, e.g. "(1,2)(3,4)"')
+        add_json(p)
+        p.set_defaults(func=_cmd_fix)
 
-    p = sub.add_parser("cert121", help="admissible cycle types on 121 points")
-    p.add_argument("--order", type=int, required=True)
-    add_json(p)
-    p.set_defaults(func=_cmd_cert121)
+    if p := subcommand("cert121", "admissible cycle types on 121 points"):
+        p.add_argument("--order", type=int, required=True)
+        add_json(p)
+        p.set_defaults(func=_cmd_cert121)
 
-    p = sub.add_parser("cert79", help="classification checks for a (79,13,2) design")
-    p.add_argument("--design", required=True)
-    add_json(p)
-    p.set_defaults(func=_cmd_cert79)
+    if p := subcommand("cert79", "classification checks for a (79,13,2) design"):
+        p.add_argument("--design", required=True)
+        add_json(p)
+        p.set_defaults(func=_cmd_cert79)
 
-    p = sub.add_parser("cart", help="verify a cartesian decomposition against a design")
-    ssub = p.add_subparsers(dest="action", required=True)
-    pv = ssub.add_parser("verify")
-    pv.add_argument("--design", required=True)
-    pv.add_argument("--cd", required=True)
-    pv.add_argument("--group")
-    add_json(pv)
-    pv.set_defaults(func=_cmd_cart)
+    if p := subcommand("cart", "verify a cartesian decomposition against a design"):
+        ssub = p.add_subparsers(dest="action", required=True)
+        pv = ssub.add_parser("verify")
+        pv.add_argument("--design", required=True)
+        pv.add_argument("--cd", required=True)
+        pv.add_argument("--group")
+        add_json(pv)
+        pv.set_defaults(func=_cmd_cart)
 
-    p = sub.add_parser("pell", help="solutions of 8x^2 - y^2 = 7")
-    p.add_argument("--n", type=int, required=True)
-    add_json(p)
-    p.set_defaults(func=_cmd_pell)
+    if p := subcommand("pell", "solutions of 8x^2 - y^2 = 7"):
+        p.add_argument("--n", type=int, required=True)
+        add_json(p)
+        p.set_defaults(func=_cmd_pell)
 
-    p = sub.add_parser("psp4", help="symplectic degree exclusion for even q >= 4")
-    p.add_argument("--q", type=int, required=True)
-    add_json(p)
-    p.set_defaults(func=_cmd_psp4)
+    if p := subcommand("psp4", "symplectic degree exclusion for even q >= 4"):
+        p.add_argument("--q", type=int, required=True)
+        add_json(p)
+        p.set_defaults(func=_cmd_psp4)
 
-    p = sub.add_parser("feasible", help="parameter arithmetic and BRC feasibility")
-    ssub = p.add_subparsers(dest="action", required=True)
-    pp = ssub.add_parser("params")
-    pp.add_argument("--k", type=int, required=True)
-    add_json(pp)
-    pp.set_defaults(func=_cmd_feasible)
-    pb = ssub.add_parser("brc")
-    pb.add_argument("--v", type=int, required=True)
-    pb.add_argument("--k", type=int, required=True)
-    pb.add_argument("--lambda", dest="lam", type=int, default=2)
-    add_json(pb)
-    pb.set_defaults(func=_cmd_feasible)
+    if p := subcommand("feasible", "parameter arithmetic and BRC feasibility"):
+        ssub = p.add_subparsers(dest="action", required=True)
+        pp = ssub.add_parser("params")
+        pp.add_argument("--k", type=int, required=True)
+        add_json(pp)
+        pp.set_defaults(func=_cmd_feasible)
+        pb = ssub.add_parser("brc")
+        pb.add_argument("--v", type=int, required=True)
+        pb.add_argument("--k", type=int, required=True)
+        pb.add_argument("--lambda", dest="lam", type=int, default=2)
+        add_json(pb)
+        pb.set_defaults(func=_cmd_feasible)
 
     return top
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # the top level takes no option with a value, so its first word that is
+    # not an option names the subcommand argparse will run
+    parser = build_parser(next((a for a in argv if not a.startswith("-")), ""))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

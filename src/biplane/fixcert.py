@@ -10,13 +10,20 @@ silently passing; so do the checks that assume x != 1, for the identity.
 The module also carries the admissible cycle types and Sylow bounds for a
 hypothetical (121,16,2) biplane.
 
-The counts come from one cycle walk of x on the points and one of its
-block action (Design.automorphism_actions), each giving a cycle type and the
+The counts come from one cycle walk (perm._cycles) of x on the points and
+one of its block action, taken straight from Design.block_action (a map
+that is no automorphism goes on to Design.automorphism_actions for the
+InputError naming its first bad block). Each walk gives a cycle type and the
 bitmasks Fix of the fixed elements and Two of the elements on 2-cycles.
 Then s_B = |B & Fix| and r_B = |B & Two|/2 are popcounts against the
 incidence bitmasks of Design.incidence, and dually s_a and r_a on the blocks
 through a fixed point a. This is exact: a fixed block is x-invariant, so it
-is a union of cycles, and every 2-cycle that meets it lies inside it.
+is a union of cycles, and every 2-cycle that meets it lies inside it. The
+tail of a fixed block, its points off Fix, is one more mask operation.
+
+Per element, x is the identity exactly when f = v, every Check is one tuple
+construction, and an n/a check whose detail is fixed text is a shared
+instance from the table _NA.
 """
 
 from __future__ import annotations
@@ -31,6 +38,10 @@ from .perm import CycleType, Permutation, PermGroup, _cycles
 
 PASS, FAIL, NA = "pass", "fail", "n/a"
 
+# Records whose fields are right by construction are built as one tuple, as
+# Permutation._trusted builds its permutations.
+_new = tuple.__new__
+
 
 class Check(NamedTuple):
     name: str
@@ -40,6 +51,31 @@ class Check(NamedTuple):
     @property
     def ok(self) -> bool:
         return self.status != FAIL
+
+
+_INVOLUTION_CHECKS = ("involution-point-pattern", "involution-block-pattern",
+                      "involution-square-branch", "involution-fixed-count-branch")
+
+# The n/a checks whose detail is fixed text, keyed by (name, detail): every
+# certificate shares these instances.
+_NA = {(name, detail): Check(name, NA, detail) for name, detail in (
+    ("incident-two-orbit-counts", "no incident fixed point/block pair"),
+    ("fixed-block-count-formula", "no fixed blocks"),
+    ("fixed-point-count-formula", "no fixed points"),
+    ("fixed-substructure", "identity"),
+    ("fixed-substructure", "no fixed blocks"),
+    ("fixed-substructure", "a fixed block carries a 2-orbit"),
+    ("fixed-substructure", "a fixed block carries no fixed point"),
+    ("no-two-cycle-tails", "no fixed blocks"),
+    ("no-two-cycle-tails", "cycle structure contains a 2-cycle"),
+    *((name, "no fixed points") for name in _INVOLUTION_CHECKS),
+    ("involution-square-branch", "k < 5"),
+    ("involution-fixed-count-branch", "k < 5"),
+    ("odd-order-fixed-count-branch", "identity"),
+    ("odd-order-fixed-count-branch", "no fixed points"),
+    ("fixed-count-bound", "identity"),
+    ("prime-square-fixed-point-free", "v is not p^2 with o(x) = p"),
+)}
 
 
 class CertResult(NamedTuple):
@@ -100,7 +136,7 @@ def _walk(images, first: int) -> tuple[CycleType, tuple[int, ...], int, int]:
             fix |= 1 << c[0]
         elif length == 2:
             two |= 1 << c[0] | 1 << c[1]
-    return CycleType(tuple(sorted(counts.items()))), tuple(fixed), fix, two
+    return _new(CycleType, (tuple(sorted(counts.items())),)), tuple(fixed), fix, two
 
 
 def fix_report(d: Design, x: Permutation) -> FixReport:
@@ -113,22 +149,25 @@ def fix_report(d: Design, x: Permutation) -> FixReport:
     return _report_and_cycle_types(d.require_verified(), x)[0]
 
 
-def _report_and_cycle_types(d: Design, x: Permutation) -> tuple[FixReport, CycleType, CycleType]:
-    """fix_report, with the cycle types of x on points and on blocks, from
-    one walk of each action and popcounts against the incidence bitmasks."""
-    tb, fixed_blocks, fix_b, two_b = _walk(d.automorphism_actions([x])[0], 0)
-    tp, fixed_points, fix_p, two_p = _walk(x.images, 1)
+def _report_and_cycle_types(d: Design, x: Permutation
+                            ) -> tuple[FixReport, CycleType, CycleType, int, int]:
+    """fix_report, with the cycle types of x on points and on blocks and the
+    bitmasks of its fixed points and of the points on its 2-cycles, from one
+    walk of each action and popcounts against the incidence bitmasks."""
+    images = x.images
+    blocks = d.block_action(images)
+    if blocks is None:  # automorphism_actions names the first block mapped outside
+        blocks = d.automorphism_actions([x])[0]
+    tb, fixed_blocks, fix_b, two_b = _walk(blocks, 0)
+    tp, fixed_points, fix_p, two_p = _walk(images, 1)
     through, points = d.incidence
-    return FixReport(
-        f_points=len(fixed_points),
-        f_blocks=len(fixed_blocks),
-        fixed_points=fixed_points,
-        fixed_blocks=fixed_blocks,
-        s_point={p: (through[p] & fix_b).bit_count() for p in fixed_points},
-        r_point={p: (through[p] & two_b).bit_count() // 2 for p in fixed_points},
-        s_block={j: (points[j] & fix_p).bit_count() for j in fixed_blocks},
-        r_block={j: (points[j] & two_p).bit_count() // 2 for j in fixed_blocks},
-    ), tp, tb
+    return _new(FixReport, (
+        len(fixed_points), len(fixed_blocks), fixed_points, fixed_blocks,
+        {p: (through[p] & fix_b).bit_count() for p in fixed_points},
+        {p: (through[p] & two_b).bit_count() // 2 for p in fixed_points},
+        {j: (points[j] & fix_p).bit_count() for j in fixed_blocks},
+        {j: (points[j] & two_p).bit_count() // 2 for j in fixed_blocks},
+    )), tp, tb, fix_p, two_p
 
 
 def _bound_holds(f: int, k: int) -> bool:
@@ -149,165 +188,160 @@ def certify_fix_lemmas(d: Design, x: Permutation) -> CertResult:
 
 
 def _checks(d: Design, x: Permutation) -> CertResult:
-    """The checks of certify_fix_lemmas, on a d that is not verified here."""
-    rep, tp, tb = _report_and_cycle_types(d, x)
-    k = d.k
-    f = rep.f_points
-    order = tp.order
-    identity = x.is_identity()
-    checks: list[Check] = []
+    """The checks of certify_fix_lemmas, on a d that is not verified here.
 
-    def add(name, status, detail=""):
-        checks.append(Check(name, status, detail))
+    Each Check is one tuple construction, and an n/a check whose detail is
+    fixed text is the shared instance of _NA."""
+    rep, tp, tb, fix_p, two_p = _report_and_cycle_types(d, x)
+    f, f_blocks, fixed_points, fixed_blocks, s_point, r_point, s_block, r_block = rep
+    k = d.k
+    order = tp.order
+    by_order = f"order {order}"
+    identity = f == d.v
+    points = d.incidence[1]
 
     # equal numbers of fixed points and fixed blocks
-    add("equal-fixed-counts",
-        PASS if rep.f_points == rep.f_blocks else FAIL,
-        f"points={rep.f_points} blocks={rep.f_blocks}")
+    checks = [_new(Check, ("equal-fixed-counts", PASS if f == f_blocks else FAIL,
+                           f"points={f} blocks={f_blocks}"))]
 
     # identical cycle structure on points and on blocks
-    add("matching-cycle-structure", PASS if tp == tb else FAIL,
-        f"points={tp} blocks={tb}")
-
-    # incident fixed point/block pairs have the same number of 2-orbits
-    points = d.incidence[1]
-    pairs = [(p, j) for p in rep.fixed_points for j in rep.fixed_blocks
-             if points[j] >> p & 1]
-    if not pairs:
-        add("incident-two-orbit-counts", NA, "no incident fixed point/block pair")
+    if tp == tb:
+        text = str(tp)
+        checks.append(_new(Check, ("matching-cycle-structure", PASS,
+                                   f"points={text} blocks={text}")))
     else:
-        bad = [(p, j) for p, j in pairs if rep.r_point[p] != rep.r_block[j]]
-        add("incident-two-orbit-counts", FAIL if bad else PASS,
-            f"pairs={len(pairs)} mismatches={bad[:3]}")
+        checks.append(_new(Check, ("matching-cycle-structure", FAIL, f"points={tp} blocks={tb}")))
+
+    # incident fixed point/block pairs have the same number of 2-orbits; the
+    # fixed blocks through a fixed point p number s_point[p]
+    pairs = sum(s_point.values())
+    if not pairs:
+        checks.append(_NA["incident-two-orbit-counts", "no incident fixed point/block pair"])
+    else:
+        bad = [(p, j) for p in fixed_points for j in fixed_blocks
+               if points[j] >> p & 1 and r_point[p] != r_block[j]]
+        checks.append(_new(Check, ("incident-two-orbit-counts", FAIL if bad else PASS,
+                                   f"pairs={pairs} mismatches={bad[:3]}")))
 
     # f = s_B(s_B-1)/2 + r_B + 1 for every fixed block
-    if rep.f_blocks == 0:
-        add("fixed-block-count-formula", NA, "no fixed blocks")
+    if not f_blocks:
+        checks.append(_NA["fixed-block-count-formula", "no fixed blocks"])
     else:
-        bad = [j for j in rep.fixed_blocks
-               if f != rep.s_block[j] * (rep.s_block[j] - 1) // 2 + rep.r_block[j] + 1]
-        add("fixed-block-count-formula", FAIL if bad else PASS,
-            f"f={f} via blocks {dict(list(rep.s_block.items())[:4])}")
+        bad = [j for j in fixed_blocks if f != s_block[j] * (s_block[j] - 1) // 2 + r_block[j] + 1]
+        checks.append(_new(Check, ("fixed-block-count-formula", FAIL if bad else PASS,
+                                   f"f={f} via blocks {dict(list(s_block.items())[:4])}")))
 
     # f = s_a(s_a-1)/2 + r_a + 1 for every fixed point
-    if rep.f_points == 0:
-        add("fixed-point-count-formula", NA, "no fixed points")
+    if not f:
+        checks.append(_NA["fixed-point-count-formula", "no fixed points"])
     else:
-        bad = [p for p in rep.fixed_points
-               if f != rep.s_point[p] * (rep.s_point[p] - 1) // 2 + rep.r_point[p] + 1]
-        add("fixed-point-count-formula", FAIL if bad else PASS, f"f={f}")
+        bad = [p for p in fixed_points if f != s_point[p] * (s_point[p] - 1) // 2 + r_point[p] + 1]
+        checks.append(_new(Check, ("fixed-point-count-formula", FAIL if bad else PASS, f"f={f}")))
 
     # fixed substructure is a subdesign when no fixed block meets a 2-orbit
     if identity:
-        add("fixed-substructure", NA, "identity")
-    elif rep.f_blocks == 0:
-        add("fixed-substructure", NA, "no fixed blocks")
-    elif any(rep.r_block[j] != 0 for j in rep.fixed_blocks):
-        add("fixed-substructure", NA, "a fixed block carries a 2-orbit")
-    elif any(rep.s_block[j] == 0 for j in rep.fixed_blocks):
-        add("fixed-substructure", NA, "a fixed block carries no fixed point")
+        checks.append(_NA["fixed-substructure", "identity"])
+    elif not f_blocks:
+        checks.append(_NA["fixed-substructure", "no fixed blocks"])
+    elif any(r_block.values()):
+        checks.append(_NA["fixed-substructure", "a fixed block carries a 2-orbit"])
+    elif not all(s_block.values()):
+        checks.append(_NA["fixed-substructure", "a fixed block carries no fixed point"])
     else:
-        svals = {rep.s_block[j] for j in rep.fixed_blocks}
+        svals = set(s_block.values())
         ok = len(svals) == 1
-        s = rep.s_block[rep.fixed_blocks[0]]
+        s = s_block[fixed_blocks[0]]
         detail = f"s={sorted(svals)} f={f}"
         if ok:
             ok = subdesign_constraint(k, 2, s)
             detail += f" constraint={ok}"
         if ok and s >= 2 and f > s:
-            sub = restrict_subdesign(d, rep.fixed_points, rep.fixed_blocks)
+            sub = restrict_subdesign(d, fixed_points, fixed_blocks)
             ok = sub is not None
             detail += f" subdesign={'yes' if ok else 'missing'}"
-        add("fixed-substructure", PASS if ok else FAIL, detail)
+        checks.append(_new(Check, ("fixed-substructure", PASS if ok else FAIL, detail)))
 
-    # with no 2-cycles anywhere: tails of fixed blocks are pairwise disjoint,
-    # s is constant, and v >= f (k - s + 1)
-    has_two_cycle = 2 in tp.as_dict()
-    if rep.f_blocks == 0:
-        add("no-two-cycle-tails", NA, "no fixed blocks")
-    elif has_two_cycle:
-        add("no-two-cycle-tails", NA, "cycle structure contains a 2-cycle")
+    # with no 2-cycles anywhere: tails of fixed blocks (their points off Fix)
+    # are pairwise disjoint, s is constant, and v >= f (k - s + 1)
+    if not f_blocks:
+        checks.append(_NA["no-two-cycle-tails", "no fixed blocks"])
+    elif two_p:
+        checks.append(_NA["no-two-cycle-tails", "cycle structure contains a 2-cycle"])
     else:
-        fixed_pts = set(rep.fixed_points)
-        tails = [set(d.blocks[j]) - fixed_pts for j in rep.fixed_blocks]
-        disjoint = all(not (tails[i] & tails[jj])
-                       for i in range(len(tails)) for jj in range(i + 1, len(tails)))
-        svals = {rep.s_block[j] for j in rep.fixed_blocks}
+        seen, disjoint = 0, True
+        for j in fixed_blocks:
+            tail = points[j] & ~fix_p
+            disjoint = disjoint and not tail & seen
+            seen |= tail
+        svals = set(s_block.values())
         s = next(iter(svals))
-        ok = disjoint and len(svals) == 1 and d.v >= rep.f_blocks * (k - s + 1)
-        add("no-two-cycle-tails", PASS if ok else FAIL,
-            f"disjoint={disjoint} s={sorted(svals)} v={d.v} f(k-s+1)={rep.f_blocks * (k - s + 1)}")
+        bound = f_blocks * (k - s + 1)
+        ok = disjoint and len(svals) == 1 and d.v >= bound
+        checks.append(_new(Check, ("no-two-cycle-tails", PASS if ok else FAIL,
+                                   f"disjoint={disjoint} s={sorted(svals)} v={d.v} "
+                                   f"f(k-s+1)={bound}")))
 
     # involutions
     if order != 2:
-        add("involution-point-pattern", NA, f"order {order}")
-        add("involution-block-pattern", NA, f"order {order}")
-        add("involution-square-branch", NA, f"order {order}")
-        add("involution-fixed-count-branch", NA, f"order {order}")
-    elif f == 0:
-        add("involution-point-pattern", NA, "no fixed points")
-        add("involution-block-pattern", NA, "no fixed points")
-        add("involution-square-branch", NA, "no fixed points")
-        add("involution-fixed-count-branch", NA, "no fixed points")
+        checks += [_new(Check, (name, NA, by_order)) for name in _INVOLUTION_CHECKS]
+    elif not f:
+        checks += [_NA[name, "no fixed points"] for name in _INVOLUTION_CHECKS]
     else:
-        svals_p = {rep.s_point[p] for p in rep.fixed_points}
+        svals_p = set(s_point.values())
         pattern = len(svals_p) == 1 or svals_p <= {0, 2}
-        formula = all(2 * f == k + 1 + (rep.s_point[p] - 1) ** 2 for p in rep.fixed_points)
-        add("involution-point-pattern", PASS if pattern and formula else FAIL,
-            f"s_values={sorted(svals_p)} f={f}")
-        svals_b = {rep.s_block[j] for j in rep.fixed_blocks}
-        add("involution-block-pattern",
-            PASS if (len(svals_b) == 1 or svals_b <= {0, 2}) else FAIL,
-            f"s_values={sorted(svals_b)}")
+        formula = all(2 * f == k + 1 + (s - 1) ** 2 for s in s_point.values())
+        checks.append(_new(Check, ("involution-point-pattern",
+                                   PASS if pattern and formula else FAIL,
+                                   f"s_values={sorted(svals_p)} f={f}")))
+        svals_b = set(s_block.values())
+        checks.append(_new(Check, ("involution-block-pattern",
+                                   PASS if (len(svals_b) == 1 or svals_b <= {0, 2}) else FAIL,
+                                   f"s_values={sorted(svals_b)}")))
         if k >= 5:
-            bad = [p for p in rep.fixed_points
-                   if (rep.s_point[p] - 2) ** 2 != k - 2
-                   and (rep.s_point[p] - 1) ** 2 > k - 5]
-            add("involution-square-branch", FAIL if bad else PASS,
-                f"k={k} s_values={sorted(svals_p)}")
-        else:
-            add("involution-square-branch", NA, "k < 5")
-        if k >= 5:
+            bad = [p for p in fixed_points
+                   if (s_point[p] - 2) ** 2 != k - 2 and (s_point[p] - 1) ** 2 > k - 5]
+            checks.append(_new(Check, ("involution-square-branch", FAIL if bad else PASS,
+                                       f"k={k} s_values={sorted(svals_p)}")))
             # rests on the same external square/non-square dichotomy as above,
             # so it carries the same k >= 5 gate
             branch = f <= k - 2 or (is_square(k - 2) and f == k + isqrt(k - 2))
-            add("involution-fixed-count-branch", PASS if branch else FAIL,
-                f"f={f} k={k}")
+            checks.append(_new(Check, ("involution-fixed-count-branch",
+                                       PASS if branch else FAIL, f"f={f} k={k}")))
         else:
-            add("involution-fixed-count-branch", NA, "k < 5")
+            checks.append(_NA["involution-square-branch", "k < 5"])
+            checks.append(_NA["involution-fixed-count-branch", "k < 5"])
 
     # odd order: f = s_B(s_B-1)/2 + 1 and f <= k/2 unless k-2 is a square
     if order % 2 == 0:
-        add("odd-order-fixed-count-branch", NA, f"order {order}")
+        checks.append(_new(Check, ("odd-order-fixed-count-branch", NA, by_order)))
     elif identity:
-        add("odd-order-fixed-count-branch", NA, "identity")
-    elif f == 0:
-        add("odd-order-fixed-count-branch", NA, "no fixed points")
+        checks.append(_NA["odd-order-fixed-count-branch", "identity"])
+    elif not f:
+        checks.append(_NA["odd-order-fixed-count-branch", "no fixed points"])
     else:
-        svals = {rep.s_block[j] for j in rep.fixed_blocks}
-        ok = len(svals) == 1
-        s = rep.s_block[rep.fixed_blocks[0]]
-        ok = ok and f == s * (s - 1) // 2 + 1
+        svals = set(s_block.values())
+        s = s_block[fixed_blocks[0]]
+        ok = len(svals) == 1 and f == s * (s - 1) // 2 + 1
         ok = ok and (2 * f <= k or (is_square(k - 2) and 2 * f == k + isqrt(k - 2)))
-        add("odd-order-fixed-count-branch", PASS if ok else FAIL, f"f={f} s={sorted(svals)}")
+        checks.append(_new(Check, ("odd-order-fixed-count-branch", PASS if ok else FAIL,
+                                   f"f={f} s={sorted(svals)}")))
 
     # global bound for any nontrivial automorphism
     if identity:
-        add("fixed-count-bound", NA, "identity")
+        checks.append(_NA["fixed-count-bound", "identity"])
     else:
-        ok = _bound_holds(f, k)
-        if k >= 6:
-            ok = ok and 3 * f <= 4 * k
-        add("fixed-count-bound", PASS if ok else FAIL,
-            f"f={f} k+isqrt(k-2)={k + isqrt(k - 2)}")
+        ok = _bound_holds(f, k) and (k < 6 or 3 * f <= 4 * k)
+        checks.append(_new(Check, ("fixed-count-bound", PASS if ok else FAIL,
+                                   f"f={f} k+isqrt(k-2)={k + isqrt(k - 2)}")))
 
     # on v = p^2 points, order-p automorphisms are fixed-point-free
     if order * order == d.v and is_prime(order):
-        add("prime-square-fixed-point-free", PASS if f == 0 else FAIL, f"f={f}")
+        checks.append(_new(Check, ("prime-square-fixed-point-free", PASS if f == 0 else FAIL,
+                                   f"f={f}")))
     else:
-        add("prime-square-fixed-point-free", NA, "v is not p^2 with o(x) = p")
+        checks.append(_NA["prime-square-fixed-point-free", "v is not p^2 with o(x) = p"])
 
-    return CertResult(tuple(checks), rep)
+    return _new(CertResult, (tuple(checks), rep))
 
 
 def fixed_subdesign(d: Design, x: Permutation) -> tuple[Design | None, str]:

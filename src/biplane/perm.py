@@ -11,7 +11,8 @@ or the conjugates PermGroup.conjugacy_counts counts) comes from one
 breadth-first routine, so repeated runs produce identical certificates.
 Every cycle (for Permutation.cycles, cycle_type and the fixed-point counts
 in `fixcert`) comes from one walker, _cycles, on 1-based or 0-based image
-tuples.
+tuples. It returns the list of cycles, and a fixed point costs one
+comparison and its 1-tuple.
 """
 
 from __future__ import annotations
@@ -167,23 +168,26 @@ class CycleType(NamedTuple):
         return " ".join(f"{l}^{m}" for l, m in self.counts)
 
 
-def _cycles(images, first: int):
+def _cycles(images, first: int) -> list[tuple[int, ...]]:
     """Every cycle of the map i -> images[i - first] on first, first+1, ...,
     fixed points included, each as a tuple starting at its least element, in
     ascending order of those elements. The one cycle walker of the package:
-    `first` is 1 for Permutation.images and 0 for a 0-based block action."""
-    seen = bytearray(len(images))
-    for start in range(len(images)):
-        if seen[start]:
-            continue
-        seen[start] = 1
-        cycle = [start + first]
-        p = images[start] - first
-        while p != start:
-            seen[p] = 1
-            cycle.append(p + first)
-            p = images[p] - first
-        yield tuple(cycle)
+    `first` is 1 for Permutation.images and 0 for a 0-based block action.
+    A fixed point becomes its 1-tuple directly; a longer cycle is followed
+    from its least element, which marks the rest as seen."""
+    seen = bytearray(len(images) + first)
+    out = []
+    for start, p in enumerate(images, first):
+        if p == start:
+            out.append((start,))
+        elif not seen[start]:
+            cycle = [start]
+            while p != start:
+                seen[p] = 1
+                cycle.append(p)
+                p = images[p - first]
+            out.append(tuple(cycle))
+    return out
 
 
 def cycle_type(x: Permutation) -> CycleType:

@@ -314,6 +314,23 @@ def test_jump_only_when_gamma_maps_the_path_onto_the_first_path():
     assert len(s.autos) == nautos  # returned again, not recorded again
 
 
+def test_leaf_that_is_no_automorphic_image_is_scored_by_its_certificate(monkeypatch):
+    # Swapping two points of the first leaf's order gives a map onto the
+    # first leaf that is no automorphism: that leaf builds its certificate,
+    # and one equal to the first leaf's is a named internal error.
+    s = _searched(catalog.build("fano_complement"))
+    order = list(s.first_order)
+    order[0], order[1] = order[1], order[0]
+    masks = [1 << p for p in order]
+    leaves, autos, best = s.leaves, dict(s.autos), s.best_cert
+    assert s._leaf(masks, (s.v,)) is None
+    assert (s.leaves, s.autos) == (leaves + 1, autos)
+    assert s.best_cert == min(best, s._certificate(tuple(order)))
+    monkeypatch.setattr(s, "_certificate", lambda order: s.first_cert)
+    with pytest.raises(AssertionError, match="leaf with equal certificate is not an automorphism"):
+        s._leaf(masks, (s.v,))
+
+
 def test_isomorphism_mappings_pinned():
     for name, mapping in ISO_MAPPINGS.items():
         d = catalog.build(name)

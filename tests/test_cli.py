@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -376,6 +377,40 @@ def test_usage_errors():
     assert run(["nonsense"]) == USAGE
     assert run(["verify", "/no/such/file.json"]) == USAGE
     assert run(["catalog", "build", "biplane121"]) == USAGE  # metadata-only
+
+
+def _outcome(capsys, argv):
+    code = run(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _choices(parser) -> dict:
+    """The parsers of the subcommands (or actions) of parser, by name."""
+    return next((a.choices for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)), {})
+
+
+def test_parser_of_one_subcommand_matches_the_full_parser(capsys, monkeypatch):
+    # run builds only the arguments of the subcommand argv names; help,
+    # usage errors and exit codes must be those of the parser of every
+    # subcommand, at the top level and for every subcommand and action
+    full = cli.build_parser
+    cases = [[], ["-h"], ["--help"], ["nonsense"], ["nonsense", "-h"], ["--bogus"],
+             ["--bogus", "pell", "--n", "1"], ["-h", "aut"], ["--", "aut"]]
+    for name, sub in _choices(full()).items():
+        cases += [[name, "-h"], [name], [name, "--bogus"], [name, "x", "y", "z"]]
+        for action in _choices(sub):
+            cases += [[name, action, "-h"], [name, action, "--bogus"], [name, action, "--json"]]
+    assert len(cases) == 9 + 13 * 4 + 8 * 3
+    lean = [_outcome(capsys, argv) for argv in cases]
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert [_outcome(capsys, argv) for argv in cases] == lean
+    assert all(code in (OK, USAGE) for code, _, _ in lean)
+    # and the parser for one subcommand leaves the others bare
+    parsers = _choices(full("aut"))
+    assert len(parsers) == 13 and len(parsers["aut"]._actions) == 4
+    assert all(len(p._actions) == 1 for name, p in parsers.items() if name != "aut")
 
 
 LONG = "9" * 5000  # longer than the 4,300 digits int() reads from text

@@ -82,6 +82,18 @@ def test_fix_report_rejects_non_automorphism():
         fix_report(d, Permutation.from_cycles("(1,2)", 7))
 
 
+def test_certify_names_why_a_permutation_is_refused():
+    # the texts of Design.automorphism_actions and Design.block_action, which
+    # certify_fix_lemmas reaches only when the block action fails
+    d = catalog.build("fano_complement")
+    with pytest.raises(InputError) as exc:
+        certify_fix_lemmas(d, Permutation.from_cycles("(1,2)", 7))
+    assert str(exc.value) == "not an automorphism: block (1, 3, 4, 6) maps outside the design"
+    with pytest.raises(InputError) as exc:
+        certify_fix_lemmas(d, Permutation([2, 1, 3]))
+    assert str(exc.value) == "permutation degree 3 != v = 7"
+
+
 def test_induced_block_permutation_input_errors():
     d = catalog.build("fano_complement")
     with pytest.raises(InputError, match="permutation degree 3 != v = 7"):

@@ -77,6 +77,20 @@ def test_cycle_walker_matches_reference_walk():
             images = list(range(1, n + 1))
             rng.shuffle(images)
             perms.append(Permutation(images))
+    # the walker's two paths alone: all fixed points (the identity), or none,
+    # as in a fixed-point-free involution or a single n-cycle
+    for n in range(1, 61):
+        points = list(range(1, n + 1))
+        rng.shuffle(points)
+        cycle = [0] * n
+        for a, b in zip(points, points[1:] + points[:1]):
+            cycle[a - 1] = b
+        perms += [Permutation.identity(n), Permutation([*range(2, n + 1), 1]), Permutation(cycle)]
+        if n % 2 == 0:
+            involution = [0] * n
+            for a, b in zip(points[::2], points[1::2]):
+                involution[a - 1], involution[b - 1] = b, a
+            perms.append(Permutation(involution))
     for x in perms:
         ref = reference_cycles(x)
         assert cycle_type(x) == reference_cycle_type(x)
