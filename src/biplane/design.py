@@ -308,7 +308,7 @@ def brc_feasible(p: DesignParams) -> bool:
 
     v even: k - lambda must be a perfect square. v odd: the ternary form
     z^2 = (k-lambda) x^2 + (-1)^((v-1)/2) lambda y^2 must have a nontrivial
-    integer solution, decided by exact integer Hilbert symbols.
+    integer solution, decided by Legendre's theorem (ntheory.ternary_isotropic).
     """
     if not p.symmetric_feasible:
         raise InputError(f"{p} is not symmetric-feasible")
@@ -326,12 +326,13 @@ def _signed_square_free(t: int) -> int:
 def _legendre_form_solvable(a: int, b: int, c: int) -> bool:
     """Does a x^2 + b y^2 + c z^2 = 0 have a nontrivial integer solution?
 
-    Exact integer search, independent of the Hilbert symbols; the
-    coefficients must be nonzero. They are first made square-free and
-    pairwise coprime, which keeps solvability: a prime g dividing a and b
-    goes to (a/g, b/g, g c). Then Holzer's theorem (Holzer 1950; Cochrane &
-    Mitchell 1998) says a solution exists iff one exists with
-    |x| <= sqrt|bc| and |y| <= sqrt|ac|, so the bounded scan is complete.
+    Exact integer search, independent of the residue tests by which
+    ntheory.ternary_isotropic applies Legendre's theorem; the coefficients
+    must be nonzero. They are first made square-free and pairwise coprime,
+    which keeps solvability: a prime g dividing a and b goes to
+    (a/g, b/g, g c). Then Holzer's theorem (Holzer 1950; Cochrane & Mitchell
+    1998) says a solution exists iff one exists with |x| <= sqrt|bc| and
+    |y| <= sqrt|ac|, so the bounded scan is complete.
     """
     f = [_signed_square_free(t) for t in (a, b, c)]
     changed = True

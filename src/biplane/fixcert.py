@@ -239,27 +239,8 @@ def _checks(d: Design, x: Permutation) -> CertResult:
         checks.append(_new(Check, ("fixed-point-count-formula", FAIL if bad else PASS, f"f={f}")))
 
     # fixed substructure is a subdesign when no fixed block meets a 2-orbit
-    if identity:
-        checks.append(_NA["fixed-substructure", "identity"])
-    elif not f_blocks:
-        checks.append(_NA["fixed-substructure", "no fixed blocks"])
-    elif any(r_block.values()):
-        checks.append(_NA["fixed-substructure", "a fixed block carries a 2-orbit"])
-    elif not all(s_block.values()):
-        checks.append(_NA["fixed-substructure", "a fixed block carries no fixed point"])
-    else:
-        svals = set(s_block.values())
-        ok = len(svals) == 1
-        s = s_block[fixed_blocks[0]]
-        detail = f"s={sorted(svals)} f={f}"
-        if ok:
-            ok = subdesign_constraint(k, 2, s)
-            detail += f" constraint={ok}"
-        if ok and s >= 2 and f > s:
-            sub = restrict_subdesign(d, fixed_points, fixed_blocks)
-            ok = sub is not None
-            detail += f" subdesign={'yes' if ok else 'missing'}"
-        checks.append(_new(Check, ("fixed-substructure", PASS if ok else FAIL, detail)))
+    checks.append(_NA["fixed-substructure", "identity"] if identity
+                  else _fixed_substructure(d, rep)[0])
 
     # with no 2-cycles anywhere: tails of fixed blocks (their points off Fix)
     # are pairwise disjoint, s is constant, and v >= f (k - s + 1)
@@ -344,29 +325,53 @@ def _checks(d: Design, x: Permutation) -> CertResult:
     return _new(CertResult, (tuple(checks), rep))
 
 
+def _fixed_substructure(d: Design, rep: FixReport) -> tuple[Check, Design | None]:
+    """The fixed-substructure lemma for an automorphism x != 1 of d with the
+    fixed-point report rep, as its check and the subdesign it finds.
+
+    If x fixes some block, no fixed block carries a 2-orbit and every fixed
+    block carries a fixed point, then every fixed block carries the same
+    number s of fixed points, s satisfies subdesign_constraint with d's
+    lambda, and for 2 <= s < f the f fixed points and fixed blocks form a
+    symmetric (f, s, lambda) subdesign, which is returned; otherwise None.
+    """
+    f, f_blocks, fixed_points, fixed_blocks, _, _, s_block, r_block = rep
+    if not f_blocks:
+        return _NA["fixed-substructure", "no fixed blocks"], None
+    if any(r_block.values()):
+        return _NA["fixed-substructure", "a fixed block carries a 2-orbit"], None
+    if not all(s_block.values()):
+        return _NA["fixed-substructure", "a fixed block carries no fixed point"], None
+    svals = set(s_block.values())
+    ok = len(svals) == 1
+    s = s_block[fixed_blocks[0]]
+    detail = f"s={sorted(svals)} f={f}"
+    sub = None
+    if ok:
+        ok = subdesign_constraint(d.k, d.lam, s)
+        detail += f" constraint={ok}"
+    if ok and s >= 2 and f > s:
+        sub = restrict_subdesign(d, fixed_points, fixed_blocks)
+        ok = sub is not None
+        detail += f" subdesign={'yes' if ok else 'missing'}"
+    return _new(Check, ("fixed-substructure", PASS if ok else FAIL, detail)), sub
+
+
 def fixed_subdesign(d: Design, x: Permutation) -> tuple[Design | None, str]:
     """The subdesign on (fixed points, fixed blocks), or None with a reason.
 
-    Requires r_B = 0 and s_B > 0 for every fixed block; the restriction must
-    itself verify as a symmetric design (degenerate fixed structures with
-    fewer than 2 points per restricted block yield None).
+    The whole design for the identity; otherwise the subdesign of the
+    fixed-substructure lemma (_fixed_substructure). Without one, the reason
+    is the lemma's check text: the unmet hypothesis, or after "no subdesign: "
+    the values of s and f that leave no restriction or no design.
     """
     rep = fix_report(d, x)
     if x.is_identity():
         return d, "identity: the whole design"
-    if rep.f_blocks == 0:
-        return None, "no fixed blocks"
-    if any(rep.r_block[j] != 0 for j in rep.fixed_blocks):
-        return None, "r_B != 0 for some fixed block"
-    if any(rep.s_block[j] == 0 for j in rep.fixed_blocks):
-        return None, "s_B = 0 for some fixed block"
-    svals = {rep.s_block[j] for j in rep.fixed_blocks}
-    if len(svals) != 1:
-        return None, f"s_B not constant: {sorted(svals)}"
-    sub = restrict_subdesign(d, rep.fixed_points, rep.fixed_blocks)
-    if sub is None:
-        return None, f"restriction is degenerate (s={svals.pop()}, f={rep.f_points})"
-    return sub, "subdesign"
+    check, sub = _fixed_substructure(d, rep)
+    if sub is not None:
+        return sub, "subdesign"
+    return None, check.detail if check.status == NA else f"no subdesign: {check.detail}"
 
 
 def certify_conjugacy_bound(d: Design, group: PermGroup, x: Permutation) -> CertResult:

@@ -3,7 +3,7 @@
 Everything here is integer-only; no floating point enters any decision.
 """
 
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from .errors import InputError, ScaleError
 
@@ -89,58 +89,30 @@ def legendre(a: int, p: int) -> int:
     return 1 if r == 1 else -1
 
 
-def _p_adic_split(n: int, p: int) -> tuple[int, int]:
-    """Write n = p**e * u with p not dividing u; return (e, u)."""
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e, n
-
-
-def hilbert_symbol(a: int, b: int, p: int) -> int:
-    """Hilbert symbol (a, b)_p over the p-adic rationals, p prime.
-
-    Equals +1 iff z^2 = a*x^2 + b*y^2 has a nontrivial p-adic solution.
-    """
-    if a == 0 or b == 0:
-        raise InputError("hilbert symbol needs nonzero arguments")
-    alpha, u = _p_adic_split(abs(a), p)
-    beta, w = _p_adic_split(abs(b), p)
-    u = u if a > 0 else -u
-    w = w if b > 0 else -w
-    if p == 2:
-        def eps(z: int) -> int:  # (z-1)/2 mod 2 for odd z
-            return 0 if z % 4 == 1 else 1
-
-        def omega(z: int) -> int:  # (z^2-1)/8 mod 2 for odd z
-            return 0 if z % 8 in (1, 7) else 1
-
-        expo = eps(u) * eps(w) + alpha * omega(w) + beta * omega(u)
-        return -1 if expo % 2 else 1
-    expo = alpha * beta * ((p - 1) // 2)
-    sym = -1 if expo % 2 else 1
-    if beta % 2:
-        sym *= legendre(u, p)
-    if alpha % 2:
-        sym *= legendre(w, p)
-    return sym
-
-
 def ternary_isotropic(a: int, b: int) -> bool:
     """Decide whether z^2 = a*x^2 + b*y^2 has a nontrivial rational solution.
 
-    By Hasse-Minkowski it suffices to check the reals plus the Hilbert
-    symbol at 2 and at every odd prime dividing a*b.
+    Legendre's theorem on a x^2 + b y^2 - z^2 = 0, after one reduction:
+    square factors drop out, and each prime g shared by a = g a' and
+    b = g b' moves to the third coefficient, as g times the form is
+    a' (g x)^2 + b' (g y)^2 - g z^2. The coefficients are then square-free,
+    pairwise coprime and of mixed sign, and the form is solvable iff, for
+    every odd prime p of each coefficient, minus the product of the other
+    two is a square mod p; the prime 2 imposes nothing.
     """
     if a == 0 or b == 0:
         return True  # z = 0 plus a unit vector on the zero coefficient
     if a < 0 and b < 0:
         return False
-    primes = {2}
-    primes.update(factorize(abs(a)))
-    primes.update(factorize(abs(b)))
-    return all(hilbert_symbol(a, b, p) == 1 for p in sorted(primes))
+    odd_a = {p for p, e in factorize(abs(a)).items() if e % 2}
+    odd_b = {p for p, e in factorize(abs(b)).items() if e % 2}
+    only_a, only_b, shared = odd_a - odd_b, odd_b - odd_a, odd_a & odd_b
+    a = prod(only_a) if a > 0 else -prod(only_a)
+    b = prod(only_b) if b > 0 else -prod(only_b)
+    c = -prod(shared)
+    return all(legendre(-y * z, p) == 1
+               for primes, y, z in ((only_a, b, c), (only_b, c, a), (shared, a, b))
+               for p in primes if p != 2)
 
 
 def multiplicative_order(a: int, m: int) -> int:

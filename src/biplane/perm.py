@@ -355,7 +355,12 @@ class PermGroup:
         levels[0] = [tuple(p + 1 for p in u) for u in levels[0]]  # so products are 1-based
         return map(Permutation._trusted, _products(levels, tuple(range(self.degree))))
 
+    def _require_point(self, alpha: int) -> None:
+        if not 1 <= alpha <= self.degree:
+            raise InputError(f"point {alpha} out of range 1..{self.degree}")
+
     def orbit(self, point: int) -> frozenset:
+        self._require_point(point)
         return frozenset(orbit(point, self.generators, Permutation.__call__))
 
     def orbits(self) -> list[tuple[int, ...]]:
@@ -375,8 +380,7 @@ class PermGroup:
         """The point stabilizer G_alpha, generated by the Schreier generators
         u_{g(p)}^-1 g u_p over the orbit of alpha (Schreier's lemma) after
         Sims' filter, so at most degree*(degree-1)/2 of them."""
-        if not 1 <= alpha <= self.degree:
-            raise InputError(f"point {alpha} out of range 1..{self.degree}")
+        self._require_point(alpha)
         images = [tuple(x - 1 for x in g.images) for g in self.generators]
         return PermGroup(self.degree, [Permutation._trusted(tuple(x + 1 for x in h))
                                        for h in _stabilizer_images(alpha - 1, images)])
@@ -384,8 +388,7 @@ class PermGroup:
     def conjugacy_counts(self, x: Permutation, alpha: int) -> tuple[int, int]:
         """(u, u1): number of G-conjugates of x, and of those fixing alpha.
         The class is the orbit of x under conjugation by the generators."""
-        if not 1 <= alpha <= self.degree:
-            raise InputError(f"point {alpha} out of range 1..{self.degree}")
+        self._require_point(alpha)
         if x not in self:
             raise InputError("element is not in the group")
         pairs = [(g, g.inverse()) for g in self.generators]
@@ -394,6 +397,8 @@ class PermGroup:
 
     def minimal_block(self, alpha: int, beta: int) -> frozenset:
         """Smallest block of imprimitivity containing {alpha, beta} (union-find refinement)."""
+        self._require_point(alpha)
+        self._require_point(beta)
         parent = list(range(self.degree + 1))
 
         def find(a):

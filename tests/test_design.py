@@ -156,13 +156,26 @@ def test_brc_agrees_with_bounded_oracle_small():
         assert brc_feasible(p) == brc_brute_force(p)
 
 
-def test_brc_search_matches_hilbert_symbols_k_below_2000():
+def test_brc_search_matches_legendre_k_below_2000():
     odd_rows = 0
     for k in range(3, 2000):
         p = params_from_k(k)
         odd_rows += p.v % 2
         assert brc_brute_force(p) == brc_feasible(p), k
     assert odd_rows == 998
+
+
+def test_brc_matches_search_on_symmetric_rows_v_below_1000():
+    # every symmetric-feasible (v,k,lambda), not only the biplanes
+    rows = [DesignParams(v, k, k * (k - 1) // (v - 1))
+            for v in range(3, 1001) for k in range(2, v) if k * (k - 1) % (v - 1) == 0]
+    assert len(rows) == 3984
+    excluded = 0
+    for p in rows:
+        feasible = brc_feasible(p)
+        assert feasible == brc_brute_force(p), p
+        excluded += not feasible
+    assert excluded == 1358
 
 
 @pytest.mark.parametrize("a, b, c, witness", [
@@ -181,7 +194,7 @@ def test_legendre_form_hand_checked(a, b, c, witness):
     assert _legendre_form_solvable(a, b, c) is (witness is not None)
 
 
-def test_legendre_form_matches_hilbert_symbols():
+def test_legendre_form_matches_ternary_isotropic():
     # a x^2 + b y^2 + c z^2 = 0 iff (cz)^2 = -ac x^2 - bc y^2
     coeffs = [t for t in range(-10, 11) if t]
     for a in coeffs:

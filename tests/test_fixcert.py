@@ -10,8 +10,9 @@ from biplane.errors import InputError
 from biplane.fixcert import (ALLOWED_79_ORDERS, AUT_ORDER_DIVISOR_121, LANDAU_121, Check,
                              admissible_cycle_types_121, certify_79,
                              certify_conjugacy_bound, certify_fix_lemmas,
-                             _checks, _walk, check_79_order, fix_report, fixed_subdesign,
-                             sylow_bound_121, sylow_bounds_121)
+                             _bound_holds, _checks, _walk, check_79_order, fix_report,
+                             fixed_subdesign, sylow_bound_121, sylow_bounds_121)
+from biplane.ntheory import is_prime
 from biplane.perm import CycleType, Permutation, cycle_type
 from oracles import (induced_block_permutation, landau, orbit_walk_fix_report,
                      reference_walk)
@@ -187,7 +188,7 @@ def test_fixed_subdesign_involution_gate(aut_results):
     d = catalog.build("hadamard11")
     inv = next(g for g in aut_results["hadamard11"].group.elements() if g.order() == 2)
     sub, reason = fixed_subdesign(d, inv)
-    assert sub is None and "r_B != 0" in reason
+    assert sub is None and reason == "a fixed block carries a 2-orbit"
 
 
 def test_fixed_subdesign_nondegenerate(aut_results):
@@ -208,8 +209,14 @@ def test_fixed_subdesign_degenerate_reason(aut_results):
     d = catalog.build("biplane37_qr")
     g = next(g for g in aut_results["biplane37_qr"].group.elements() if g.order() == 3)
     sub, reason = fixed_subdesign(d, g)
-    assert sub is None
-    assert "s_B = 0" in reason or "degenerate" in reason
+    assert sub is None and reason == "a fixed block carries no fixed point"
+    # an order-3 element of the Fano complement fixes one point on one block:
+    # the lemma holds, but one point carries no subdesign
+    d = catalog.build("fano_complement")
+    g = next(g for g in aut_results["fano_complement"].group.elements() if g.order() == 3)
+    sub, reason = fixed_subdesign(d, g)
+    assert sub is None and reason == "no subdesign: s=[1] f=1 constraint=True"
+    assert certify_fix_lemmas(d, g).by_name("fixed-substructure").status == "pass"
 
 
 def test_conjugacy_bound_hadamard11(aut_results):
@@ -265,6 +272,42 @@ ADMISSIBLE_CASES = [
 def test_admissible_types_121(order, expected):
     got = [t.as_dict() for t in admissible_cycle_types_121(order)]
     assert got == expected
+
+
+def test_prime_order_types_121_derived_from_lemmas():
+    # An automorphism of prime order p of a (121,16,2) biplane has f fixed
+    # points and (121 - f)/p p-cycles, so f = 121 (mod p). The certified
+    # lemmas (fixed-count-bound, prime-square-fixed-point-free, the two
+    # involution branches, odd-order-fixed-count-branch) leave the table's
+    # prime rows. For odd p a fixed block is a union of cycles, so its k - s
+    # points off the fixed points fill p-cycles: without that condition
+    # order 3 would gain f = 4, order 17 f = 2 and order 19 f = 7. Only
+    # p = 11 divides 121, so every other row has f > 0, where the involution
+    # and odd-order lemmas apply.
+    v, k = 121, 16
+    primes = [p for p in range(2, v + 1) if is_prime(p)]
+    assert len(primes) == 30
+    possible = []
+    for p in primes:
+        fixed_counts = []
+        for f in range(v + 1):
+            if (v - f) % p or not _bound_holds(f, k) or 3 * f > 4 * k:
+                continue
+            if p * p == v:
+                ok = f == 0
+            elif p == 2:
+                ok = f <= k - 2 and any(2 * f == k + 1 + (s - 1) ** 2 for s in range(k + 1))
+            else:
+                ok = 2 * f <= k and any(f == s * (s - 1) // 2 + 1 and (k - s) % p == 0
+                                        for s in range(k + 1))
+            if ok:
+                fixed_counts.append(f)
+        derived = {CycleType.from_dict({1: f, p: (v - f) // p}) for f in fixed_counts}
+        table = admissible_cycle_types_121(p)
+        assert len(table) == len(derived) and set(table) == derived, p
+        if derived:
+            possible.append(p)
+    assert possible == [2, 3, 5, 7, 11, 13]
 
 
 def test_admissible_types_sum_to_121():

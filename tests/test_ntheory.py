@@ -3,10 +3,9 @@ from math import gcd
 import pytest
 
 from biplane.errors import InputError
-from biplane.ntheory import (divisors, factorize, hilbert_symbol, is_prime,
-                             is_prime_power, is_square, legendre,
-                             multiplicative_order, square_free_part,
-                             ternary_isotropic)
+from biplane.ntheory import (divisors, factorize, is_prime, is_prime_power,
+                             is_square, legendre, multiplicative_order,
+                             square_free_part, ternary_isotropic)
 
 
 def test_factorize_roundtrip():
@@ -97,23 +96,19 @@ def test_hilbert_route_matches_small_search(a, b):
     assert ternary_isotropic(a, b) == _isotropic_brute(a, b)
 
 
-def test_hilbert_symbol_bilinear_in_squares():
-    # (a s^2, b)_p = (a, b)_p
-    cases = [(2, 7, 3), (6, 2, 2), (10, -2, 5), (14, 2, 7), (3, -1, 2)]
-    for a, b, p in cases:
-        for s in (2, 3, 5):
-            assert hilbert_symbol(a * s * s, b, p) == hilbert_symbol(a, b, p)
-            assert hilbert_symbol(a, b * s * s, p) == hilbert_symbol(a, b, p)
-
-
-def test_hilbert_symbol_symmetry_and_product_rule():
-    vals = [-6, -2, -1, 2, 3, 5, 7, 10, 14, 15]
-    primes = [2, 3, 5, 7]
+def test_ternary_isotropic_invariants():
+    # solvability of z^2 = a x^2 + b y^2 is symmetric in a and b, blind to
+    # square factors, and unchanged by b -> -ab: it asks whether b is a norm
+    # z^2 - a x^2 from Q(sqrt a), and -a = 0^2 - a 1^2 is one. The primes
+    # that a s^2 and -ab share with the other argument exercise the reduction
+    vals = [-30, -15, -7, -6, -2, -1, 1, 2, 3, 5, 6, 7, 10, 14, 15, 21, 30]
+    outcomes = set()
     for a in vals:
         for b in vals:
-            for p in primes:
-                assert hilbert_symbol(a, b, p) == hilbert_symbol(b, a, p)
-                # multiplicativity in the first argument
-                for c in (2, 3):
-                    assert (hilbert_symbol(a * c, b, p)
-                            == hilbert_symbol(a, b, p) * hilbert_symbol(c, b, p))
+            t = ternary_isotropic(a, b)
+            assert ternary_isotropic(b, a) == t, (a, b)
+            assert ternary_isotropic(a, -a * b) == t, (a, b)
+            for s in (2, 3, 5, 6):
+                assert ternary_isotropic(a * s * s, b) == t, (a, b, s)
+            outcomes.add(t)
+    assert outcomes == {False, True}

@@ -235,6 +235,20 @@ def test_stabilizer_of_untouched_point_is_whole_group():
     assert g.stabilizer(3).order() == 2
 
 
+def test_point_queries_refuse_points_out_of_range():
+    # unchecked, 0 and -1 would reach Python's negative indexing
+    g = PermGroup.from_cycles(5, ["(1,2,3)"])
+    for bad in (0, -1, 6):
+        text = f"point {bad} out of range 1..5"
+        for query in (lambda: g.orbit(bad), lambda: g.minimal_block(bad, 1),
+                      lambda: g.minimal_block(1, bad), lambda: g.stabilizer(bad)):
+            with pytest.raises(InputError) as err:
+                query()
+            assert str(err.value) == text
+    assert g.orbit(1) == {1, 2, 3} and g.orbit(5) == {5}
+    assert g.minimal_block(1, 2) == {1, 2, 3}
+
+
 def test_conjugacy_counts_identities():
     g = PermGroup.from_cycles(16, ALPHA)
     a4 = Permutation.from_cycles(ALPHA[3], 16)
