@@ -48,6 +48,17 @@ from .design import Design
 from .errors import InputError
 from .perm import PermGroup, Permutation, _stabilizer_images, orbit
 
+# The interpreter's own SHA-256, as random.py takes it: hashlib would load
+# OpenSSL (about 3.5 MB resident) for one digest per certificate. Chosen once
+# here, so that no certificate repeats a failed import.
+try:
+    from _sha2 import sha256 as _sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
+
 
 class CanonicalCertificate(NamedTuple):
     """Relabeling-invariant fingerprint: the canonical block list plus a digest."""
@@ -57,10 +68,8 @@ class CanonicalCertificate(NamedTuple):
 
     @classmethod
     def from_blocks(cls, blocks) -> "CanonicalCertificate":
-        import hashlib  # only certificates hash; automorphism and iso searches do not
-
         blocks = tuple(tuple(b) for b in blocks)
-        digest = hashlib.sha256(repr(blocks).encode()).hexdigest()
+        digest = _sha256(repr(blocks).encode()).hexdigest()
         return cls(blocks, digest)
 
 

@@ -1,5 +1,10 @@
 import hashlib
+import json
+import os
 import random
+import subprocess
+import sys
+from itertools import combinations
 
 import pytest
 
@@ -108,6 +113,7 @@ SINGER_SETS = {
     5: (0, 1, 3, 8, 12, 18),
     7: (0, 1, 3, 13, 32, 36, 43, 52),
     8: (1, 2, 4, 8, 16, 32, 37, 55, 64),
+    9: (0, 1, 3, 9, 27, 49, 56, 61, 77, 81),
 }
 # Equitable refinement barely splits a projective plane, so a poor choice of
 # target cell shows as a blow-up of the tree; every plane above stays under it.
@@ -201,6 +207,67 @@ def test_pg25_relabelings_agree():
         sigma = are_isomorphic(d, relabeled)
         target = relabeled.block_index.keys()
         assert sigma is not None and all(sigma.apply_set(b) in target for b in d.blocks)
+
+
+def _hlw56() -> Design:
+    """The (56,11,2) biplane of Hall, Lane & Wales (1970) from the hyperovals
+    of PG(2,4): its lines are the translates of the Singer set {0,1,4,14,16}
+    in c21, and a hyperoval is a 6-set of points with no three collinear. Two
+    hyperovals of one class of 56 meet in 0 or 2 points. The points are the
+    class of the lexicographically first hyperoval, in lexicographic order,
+    and the block of a hyperoval O is O with the 10 hyperovals disjoint from it."""
+    lines = [{(d + x) % 21 for d in (0, 1, 4, 14, 16)} for x in range(21)]
+    line_of = {pair: line for line in lines for pair in combinations(sorted(line), 2)}
+
+    def arcs(arc, start):
+        if len(arc) == 6:
+            yield frozenset(arc)
+            return
+        for p in range(start, 21):
+            if all(p not in line_of[pair] for pair in combinations(arc, 2)):
+                yield from arcs(arc + [p], p + 1)
+    hyperovals = list(arcs([], 0))
+    assert len(hyperovals) == 168
+    points = [h for h in hyperovals if len(h & hyperovals[0]) % 2 == 0]
+    assert len(points) == 56
+    blocks = [[i] + [j for j, h in enumerate(points, 1) if not h & o]
+              for i, o in enumerate(points, 1)]
+    return Design(DesignParams(56, 11, 2), blocks)
+
+
+HLW56_ORDER = 80640
+HLW56_DIGEST = "3d7cef312c4da732b8d59626f8602fb9fd4e63484421e27e812405c6ac5bc7f5"
+# (nodes, leaves, automorphisms) unrelabeled and under two shuffles of
+# random.Random(56). Unlike the catalog searches, these find automorphisms
+# that move the prefix, so the pruning runs Schreier-Sims: pruning with only
+# the automorphisms that fix the prefix reads 192/152/145 nodes instead.
+HLW56_STATS = [(64, 18, 7), (127, 61, 6), (139, 62, 5)]
+
+
+def test_hlw56_searches_pinned(monkeypatch):
+    calls = []
+    stabilizer_images = aut._stabilizer_images
+
+    def counting(alpha, generators):
+        calls.append(alpha)
+        return stabilizer_images(alpha, generators)
+    monkeypatch.setattr(aut, "_stabilizer_images", counting)
+    rng = random.Random(56)
+    d = _hlw56()
+    labeled = [d]
+    for _ in range(2):
+        images = list(range(1, d.v + 1))
+        rng.shuffle(images)
+        labeled.append(d.relabel(Permutation(images)))
+    digests = set()
+    for e, expected in zip(labeled, HLW56_STATS):
+        calls.clear()
+        s = _searched(e)
+        assert PermGroup(e.v, s.point_generators()).order() == HLW56_ORDER
+        assert tuple(s.stats()) == expected
+        assert calls
+        digests.add(CanonicalCertificate.from_blocks(s.best_cert).digest)
+    assert digests == {HLW56_DIGEST}
 
 
 # Search counters (nodes, leaves, automorphisms) summed over the 84 developed
@@ -377,6 +444,35 @@ def test_automorphism_orders(aut_results):
 def test_canonical_digests_pinned():
     for name, (_, _, digest) in CATALOG_GATE.items():
         assert canonical_form(catalog.build(name)).digest == digest, name
+
+
+def _digests_in_fresh_interpreter(prelude: str) -> tuple[list[str], list[str]]:
+    """The canonical digests of the catalog designs, computed in a fresh
+    interpreter after prelude, and which of hashlib and _hashlib it loaded."""
+    code = (prelude + "\n"
+            "import json, sys\n"
+            "from biplane import aut, catalog\n"
+            "digests = [aut.canonical_form(catalog.build(n)).digest\n"
+            "           for n in catalog.constructible_names()]\n"
+            "print(json.dumps([digests, sorted({'hashlib', '_hashlib'} & set(sys.modules))]))")
+    src = os.path.dirname(os.path.dirname(aut.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return tuple(json.loads(proc.stdout))
+
+
+# Canonical forms take the interpreter's own SHA-256 module and load neither
+# hashlib nor OpenSSL's _hashlib; without that module they fall back to
+# hashlib, with the same digests.
+@pytest.mark.parametrize("prelude, loaded", [
+    ("", []),
+    ("import sys; sys.modules['_sha256'] = sys.modules['_sha2'] = None", ["_hashlib", "hashlib"]),
+], ids=["builtin-sha256", "hashlib-fallback"])
+def test_canonical_digest_modules(prelude, loaded):
+    digests, modules = _digests_in_fresh_interpreter(prelude)
+    assert digests == [CATALOG_GATE[name][2] for name in catalog.constructible_names()]
+    assert modules == loaded
 
 
 def test_fano_order_against_brute_force(aut_results):

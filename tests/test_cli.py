@@ -279,9 +279,10 @@ def test_cli_import_leaves_numpy_out():
         "biplane", "biplane.cli", "biplane.errors"}
 
 
-# The package modules each subcommand may load beyond biplane, cli and errors;
-# none of them hashes, so none loads hashlib. The records are named tuples,
-# so none loads dataclasses or the inspect module that it imports.
+# The package modules each subcommand may load beyond biplane, cli and errors.
+# Canonical certificates take the interpreter's own SHA-256 module, so none
+# loads hashlib or OpenSSL's _hashlib. The records are named tuples, so none
+# loads dataclasses or the inspect module that it imports.
 _BASE = {"design", "ntheory"}
 
 
@@ -313,7 +314,7 @@ def test_subcommand_loads_only_its_modules(tmp_path, argv, allowed):
     assert exit_code == OK
     loaded = {m.removeprefix("biplane.") for m in modules if m.startswith("biplane.")}
     assert loaded <= allowed | {"cli", "errors"}
-    assert not modules & {"hashlib", "numpy", "dataclasses", "inspect"}
+    assert not modules & {"hashlib", "_hashlib", "numpy", "dataclasses", "inspect"}
 
 
 def test_cert121(capsys):
