@@ -43,14 +43,16 @@ def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
 
 
 def _load_json(path: str, what: str, parse):
-    """parse(the JSON content of path); a file that cannot be read or
-    decoded, or holds an integer longer than int() reads, raises InputError
-    naming the kind of file."""
+    """parse(the JSON object in path); a file that cannot be read or decoded,
+    holds an integer longer than int() reads, or holds anything but an object
+    at its top level raises InputError naming the kind of file."""
     try:
         with open(path) as fh:
             data = json.load(fh)
     except (OSError, ValueError) as exc:  # JSONDecodeError, UnicodeDecodeError, int() limit
         raise InputError(f"cannot read {what} file {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InputError(f"bad {what} file {path}: expected a JSON object at its top level")
     return parse(data)
 
 

@@ -1,9 +1,12 @@
 """Finite group tables, difference sets, developments, and exclusion tests.
 
 Groups are explicit multiplication tables over elements 0..n-1 with identity
-0, so everything downstream is presentation-free. The exhaustive search and
-the development are the constructive route to transitive biplanes; the
-Lander witness scan is the arithmetic route to nonexistence.
+0, so everything downstream is presentation-free. Each table is built from a
+group law (cyclic, direct_product, quaternion8, elementary_abelian), so the
+group axioms hold by construction; the tests check them once per constructor,
+and no build re-proves them. The exhaustive search and the development are the
+constructive route to transitive biplanes; the Lander witness scan is the
+arithmetic route to nonexistence.
 """
 
 from __future__ import annotations
@@ -17,11 +20,11 @@ from .design import Design, DesignParams
 from .errors import InputError, ScaleError
 from .ntheory import divisors, factorize, multiplicative_order, square_free_part
 
-ASSOCIATIVITY_CHECK_CAP = 64
 SEARCH_SUBSET_CAP = 10**8
 # Largest group order the table constructors build. At 1024 an n x n table
-# of Python ints peaks near 40 MB and builds in under 2 s; every named tag
-# fits (c121ab has order 121).
+# of Python ints peaks 39-45 MB above the import and builds in 0.08-0.13 s
+# (cyclic, products, elementary_abelian(2, 10); Python 3.11, one core of a
+# shared VM); every named tag fits (c121ab has order 121).
 GROUP_ORDER_CAP = 1024
 # Largest v lander_excluded admits. Its divisor scan runs up to sqrt(v) and
 # each multiplicative order factors a divisor of v and lists the divisors of
@@ -48,29 +51,14 @@ class GroupTable(NamedTuple):
 
 
 def _build_table(name: str, mul) -> GroupTable:
-    mul = tuple(tuple(row) for row in mul)
-    n = len(mul)
-    if any(len(row) != n for row in mul):
-        raise InputError("multiplication table is not square")
-    if any(mul[0][x] != x or mul[x][0] != x for x in range(n)):
-        raise InputError("element 0 is not an identity")
-    inv = [None] * n
-    for x in range(n):
-        for y in range(n):
-            if mul[x][y] == 0:
-                if mul[y][x] != 0:
-                    raise InputError(f"one-sided inverse at {x}")
-                inv[x] = y
-    if any(i is None for i in inv):
-        raise InputError("missing inverses")
-    if n <= ASSOCIATIVITY_CHECK_CAP:
-        for a in range(n):
-            for b in range(n):
-                ab = mul[a][b]
-                for c in range(n):
-                    if mul[ab][c] != mul[a][mul[b][c]]:
-                        raise InputError(f"associativity fails at ({a},{b},{c})")
-    return GroupTable(name=name, mul=mul, inv=tuple(inv))
+    """The table of a group law, with each inverse read off its row.
+
+    Every caller is a constructor below that builds mul from a group law, so
+    the axioms hold by construction; the tests check identity, inverses,
+    Latin rows and columns and associativity for every constructor, so no
+    build repeats that check."""
+    mul = tuple(map(tuple, mul))
+    return GroupTable(name=name, mul=mul, inv=tuple(row.index(0) for row in mul))
 
 
 def _check_order(n: int) -> None:
@@ -89,19 +77,10 @@ def cyclic(n: int) -> GroupTable:
 def direct_product(a: GroupTable, b: GroupTable) -> GroupTable:
     """Direct product with elements enumerated as x*|b| + y."""
     nb = b.n
-    n = a.n * nb
-    _check_order(n)
-
-    def pair(x, y):
-        return x * nb + y
-
-    mul = [[0] * n for _ in range(n)]
-    for x1 in range(a.n):
-        for y1 in range(nb):
-            for x2 in range(a.n):
-                for y2 in range(nb):
-                    mul[pair(x1, y1)][pair(x2, y2)] = pair(a.mul[x1][x2], b.mul[y1][y2])
-    return _build_table(f"product({a.name},{b.name})", mul)
+    _check_order(a.n * nb)
+    return _build_table(f"product({a.name},{b.name})",
+                        [[x * nb + y for x in ra for y in rb]
+                         for ra in a.mul for rb in b.mul])
 
 
 def quaternion8() -> GroupTable:

@@ -270,6 +270,34 @@ def test_hlw56_searches_pinned(monkeypatch):
     assert digests == {HLW56_DIGEST}
 
 
+def _pg2_by_coordinates(q: int) -> Design:
+    """PG(2,q), q prime, from homogeneous coordinates over GF(q): a point is
+    the normalized vector (first nonzero coordinate 1) of a line through the
+    origin, listed as (1,a,b), then (0,1,b), then (0,0,1), and the line of u
+    is the set of points orthogonal to u."""
+    points = ([(1, a, b) for a in range(q) for b in range(q)]
+              + [(0, 1, b) for b in range(q)] + [(0, 0, 1)])
+    blocks = [[i for i, x in enumerate(points, 1) if sum(a * b for a, b in zip(u, x)) % q == 0]
+              for u in points]
+    return Design(DesignParams(q * q + q + 1, q + 1, 1), blocks)
+
+
+# PG(2,11) on the labeling of _pg2_by_coordinates, at degree 133: the order
+# |PGL(3,11)| and (nodes, leaves, automorphisms). Of its 0.3 s, about 0.25 s
+# is PermGroup.order(), the part that grows fastest with the degree: PG(2,19)
+# searches in 0.15 s and takes 6.6 s for its order.
+PG2_11_ORDER = 212_427_600
+PG2_11_STATS = (19, 7, 6)
+
+
+def test_pg2_11_by_coordinates_pinned():
+    q = 11
+    result = automorphism_group(_pg2_by_coordinates(q))
+    assert result.order == PG2_11_ORDER == q ** 3 * (q ** 3 - 1) * (q ** 2 - 1)
+    stats = result.stats
+    assert (stats.nodes, stats.leaves, stats.automorphisms) == PG2_11_STATS
+
+
 # Search counters (nodes, leaves, automorphisms) summed over the 84 developed
 # (16,6,2) difference sets of c2xc8, q8xc2 and e16, unrelabeled.
 DEVELOPED_16_STATS = (1572, 532, 448)

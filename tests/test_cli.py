@@ -353,6 +353,26 @@ def test_cart_verify(tmp_path, capsys):
     assert "[6]" in out
 
 
+@pytest.mark.parametrize("content", ["[]", "null", '"x"'])
+def test_json_file_must_hold_an_object(tmp_path, capsys, content):
+    # Each kind of input file names the shape it expects, not a Python
+    # internal such as "list indices must be integers or slices, not str"
+    design = _design_file(tmp_path, "biplane16_primitive")
+    cd = tmp_path / "cd.json"
+    cd.write_text(json.dumps(CartesianDecomposition(catalog.CART16_PARTITIONS).to_json_dict()))
+    group = tmp_path / "g.json"
+    group.write_text(json.dumps(group_to_json_dict(catalog.primitive16_group())))
+    bad = tmp_path / "bad.json"
+    bad.write_text(content)
+    cart = ["cart", "verify", "--design", design, "--cd", str(cd), "--group", str(group)]
+    for what, argv in (("design", ["verify", str(bad)]),
+                       ("decomposition", cart[:5] + [str(bad)] + cart[6:]),
+                       ("group", cart[:7] + [str(bad)])):
+        assert run(argv) == USAGE, what
+        err = capsys.readouterr().err
+        assert err == f"error: bad {what} file {bad}: expected a JSON object at its top level\n"
+
+
 def test_pell_table(capsys):
     code, out = _capture(capsys, ["pell", "--n", "2"])
     assert code == OK

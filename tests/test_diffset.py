@@ -23,12 +23,40 @@ from oracles import (all_translates_rep, brute_force_table_automorphisms,
 QR11 = (1, 3, 4, 5, 9)
 
 
+# Associativity is checked in full up to this order: n**3 products.
+ASSOCIATIVITY_ORDER = 64
+
+
+def _assert_group_laws(g):
+    """The group axioms on g's table: identity 0, every row and column a
+    permutation of 0..n-1, two-sided inverses and, for n <= 64, associativity."""
+    mul, inv, n = g.mul, g.inv, g.n
+    elements = list(range(n))
+    assert len(mul) == len(inv) == n
+    assert list(mul[0]) == elements and [row[0] for row in mul] == elements, g.name
+    assert all(sorted(row) == elements for row in mul), g.name
+    assert all(sorted(column) == elements for column in zip(*mul)), g.name
+    assert all(mul[x][inv[x]] == mul[inv[x]][x] == 0 for x in elements), g.name
+    if n <= ASSOCIATIVITY_ORDER:
+        assert all(mul[mul[a][b]][c] == mul[a][mul[b][c]]
+                   for a in elements for b in elements for c in elements), g.name
+
+
 def test_group_table_laws():
-    for g in (cyclic(11), quaternion8(), direct_product(cyclic(2), cyclic(8)),
-              elementary_abelian(2, 4)):
-        n = g.n
-        assert all(g.mul[0][x] == x for x in range(n))
-        assert all(g.mul[x][g.inv[x]] == 0 for x in range(n))
+    # The constructors build tables from group laws and check nothing, so
+    # every table they reach is checked here, once
+    tags = ("c1", "c2", "c16", "c31", "c37", "c64", "c2xc8", "q8xc2", "e16", "c121ab")
+    tables = [from_tag(tag) for tag in tags]
+    tables += [_table("c4xc4"), _table("c2xc2xc4"), elementary_abelian(3, 2), quaternion8()]
+    for g in tables:
+        _assert_group_laws(g)
+    # c121ab is past the associativity bound: its factors are checked, and
+    # the product's law is the factors' laws coordinate-wise
+    c121ab, c11 = from_tag("c121ab"), cyclic(11)
+    assert c121ab.n > ASSOCIATIVITY_ORDER >= c11.n
+    _assert_group_laws(c11)
+    assert all(c121ab.mul[x1 * 11 + y1][x2 * 11 + y2] == c11.mul[x1][x2] * 11 + c11.mul[y1][y2]
+               for x1 in range(11) for y1 in range(11) for x2 in range(11) for y2 in range(11))
 
 
 def test_quaternion8_structure():
@@ -155,7 +183,9 @@ def _relabeled(g, seed):
     for i, p in enumerate(perm):
         inv[p] = i
     mul = [[perm[g.mul[inv[a]][inv[b]]] for b in range(n)] for a in range(n)]
-    return diffset._build_table("relabeled", mul)
+    relabeled = diffset._build_table("relabeled", mul)
+    _assert_group_laws(relabeled)
+    return relabeled
 
 
 def test_search_class_count_invariant_under_relabeling():
