@@ -25,19 +25,18 @@ children are taken in ascending vertex order. A child is pruned when it lies
 in the orbit of an explored sibling under the pointwise stabilizer of the
 prefix in the group of the automorphisms found so far (McKay & Piperno). That
 stabilizer maps every cell onto itself, so only its orbits on the target cell
-are computed. It is taken one prefix point at a time, and the Schreier-Sims
-kernel of `perm` runs only for a point that some generator still moves; while
-every automorphism found fixes the prefix, as on the first path, they generate
-it themselves. The map of a leaf's points onto the first leaf's is an
-automorphism gamma exactly when the two leaves have equal certificates, so
-each leaf tests that map with Design.block_action first, and only the first
-leaf and a leaf that is not its automorphic image build a certificate. If
-gamma is checked to map the leaf's path down to the child where it leaves
+are computed. It comes from the Schreier-Sims loop of `perm` (_levels) along
+the prefix, which runs a step only for a point that some generator still
+moves; while every automorphism found fixes the prefix, as on the first path,
+they generate it themselves. The map of a leaf's points onto the first leaf's
+is an automorphism gamma exactly when the two leaves have equal certificates,
+so each leaf tests that map with Design.block_action first, and only the
+first leaf and a leaf that is not its automorphic image build a certificate.
+If gamma is checked to map the leaf's path down to the child where it leaves
 the first path onto that path, the child's subtree is the image of an
 explored one, so the search jumps back to the child's parent (McKay,
-Practical Graph Isomorphism, 1981). Neither prune skips the first leaf or
-the first least leaf, so canonical forms and isomorphisms do not depend on
-them.
+Practical Graph Isomorphism, 1981). Neither prune skips the first leaf or the
+first least leaf, so canonical forms and isomorphisms do not depend on them.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from typing import NamedTuple
 
 from .design import Design
 from .errors import InputError
-from .perm import PermGroup, Permutation, _stabilizer_images, orbit
+from .perm import PermGroup, Permutation, _levels, orbit
 
 # The interpreter's own SHA-256, as random.py takes it: hashlib would load
 # OpenSSL (about 3.5 MB resident) for one digest per certificate. Chosen once
@@ -328,16 +327,11 @@ class _Search:
         automorphisms found so far, acting on all vertices.
 
         Refinement, the chain split included, is label-invariant, so each of
-        them maps every cell of the node's partition onto itself. The prefix
-        is fixed one point at a time, and Schreier-Sims, with Sims' filter
-        keeping the lists short, runs only for a point that some generator
+        them maps every cell of the node's partition onto itself. _levels
+        runs a Schreier-Sims step only for a prefix point that some generator
         still moves: if every automorphism fixes prefix, they are the answer.
         """
-        gens = list(self.autos)
-        for u in prefix:
-            if any(g[u] != u for g in gens):
-                gens = _stabilizer_images(u, gens)
-        return gens
+        return _levels(list(self.autos), prefix, self.n)[1]
 
     # -- leaves ------------------------------------------------------------
 

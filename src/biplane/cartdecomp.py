@@ -144,9 +144,13 @@ def preserved_by(cd: CartesianDecomposition, group: PermGroup) -> bool:
     The partitions may be permuted among themselves (the top group of the
     wreath product), as "G preserves a cartesian decomposition" allows.
     Raises InputError when the group's degree is not the number of points of
-    the decomposition.
+    the decomposition, or when a point of it lies outside 1..degree.
     """
-    _check_degree(group, len(frozenset().union(*(p for part in cd.partitions for p in part))))
+    points = frozenset().union(*(p for part in cd.partitions for p in part))
+    _check_degree(group, len(points))
+    outside = points.difference(range(1, group.degree + 1))
+    if outside:
+        raise InputError(f"point {min(outside)} of the decomposition is not in 1..{group.degree}")
     part_sets = [set(partition) for partition in cd.partitions]
     for g in group.generators:
         for partition in cd.partitions:

@@ -2,17 +2,18 @@
 
 Groups are given by generators; exact orders, membership and element lists
 come from one deterministic Schreier-Sims stabilizer chain, whose base
-points are taken in increasing order. Every level of it, and every point
-stabilizer, comes from one kernel on 0-based image tuples: a breadth-first
-transversal, then its Schreier generators (Schreier's lemma) thinned by
-Sims' filter. PermGroup.chain and PermGroup.stabilizer wrap that kernel and
-the search in `aut` calls it directly. Every orbit (of points, blocks, flags,
-or the conjugates PermGroup.conjugacy_counts counts) comes from one
-breadth-first routine, so repeated runs produce identical certificates.
-Every cycle (for Permutation.cycles, cycle_type and the fixed-point counts
-in `fixcert`) comes from one walker, _cycles, on 1-based or 0-based image
-tuples. It returns the list of cycles, and a fixed point costs one
-comparison and its 1-tuple.
+points are taken in increasing order. One loop, _levels, runs Schreier-Sims
+on 0-based image tuples along a base: at each point that a generator still
+moves, a breadth-first transversal, then its Schreier generators (Schreier's
+lemma) thinned by Sims' filter. PermGroup.chain keeps its levels along all
+points; PermGroup.stabilizer and the search in `aut` keep the generators it
+leaves. Every orbit (of points, blocks, flags, or the conjugates
+PermGroup.conjugacy_counts counts) comes from one breadth-first routine, so
+repeated runs produce identical certificates. Every cycle (for
+Permutation.cycles, cycle_type and the fixed-point counts in `fixcert`)
+comes from one walker, _cycles, on 1-based or 0-based image tuples. It
+returns the list of cycles, and a fixed point costs one comparison and its
+1-tuple.
 """
 
 from __future__ import annotations
@@ -268,17 +269,22 @@ def _schreier(transversal: dict, generators):
             for p, (u, _) in transversal.items() for g in generators)
 
 
-def _stabilizer_images(alpha: int, generators) -> list[tuple[int, ...]]:
-    """Generators of the stabilizer of alpha in the group generated by
-    `generators`: non-identity 0-based image tuples of one degree.
-
-    The Schreier generators of alpha's transversal, thinned by Sims' filter,
-    so at most n(n-1)/2 of them are returned.
-    """
-    if not generators:
-        return []
-    return _sims_filter(_schreier(_transversal(alpha, generators), generators),
-                        len(generators[0]))
+def _levels(generators, base, n: int) -> tuple[list, list]:
+    """The package's Schreier-Sims loop, on non-identity 0-based image tuples
+    of degree n. At each point beta of base, in order, that some generator
+    still moves, append the level (beta, _transversal(beta, generators)) and
+    replace the generators by that transversal's Schreier generators, thinned
+    by Sims' filter; stop when none are left. Returns the levels and the
+    generators of the pointwise stabilizer of base."""
+    levels = []
+    for beta in base:
+        if not generators:
+            break
+        if any(g[beta] != beta for g in generators):
+            transversal = _transversal(beta, generators)
+            levels.append((beta, transversal))
+            generators = _sims_filter(_schreier(transversal, generators), n)
+    return levels, generators
 
 
 def _products(levels: list, identity: tuple):
@@ -308,6 +314,7 @@ class PermGroup:
                     f"generator degree {g.degree} does not match group degree {degree}")
         self.degree = degree
         self.generators = tuple(g for g in generators if not g.is_identity())
+        self._images = [tuple(x - 1 for x in g.images) for g in self.generators]
         self._chain: list[tuple[int, dict]] | None = None
 
     @classmethod
@@ -315,21 +322,13 @@ class PermGroup:
         return cls(degree, [Permutation.from_cycles(s, degree) for s in cycle_strings])
 
     def chain(self) -> list[tuple[int, dict]]:
-        """The stabilizer chain, built once: levels (beta, transversal) on
-        0-based points. beta is the least point the level's generators move,
-        the transversal maps each point p of its orbit to (u_p, u_p^-1), and
-        the next level's generators are the Sims-filtered Schreier generators
-        of that transversal, so base points strictly increase."""
+        """The stabilizer chain, built once by _levels along the 0-based
+        points in increasing order: levels (beta, transversal), beta the least
+        point the level's generators move and the transversal mapping each
+        point p of its orbit to (u_p, u_p^-1), so base points strictly
+        increase."""
         if self._chain is None:
-            identity = tuple(range(self.degree))
-            gens = [tuple(x - 1 for x in g.images) for g in self.generators]
-            levels = []
-            while gens:
-                beta = min(next(compress(identity, map(ne, g, identity))) for g in gens)
-                transversal = _transversal(beta, gens)
-                levels.append((beta, transversal))
-                gens = _sims_filter(_schreier(transversal, gens), self.degree)
-            self._chain = levels
+            self._chain = _levels(self._images, range(self.degree), self.degree)[0]
         return self._chain
 
     def order(self) -> int:
@@ -377,13 +376,13 @@ class PermGroup:
         return len(self.orbit(1)) == self.degree if self.degree else True
 
     def stabilizer(self, alpha: int) -> "PermGroup":
-        """The point stabilizer G_alpha, generated by the Schreier generators
+        """The point stabilizer G_alpha, by _levels: the Schreier generators
         u_{g(p)}^-1 g u_p over the orbit of alpha (Schreier's lemma) after
-        Sims' filter, so at most degree*(degree-1)/2 of them."""
+        Sims' filter, so at most degree*(degree-1)/2 of them, or the
+        generators themselves if they all fix alpha."""
         self._require_point(alpha)
-        images = [tuple(x - 1 for x in g.images) for g in self.generators]
-        return PermGroup(self.degree, [Permutation._trusted(tuple(x + 1 for x in h))
-                                       for h in _stabilizer_images(alpha - 1, images)])
+        gens = _levels(self._images, (alpha - 1,), self.degree)[1]
+        return PermGroup(self.degree, [Permutation._trusted(tuple(x + 1 for x in h)) for h in gens])
 
     def conjugacy_counts(self, x: Permutation, alpha: int) -> tuple[int, int]:
         """(u, u1): number of G-conjugates of x, and of those fixing alpha.

@@ -246,12 +246,13 @@ HLW56_STATS = [(64, 18, 7), (127, 61, 6), (139, 62, 5)]
 
 def test_hlw56_searches_pinned(monkeypatch):
     calls = []
-    stabilizer_images = aut._stabilizer_images
+    levels = aut._levels
 
-    def counting(alpha, generators):
-        calls.append(alpha)
-        return stabilizer_images(alpha, generators)
-    monkeypatch.setattr(aut, "_stabilizer_images", counting)
+    def counting(generators, base, n):
+        out = levels(generators, base, n)
+        calls.extend(beta for beta, _ in out[0])
+        return out
+    monkeypatch.setattr(aut, "_levels", counting)
     rng = random.Random(56)
     d = _hlw56()
     labeled = [d]
@@ -370,12 +371,13 @@ def test_no_schreier_sims_on_catalog_and_developed_16_searches(monkeypatch):
     # every automorphism found so far fixes the prefix, so they generate its
     # stabilizer themselves.
     calls = []
-    stabilizer_images = aut._stabilizer_images
+    levels = aut._levels
 
-    def counting(alpha, generators):
-        calls.append(alpha)
-        return stabilizer_images(alpha, generators)
-    monkeypatch.setattr(aut, "_stabilizer_images", counting)
+    def counting(generators, base, n):
+        out = levels(generators, base, n)
+        calls.extend(beta for beta, _ in out[0])
+        return out
+    monkeypatch.setattr(aut, "_levels", counting)
     designs = [catalog.build(name) for name in catalog.constructible_names()]
     designs += [dual(d) for d in designs]
     designs += _developed_16()

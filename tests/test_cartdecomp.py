@@ -120,6 +120,10 @@ _PAIRS = [{j, j + 8} for j in range(1, 9)]
     ([_ROWS, [set(range(1, 17, 2)), set(range(2, 17, 2))]],
      "not a cartesian decomposition: ('parts [[1, 2, 3, 4, 5, 6, 7, 8], "
      "[1, 3, 5, 7, 9, 11, 13, 15]] meet in 4 points',)"),
+    ([[set(range(1, 17))], _PAIRS],
+     "not a cartesian decomposition: ('partition 0 has fewer than 2 parts',)"),
+    ([[set(range(1, 9)), set(range(9, 16))], _PAIRS],
+     "not a cartesian decomposition: ('partition 0 does not cover 1..16',)"),
 ])
 def test_block_coordinate_pairs_error_precedence(partitions, message):
     d = catalog.build("biplane16_primitive")
@@ -138,6 +142,22 @@ def test_group_degree_must_match_decomposition():
             preserved_by(cd, group)
         with pytest.raises(InputError, match=f"group degree {group.degree} != 16"):
             block_coordinate_pairs(d, cd, group=group)
+
+
+def test_preserved_by_refuses_points_outside_the_group_degree():
+    # four points, as the group has, but one of them is 17: the check is of
+    # the point set, not only of its size
+    group = PermGroup.from_cycles(4, ["(1,2)"])
+    for points, message in (((1, 2, 3, 17), "point 17 of the decomposition is not in 1..4"),
+                            ((0, 1, 2, 3), "point 0 of the decomposition is not in 1..4")):
+        a, b, c, x = points
+        cd = CartesianDecomposition([[{a, b}, {c, x}], [{a, c}, {b, x}]])
+        with pytest.raises(InputError) as err:
+            preserved_by(cd, group)
+        assert str(err.value) == message
+    square = CartesianDecomposition([[{1, 2}, {3, 4}], [{1, 3}, {2, 4}]])
+    assert not preserved_by(square, group)
+    assert preserved_by(square, PermGroup.from_cycles(4, ["(1,2)(3,4)"]))
 
 
 def test_fully_coordinate_aligned_set_counts_all_pairs():

@@ -250,12 +250,16 @@ def _src_env():
     return dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(catalog.__file__)))
 
 
-def test_python_dash_m_entry_point():
-    for module in ("biplane", "biplane.cli"):
-        proc = subprocess.run([sys.executable, "-m", module, "catalog", "list"],
-                              capture_output=True, text=True, env=_src_env(), timeout=60)
-        assert proc.returncode == OK, module
-        assert "biplane16_primitive" in proc.stdout, module
+def test_python_dash_m_entry_point(capsys):
+    # `python -m biplane` (__main__.py) and `python -m biplane.cli` answer a
+    # call and a usage error exactly as cli.run does
+    for argv, code in ((["catalog", "list"], OK), (["pell", "--n", "x"], USAGE)):
+        expected = _outcome(capsys, argv)
+        assert expected[0] == code
+        for module in ("biplane", "biplane.cli"):
+            proc = subprocess.run([sys.executable, "-m", module, *argv],
+                                  capture_output=True, text=True, env=_src_env(), timeout=60)
+            assert (proc.returncode, proc.stdout, proc.stderr) == expected, (module, argv)
 
 
 def _modules_loaded(argv, cwd=None):
@@ -351,6 +355,42 @@ def test_cart_verify(tmp_path, capsys):
     assert code == OK
     assert "preserved by supplied group: True" in out
     assert "[6]" in out
+
+
+def test_cart_verify_failures_exit_1(tmp_path, capsys, aut_results):
+    # The full group of biplane16_primitive consists of automorphisms, so it
+    # passes the input gates, but does not preserve the decomposition; a
+    # partition listed twice fails the unique-intersection law.
+    dpath = _design_file(tmp_path, "biplane16_primitive")
+    files = {"cd": CartesianDecomposition(catalog.CART16_PARTITIONS).to_json_dict(),
+             "dup": CartesianDecomposition([catalog.CART16_PARTITIONS[0]] * 2).to_json_dict(),
+             "g": group_to_json_dict(aut_results["biplane16_primitive"].group)}
+    for name, data in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    cart = ["cart", "verify", "--design", dpath, "--cd"]
+    report = {"d": 2, "homogeneous": True, "part_counts": [4, 4]}
+    for argv, lines, payload in (
+            (cart + [str(tmp_path / "cd.json"), "--group", str(tmp_path / "g.json")],
+             "cartesian: ok=True homogeneous=True d=2 parts=[4, 4]\n"
+             "preserved by supplied group: False\n",
+             dict(report, ok=True, preserved=False, violations=[])),
+            (cart + [str(tmp_path / "dup.json")],
+             "cartesian: ok=False homogeneous=True d=2 parts=[4, 4]\n",
+             dict(report, ok=False,
+                  violations=["parts [[1, 8, 10, 15], [1, 8, 10, 15]] meet in 4 points"]))):
+        assert _outcome(capsys, argv) == (CHECK_FAILED, lines, "")
+        code, out, err = _outcome(capsys, argv + ["--json"])
+        assert (code, json.loads(out), err) == (CHECK_FAILED, payload, "")
+
+
+def test_ds_lander_without_witness(capsys):
+    argv = ["ds", "lander", "--v", "16", "--k", "6"]
+    assert _outcome(capsys, argv) == (
+        OK, "no witness found; the test does not exclude these parameters\n", "")
+    code, out, err = _outcome(capsys, argv + ["--json"])
+    assert (code, err) == (OK, "")
+    assert json.loads(out) == {"excluded": False, "witness": None,
+                               "hypotheses": "the group is abelian, and pdiv divides its exponent"}
 
 
 @pytest.mark.parametrize("content", ["[]", "null", '"x"'])

@@ -11,12 +11,15 @@ import pytest
 
 from biplane import catalog
 from biplane.aut import automorphism_group, canonical_form, isomorphism
-from biplane.cartdecomp import CartesianDecomposition, block_coordinate_pairs
+from biplane.cartdecomp import CartesianDecomposition, block_coordinate_pairs, pell_solutions
 from biplane.catalog import flag_orbit_count
-from biplane.design import Design, DesignParams, dual, verify_symmetric_design
+from biplane.design import (Design, DesignParams, brc_brute_force, dual, k_for_point_power,
+                            restrict_subdesign, verify_symmetric_design)
+from biplane.diffset import cyclic, elementary_abelian, is_difference_set, lander_excluded
 from biplane.errors import InputError
 from biplane.fixcert import (certify_79, certify_conjugacy_bound, certify_fix_lemmas,
                              fix_report, fixed_subdesign)
+from biplane.ntheory import factorize
 from biplane.perm import PermGroup, Permutation
 from oracles import induced_block_permutation
 
@@ -77,6 +80,55 @@ def test_every_entry_point_refuses_a_non_design(call):
     assert all(JUNK16.block_action(g.images) for g in TRANSLATIONS.generators)
     with pytest.raises(InputError, match=GATE):
         call()
+
+
+D16 = catalog.build("biplane16_primitive")
+IDENTITY16 = Permutation.identity(16)
+# (16,5,2): k(k-1) = 20 != lambda(v-1) = 30
+NOT_FEASIBLE = DesignParams(16, 5, 2)
+
+
+@pytest.mark.parametrize("call,message", [
+    pytest.param(lambda: restrict_subdesign(D16, [0, 1], [0]),
+                 "restriction points out of range", id="restrict_subdesign-point"),
+    pytest.param(lambda: restrict_subdesign(D16, [1, 2], [16]),
+                 "restriction block indices out of range", id="restrict_subdesign-block"),
+    pytest.param(lambda: PermGroup(16, [Permutation.identity(15)]),
+                 "generator degree 15 does not match group degree 16", id="PermGroup"),
+    pytest.param(lambda: Permutation([1, 1, 2]),
+                 "not a permutation of 1..3: (1, 1, 2)", id="Permutation"),
+    pytest.param(lambda: certify_conjugacy_bound(D16, PermGroup(15, []), IDENTITY16),
+                 "group degree does not match design", id="certify_conjugacy_bound-degree"),
+    pytest.param(lambda: certify_conjugacy_bound(D16, PermGroup(16, []), IDENTITY16),
+                 "conjugacy bound requires a transitive group",
+                 id="certify_conjugacy_bound-intransitive"),
+    pytest.param(lambda: certify_conjugacy_bound(D16, catalog.primitive16_group(),
+                                                 Permutation.from_cycles("(1,2)", 16)),
+                 "element is not in the group", id="certify_conjugacy_bound-element"),
+    pytest.param(lambda: block_coordinate_pairs(
+        D16, CartesianDecomposition(catalog.CART16_PARTITIONS), PermGroup(16, [])),
+        "supplied group is not transitive", id="block_coordinate_pairs-trivial-group"),
+    pytest.param(lambda: flag_orbit_count(D16, PermGroup(15, [])),
+                 "group degree does not match the design", id="flag_orbit_count"),
+    pytest.param(lambda: cyclic(0), "cyclic group order must be positive", id="cyclic"),
+    pytest.param(lambda: elementary_abelian(1, 2),
+                 "elementary abelian group needs p >= 2 and k >= 1", id="elementary_abelian"),
+    pytest.param(lambda: is_difference_set(cyclic(7), [0], 2),
+                 "difference set needs at least two elements", id="is_difference_set"),
+    pytest.param(lambda: lander_excluded(NOT_FEASIBLE),
+                 "DesignParams(v=16, k=5, lam=2) is not symmetric-feasible", id="lander_excluded"),
+    pytest.param(lambda: brc_brute_force(NOT_FEASIBLE),
+                 "DesignParams(v=16, k=5, lam=2) is not symmetric-feasible", id="brc_brute_force"),
+    pytest.param(lambda: k_for_point_power(1, 2), "need c >= 2 and d >= 2",
+                 id="k_for_point_power"),
+    pytest.param(lambda: pell_solutions(-1), "n_max must be nonnegative", id="pell_solutions"),
+    pytest.param(lambda: factorize(0), "cannot factorize 0", id="factorize"),
+])
+def test_library_refusals(call, message):
+    # refusals of the library's other entry points, each with its exact text
+    with pytest.raises(InputError) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_certificate_on_a_non_design_is_refused_not_failed():

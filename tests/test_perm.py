@@ -182,9 +182,12 @@ def test_chain_orders_beyond_closure():
 
 
 def test_chain_base_points_strictly_increase():
+    # and every level's generators move its base point
     for degree, gens in BRUTE_GROUPS + [(16, ALPHA)]:
-        base = [b for b, _ in PermGroup.from_cycles(degree, gens).chain()]
+        chain = PermGroup.from_cycles(degree, gens).chain()
+        base = [b for b, _ in chain]
         assert base == sorted(set(base)), (degree, gens)
+        assert all(len(transversal) > 1 for _, transversal in chain), (degree, gens)
 
 
 def test_membership_edge_cases():
