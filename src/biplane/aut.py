@@ -37,6 +37,12 @@ the first path onto that path, the child's subtree is the image of an
 explored one, so the search jumps back to the child's parent (McKay,
 Practical Graph Isomorphism, 1981). Neither prune skips the first leaf or the
 first least leaf, so canonical forms and isomorphisms do not depend on them.
+An automorphism found at a leaf that leaves the first path f_1 ... f_D at
+depth i maps that leaf's points onto the first leaf's place by place, so it
+fixes f_1 ... f_i; the loop at depth i of the first path, which no jump ends,
+prunes a child only by such automorphisms, and below a child it keeps finds
+one that maps the child to f_(i+1). So |Aut| is the product over i of the orbit sizes of f_(i+1)
+under them (McKay, 1981), and no stabilizer chain is built for it.
 """
 
 from __future__ import annotations
@@ -82,6 +88,9 @@ class SearchStats(NamedTuple):
 
 
 class AutResult(NamedTuple):
+    """The automorphism group on points, whose stabilizer chain is built only
+    when asked for, its order from the search's first path, and the counters."""
+
     group: PermGroup
     order: int
     stats: SearchStats | None = None
@@ -258,7 +267,7 @@ class _Search:
         self.first_cert, self.first_prefix = None, ()  # the first leaf and its path
         self.best_order: tuple[int, ...] | None = None
         self.best_cert = None
-        self.autos: dict[tuple[int, ...], None] = {}  # 0-based full-vertex image tuples
+        self.autos: dict[tuple[int, ...], int] = {}  # image tuple -> its depth off the first path
         self.nodes = self.leaves = 0
 
     def run(self) -> None:
@@ -365,10 +374,10 @@ class _Search:
             return None
         # gamma, the automorphism as a 0-based full-vertex image tuple
         gamma = tuple(p - 1 for p in images) + tuple(self.v + j for j in blocks)
-        self.autos[gamma] = None
         first = self.first_prefix
         # neither leaf lies below the other, so their paths part at some d
         d = next(i for i, (u, f) in enumerate(zip(prefix, first)) if u != f)
+        self.autos.setdefault(gamma, d)
         if all(gamma[u] == f for u, f in zip(prefix[:d + 1], first)):
             return d
         return None
@@ -399,10 +408,13 @@ def _searched(d: Design) -> _Search:
 
 
 def automorphism_group(d: Design) -> AutResult:
-    """Full automorphism group of a verified design, acting on points."""
+    """Full automorphism group of a verified design, acting on points, with
+    its order from the search's first path and no stabilizer chain."""
     s = _searched(d)
-    group = PermGroup(d.v, s.point_generators())
-    return AutResult(group=group, order=group.order(), stats=s.stats())
+    order = 1
+    for i, f in enumerate(s.first_prefix):  # under those fixing the path above f
+        order *= len(orbit(f, [g for g, at in s.autos.items() if at >= i], tuple.__getitem__))
+    return AutResult(group=PermGroup(d.v, s.point_generators()), order=order, stats=s.stats())
 
 
 def canonical_form(d: Design) -> CanonicalCertificate:

@@ -9,7 +9,9 @@ lemma) thinned by Sims' filter. PermGroup.chain keeps its levels along all
 points; PermGroup.stabilizer and the search in `aut` keep the generators it
 leaves. Every orbit (of points, blocks, flags, or the conjugates
 PermGroup.conjugacy_counts counts) comes from one breadth-first routine, so
-repeated runs produce identical certificates. Every cycle (for
+repeated runs produce identical certificates. A smallest block of
+imprimitivity is one such orbit, of alpha under G_alpha and one transversal
+element, so blocks need no closure algorithm of their own. Every cycle (for
 Permutation.cycles, cycle_type and the fixed-point counts in `fixcert`)
 comes from one walker, _cycles, on 1-based or 0-based image tuples. It
 returns the list of cycles, and a fixed point costs one comparison and its
@@ -395,45 +397,30 @@ class PermGroup:
         return len(cls), sum(1 for y in cls if y(alpha) == alpha)
 
     def minimal_block(self, alpha: int, beta: int) -> frozenset:
-        """Smallest block of imprimitivity containing {alpha, beta} (union-find refinement)."""
+        """Smallest block of imprimitivity containing alpha and beta, which must
+        lie in one orbit: the orbit of alpha under G_alpha and one h with h(alpha)
+        = beta (Dixon & Mortimer, Permutation Groups, 1996, Thm 1.5A)."""
         self._require_point(alpha)
         self._require_point(beta)
-        parent = list(range(self.degree + 1))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        def union(a, b):
-            ra, rb = find(a), find(b)
-            if ra == rb:
-                return False
-            parent[max(ra, rb)] = min(ra, rb)
-            return True
-
-        union(alpha, beta)
-        queue = [(alpha, beta)]
-        while queue:
-            u, v = queue.pop()
-            for g in self.generators:
-                a, b = g(u), g(v)
-                if union(a, b):
-                    queue.append((a, b))
-        root = find(alpha)
-        return frozenset(p for p in range(1, self.degree + 1) if find(p) == root)
+        if alpha == beta:
+            return frozenset((alpha,))
+        levels, stabilizer = _levels(self._images, (alpha - 1,), self.degree)
+        entry = levels[0][1].get(beta - 1) if levels else None  # (h, h^-1), h(alpha) = beta
+        if entry is None:
+            raise InputError(f"point {beta} is not in the orbit "
+                             f"{clipped(sorted(self.orbit(alpha)))} of point {alpha}")
+        block = orbit(alpha - 1, stabilizer + [entry[0]], tuple.__getitem__)
+        return frozenset(p + 1 for p in block)
 
     def is_primitive(self) -> bool:
-        """Transitive with no nontrivial block system."""
+        """Transitive with no nontrivial block system, tested at one beta per
+        orbit of G_1: g in G_1 maps the block of {1, beta} onto that of {1, g(beta)}."""
+        if self.degree <= 1:
+            return True
         if not self.is_transitive():
             return False
-        if self.degree == 1:
-            return True
-        for beta in range(2, self.degree + 1):
-            if len(self.minimal_block(1, beta)) != self.degree:
-                return False
-        return True
+        return all(len(self.minimal_block(1, orb[0])) == self.degree
+                   for orb in self.stabilizer(1).orbits()[1:])
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, ngens={len(self.generators)})"

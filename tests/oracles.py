@@ -8,7 +8,7 @@ from biplane.design import Design
 from biplane.diffset import DiffsetSearchStats, GroupTable
 from biplane.errors import InputError, ScaleError
 from biplane.fixcert import FixReport
-from biplane.perm import CycleType, Permutation, _cycles
+from biplane.perm import CycleType, PermGroup, Permutation, _cycles
 
 
 def closure(generators, degree: int, cap: int = 10**6) -> set[Permutation]:
@@ -36,6 +36,38 @@ def brute_force_automorphism_order(d: Design, cap_degree: int = 8) -> int:
         raise ScaleError(f"brute force capped at degree {cap_degree}")
     return sum(d.block_action(images) is not None
                for images in permutations(range(1, d.v + 1)))
+
+
+def reference_minimal_block(group: PermGroup, alpha: int, beta: int) -> frozenset:
+    """The class of alpha in the finest equivalence relation that every
+    generator preserves and that joins alpha and beta, by union-find: join
+    alpha and beta, then g(u) and g(v) for each joined pair (u, v) and each
+    generator g, until nothing joins. The reference for PermGroup.minimal_block."""
+    parent = list(range(group.degree + 1))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            return False
+        parent[max(ra, rb)] = min(ra, rb)
+        return True
+
+    union(alpha, beta)
+    queue = [(alpha, beta)]
+    while queue:
+        u, v = queue.pop()
+        for g in group.generators:
+            a, b = g(u), g(v)
+            if union(a, b):
+                queue.append((a, b))
+    root = find(alpha)
+    return frozenset(p for p in range(1, group.degree + 1) if find(p) == root)
 
 
 def reference_block_action(d: Design, images) -> tuple[int, ...] | None:

@@ -283,12 +283,15 @@ def _pg2_by_coordinates(q: int) -> Design:
     return Design(DesignParams(q * q + q + 1, q + 1, 1), blocks)
 
 
-# PG(2,11) on the labeling of _pg2_by_coordinates, at degree 133: the order
-# |PGL(3,11)| and (nodes, leaves, automorphisms). Of its 0.3 s, about 0.25 s
-# is PermGroup.order(), the part that grows fastest with the degree: PG(2,19)
-# searches in 0.15 s and takes 6.6 s for its order.
+# PG(2,q) on the labeling of _pg2_by_coordinates, at degree q^2 + q + 1: the
+# order |PGL(3,q)| and (nodes, leaves, automorphisms). The order is read off
+# the search's first path, so the search is the whole cost: PG(2,11) takes
+# 0.02 s, PG(2,19) 0.13 s and PG(2,23) 0.4 s (Python 3.11, one core of a
+# shared VM), where building the stabilizer chain for PermGroup.order() took
+# 0.3 s, 5.7 s and about 16 s more.
 PG2_11_ORDER = 212_427_600
 PG2_11_STATS = (19, 7, 6)
+PG2_LARGE = {19: (16_934_047_920, (19, 7, 6)), 23: (78_156_525_216, (21, 9, 8))}
 
 
 def test_pg2_11_by_coordinates_pinned():
@@ -297,6 +300,34 @@ def test_pg2_11_by_coordinates_pinned():
     assert result.order == PG2_11_ORDER == q ** 3 * (q ** 3 - 1) * (q ** 2 - 1)
     stats = result.stats
     assert (stats.nodes, stats.leaves, stats.automorphisms) == PG2_11_STATS
+
+
+@pytest.mark.parametrize("q", sorted(PG2_LARGE))
+def test_large_projective_plane_orders_pinned(q):
+    order, stats = PG2_LARGE[q]
+    result = automorphism_group(_pg2_by_coordinates(q))
+    assert result.order == order == q ** 3 * (q ** 3 - 1) * (q ** 2 - 1)
+    assert tuple(result.stats) == stats
+    assert result.group._chain is None
+
+
+def test_first_path_order_matches_the_stabilizer_chain():
+    # automorphism_group reads the order off the search's first path and builds
+    # no chain; PermGroup.order() builds one from the same generators
+    rng = random.Random(71)
+    designs = [catalog.build(name) for name in catalog.constructible_names()]
+    designs += [dual(d) for d in designs]
+    designs += _developed_16() + [_hlw56(), _pg2_by_coordinates(11)]
+    designs += [develop(DifferenceSet(group=from_tag(f"c{q * q + q + 1}"), elements=elements,
+                                      lam=1)) for q, elements in SINGER_SETS.items()]
+    assert len(designs) == 6 + 6 + 84 + 2 + 7
+    for d in designs:
+        images = list(range(1, d.v + 1))
+        rng.shuffle(images)
+        for labeled in (d, d.relabel(Permutation(images))):
+            result = automorphism_group(labeled)
+            assert result.group._chain is None
+            assert result.order == PermGroup(d.v, result.group.generators).order(), d.params
 
 
 # Search counters (nodes, leaves, automorphisms) summed over the 84 developed

@@ -3,12 +3,12 @@ import random
 
 import pytest
 
-from biplane import perm
+from biplane import catalog, perm
 from biplane.catalog import PRIMITIVE16_GENERATORS
 from biplane.errors import InputError, ScaleError
 from biplane.perm import (CycleType, PermGroup, Permutation, cycle_type,
                           group_from_json_dict, group_to_json_dict, orbit)
-from oracles import closure, reference_cycle_type, reference_cycles
+from oracles import closure, reference_cycle_type, reference_cycles, reference_minimal_block
 
 ALPHA = PRIMITIVE16_GENERATORS  # the five 16-point generators used throughout
 
@@ -284,6 +284,61 @@ def test_primitivity():
     assert not v4.is_primitive()
     c4 = PermGroup.from_cycles(4, ["(1,2,3,4)"])
     assert not c4.is_primitive()
+
+
+# is_primitive per group: the six catalog groups, then the small groups below.
+PRIMITIVE = {
+    "fano_complement": True, "hadamard11": True, "biplane16_primitive": True,
+    "biplane16_c2c8": False, "biplane16_q8c2": False, "biplane37_qr": True,
+    "primitive16": True, "s4": True, "d8": False, "c12": False, "c3_on_5": False,
+}
+
+
+def _block_groups(aut_results) -> dict[str, PermGroup]:
+    groups = {name: result.group for name, result in aut_results.items()}
+    groups.update(
+        primitive16=catalog.primitive16_group(),
+        s4=PermGroup.from_cycles(4, ["(1,2)", "(1,2,3,4)"]),
+        d8=PermGroup.from_cycles(4, ["(1,2,3,4)", "(1,3)"]),
+        c12=PermGroup.from_cycles(12, ["(" + ",".join(map(str, range(1, 13))) + ")"]),
+        c3_on_5=PermGroup.from_cycles(5, ["(1,2,3)"]))
+    return groups
+
+
+def test_minimal_block_matches_union_find(aut_results):
+    # every ordered pair of points in one orbit, alpha = beta included
+    pairs = 0
+    for name, g in _block_groups(aut_results).items():
+        for orb in g.orbits():
+            for alpha in orb:
+                for beta in orb:
+                    expected = reference_minimal_block(g, alpha, beta)
+                    assert g.minimal_block(alpha, beta) == expected, (name, alpha, beta)
+                    pairs += 1
+    assert pairs == 2750
+
+
+def test_is_primitive_pinned(aut_results):
+    groups = _block_groups(aut_results)
+    assert {name: g.is_primitive() for name, g in groups.items()} == PRIMITIVE
+    for degree, gens in BRUTE_GROUPS:
+        groups[str(gens)] = PermGroup.from_cycles(degree, gens)
+    # against every beta of the union-find reference, as before one beta per orbit of G_1
+    for name, g in groups.items():
+        expected = g.is_transitive() and all(
+            len(reference_minimal_block(g, 1, beta)) == g.degree for beta in range(2, g.degree + 1))
+        assert g.is_primitive() == expected, name
+    # degree 0, where stabilizer(1) refuses point 1, and degree 1
+    assert PermGroup(0, []).is_primitive() and PermGroup(1, []).is_primitive()
+
+
+def test_minimal_block_refuses_points_in_different_orbits():
+    g = PermGroup.from_cycles(5, ["(1,2,3)"])
+    with pytest.raises(InputError, match=r"^point 4 is not in the orbit \[1, 2, 3\] of point 1$"):
+        g.minimal_block(1, 4)
+    with pytest.raises(InputError, match=r"^point 1 is not in the orbit \[4\] of point 4$"):
+        g.minimal_block(4, 1)
+    assert g.minimal_block(4, 4) == {4}
 
 
 def test_group_json_roundtrip():
