@@ -28,6 +28,8 @@ sub = catalog.primitive16_group()
 full = automorphism_group(d).group
 print(f"\npreserved by the order-{sub.order()} subgroup: {preserved_by(cd, sub)}")
 print(f"preserved by the full order-{full.order()} group:  {preserved_by(cd, full)}")
+print(f"order-{sub.order()} subgroup point-primitive: {sub.is_primitive()}")
+print(f"order-{sub.order()} subgroup orbits on flags: {catalog.flag_orbit_count(d, sub)}")
 
 counts = block_coordinate_pairs(d, cd, group=sub)
 print(f"\ncoordinate-sharing pairs per block: {sorted(set(counts))}")

@@ -32,10 +32,10 @@ they generate it themselves. The map of a leaf's points onto the first leaf's
 is an automorphism gamma exactly when the two leaves have equal certificates,
 so each leaf tests that map with Design.block_action first, and only the
 first leaf and a leaf that is not its automorphic image build a certificate.
-If gamma is checked to map the leaf's path down to the child where it leaves
-the first path onto that path, the child's subtree is the image of an
-explored one, so the search jumps back to the child's parent (McKay,
-Practical Graph Isomorphism, 1981). Neither prune skips the first leaf or the
+Gamma maps the leaf's path down to the child where it leaves the first path
+onto that path (an invariant `_leaf` checks), so the child's subtree is the
+image of an explored one and the search jumps back to the child's parent
+(McKay, Practical Graph Isomorphism, 1981). Neither prune skips the first leaf or the
 first least leaf, so canonical forms and isomorphisms do not depend on them.
 An automorphism found at a leaf that leaves the first path f_1 ... f_D at
 depth i maps that leaf's points onto the first leaf's place by place, so it
@@ -351,7 +351,15 @@ class _Search:
         automorphism exactly when the two leaves have equal certificates, so
         it is tested first (Design.block_action) and a certificate is built
         only for the first leaf and for a leaf that is not an automorphic
-        image of it."""
+        image of it. Such an automorphism gamma is recorded with the depth d
+        at which the leaf's path p leaves the first path f, and the search
+        jumps back to d. Gamma maps p_i to f_i for every i <= d: the two
+        leaves share their prefix down to d, an individualized vertex is a
+        singleton at a place its parent fixes, and cells are split in place,
+        so the individualized vertices sit at the same places of both leaves'
+        orders. automorphism_group counts every recorded gamma as fixing
+        f_1 ... f_d, so a gamma that does not is a named internal error
+        before it is recorded, not a wrong |Aut|."""
         self.leaves += 1
         points = 1 << self.v
         order = tuple(m.bit_length() - 1 for m in masks if m < points)
@@ -377,10 +385,10 @@ class _Search:
         first = self.first_prefix
         # neither leaf lies below the other, so their paths part at some d
         d = next(i for i, (u, f) in enumerate(zip(prefix, first)) if u != f)
+        if any(gamma[u] != f for u, f in zip(prefix[:d + 1], first)):
+            raise AssertionError("automorphism does not map its leaf's path onto the first path")
         self.autos.setdefault(gamma, d)
-        if all(gamma[u] == f for u, f in zip(prefix[:d + 1], first)):
-            return d
-        return None
+        return d
 
     def _certificate(self, order) -> tuple[tuple[int, ...], ...]:
         """The sorted block list of the design relabeled by the places of the

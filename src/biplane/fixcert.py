@@ -28,13 +28,13 @@ instance from the table _NA.
 
 from __future__ import annotations
 
-from math import isqrt, prod
+from math import isqrt
 from typing import NamedTuple
 
 from .design import Design, restrict_subdesign, subdesign_constraint
 from .errors import InputError
 from .ntheory import is_prime, is_prime_power, is_square
-from .perm import CycleType, Permutation, PermGroup, _cycles
+from .perm import CycleType, Permutation, _cycles
 
 PASS, FAIL, NA = "pass", "fail", "n/a"
 
@@ -102,12 +102,6 @@ class CertResult(NamedTuple):
 
     def failures(self) -> list[Check]:
         return [c for c in self.checks if c.status == FAIL]
-
-    def by_name(self, name: str) -> Check:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
 
 
 class FixReport(NamedTuple):
@@ -374,36 +368,6 @@ def fixed_subdesign(d: Design, x: Permutation) -> tuple[Design | None, str]:
     return None, check.detail if check.status == NA else f"no subdesign: {check.detail}"
 
 
-def certify_conjugacy_bound(d: Design, group: PermGroup, x: Permutation) -> CertResult:
-    """For a transitive automorphism group: v/f = u/u1, and the block-size
-    bound k < (sqrt2+4)u/2 + 1 < 3u + 1 from the conjugate count u."""
-    checks: list[Check] = []
-    if group.degree != d.v:
-        raise InputError("group degree does not match design")
-    _require_biplane(d).automorphism_actions(group.generators)
-    if not group.is_transitive():
-        raise InputError("conjugacy bound requires a transitive group")
-    if x not in group:
-        raise InputError("element is not in the group")
-    rep = fix_report(d, x)
-    f = rep.f_points
-    if x.is_identity() or f == 0:
-        return CertResult((Check("orbit-ratio-identity", NA, "f = 0 or identity"),
-                           Check("conjugate-count-block-bound", NA, "f = 0 or identity")))
-    u, u1 = group.conjugacy_counts(x, 1)
-    checks.append(Check("orbit-ratio-identity",
-                        PASS if d.v * u1 == f * u else FAIL,
-                        f"v={d.v} f={f} u={u} u1={u1}"))
-    k = d.k
-    lhs = 2 * (k - 1) - 4 * u
-    sharp = lhs < 0 or lhs * lhs < 2 * u * u  # k < (sqrt2+4)u/2 + 1, exactly
-    weak = k <= 3 * u
-    checks.append(Check("conjugate-count-block-bound",
-                        PASS if sharp and weak else FAIL,
-                        f"k={k} u={u}"))
-    return CertResult(tuple(checks))
-
-
 # ---------------------------------------------------------------------------
 # (121,16,2): admissible cycle types of prime-power order automorphisms,
 # and the Sylow bounds whose product is the divisor of any |Aut|.
@@ -435,8 +399,6 @@ SYLOW_BOUNDS_121: dict[int, tuple[int, str]] = {
     13: (13, "cyclic"),
 }
 
-# The product of the Sylow bounds, 2^7 * 3^2 * 5 * 7 * 11 * 13 = 5765760.
-AUT_ORDER_DIVISOR_121 = prod(bound for bound, _ in SYLOW_BOUNDS_121.values())
 # Landau's g(121): the largest element order in Sym(121), the largest product
 # of prime powers with distinct primes summing to at most 121.
 LANDAU_121 = 5354228880
@@ -456,12 +418,6 @@ def admissible_cycle_types_121(order: int) -> tuple[CycleType, ...]:
 def sylow_bounds_121() -> dict[int, tuple[int, str]]:
     """Maximal Sylow p-subgroup order and structure for a (121,16,2) biplane."""
     return dict(SYLOW_BOUNDS_121)
-
-
-def sylow_bound_121(p: int) -> tuple[int, str]:
-    if not is_prime(p):
-        raise InputError(f"{p} is not prime")
-    return SYLOW_BOUNDS_121.get(p, (1, "trivial"))
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,8 @@ on 0-based image tuples along a base: at each point that a generator still
 moves, a breadth-first transversal, then its Schreier generators (Schreier's
 lemma) thinned by Sims' filter. PermGroup.chain keeps its levels along all
 points; PermGroup.stabilizer and the search in `aut` keep the generators it
-leaves. Every orbit (of points, blocks, flags, or the conjugates
-PermGroup.conjugacy_counts counts) comes from one breadth-first routine, so
-repeated runs produce identical certificates. A smallest block of
+leaves. Every orbit (of points, blocks or flags) comes from one
+breadth-first routine, so repeated runs produce identical certificates. A smallest block of
 imprimitivity is one such orbit, of alpha under G_alpha and one transversal
 element, so blocks need no closure algorithm of their own. Every cycle (for
 Permutation.cycles, cycle_type and the fixed-point counts in `fixcert`)
@@ -27,17 +26,9 @@ from math import gcd, lcm, prod
 from operator import itemgetter, ne
 from typing import NamedTuple
 
-from .errors import InputError, ScaleError, clipped, json_int
+from .errors import InputError, clipped, json_int
 
 _CYCLE_RE = re.compile(r"\(\s*([0-9]+(?:\s*,\s*[0-9]+)*)\s*\)")
-
-# Largest conjugacy class PermGroup.conjugacy_counts enumerates. A class has
-# at most |G| elements, and the largest group of a known biplane, that of the
-# (56,11,2) biplane of Hall, Lane and Wales, has order 80640. The class of a
-# 5-cycle in Sym(16) (104,832 conjugates) took 1.5 s at about 260 bytes per
-# conjugate (Python 3.11, one core of a shared VM), so a class at the cap
-# costs under 2 s and 26 MB before the ScaleError.
-CONJUGACY_ENUMERATION_CAP = 10**5
 
 
 class Permutation:
@@ -102,12 +93,6 @@ class Permutation:
         if len(a) != len(b):
             raise InputError(f"degrees differ: {len(a)} and {len(b)}")
         return Permutation._trusted(tuple([a[x - 1] for x in b]))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images, start=1):
-            inv[j - 1] = i
-        return Permutation._trusted(tuple(inv))
 
     def is_identity(self) -> bool:
         return self.images == tuple(range(1, len(self.images) + 1))
@@ -198,20 +183,15 @@ def cycle_type(x: Permutation) -> CycleType:
     return CycleType.from_dict(Counter(map(len, _cycles(x.images, 1))))
 
 
-def orbit(seed, generators, act, cap: int | None = None) -> list:
-    """Breadth-first orbit of seed, where act(g, x) is the image of x under g.
-
-    The orbit is listed in discovery order, seed first. With a cap, an orbit
-    that would grow past cap elements raises ScaleError.
-    """
+def orbit(seed, generators, act) -> list:
+    """Breadth-first orbit of seed, where act(g, x) is the image of x under g,
+    listed in discovery order, seed first."""
     out = [seed]
     seen = {seed}
     for x in out:
         for g in generators:
             y = act(g, x)
             if y not in seen:
-                if cap is not None and len(out) >= cap:
-                    raise ScaleError(f"orbit exceeds the enumeration cap {cap}")
                 seen.add(y)
                 out.append(y)
     return out
@@ -386,16 +366,6 @@ class PermGroup:
         gens = _levels(self._images, (alpha - 1,), self.degree)[1]
         return PermGroup(self.degree, [Permutation._trusted(tuple(x + 1 for x in h)) for h in gens])
 
-    def conjugacy_counts(self, x: Permutation, alpha: int) -> tuple[int, int]:
-        """(u, u1): number of G-conjugates of x, and of those fixing alpha.
-        The class is the orbit of x under conjugation by the generators."""
-        self._require_point(alpha)
-        if x not in self:
-            raise InputError("element is not in the group")
-        pairs = [(g, g.inverse()) for g in self.generators]
-        cls = orbit(x, pairs, lambda gi, y: gi[0] * y * gi[1], CONJUGACY_ENUMERATION_CAP)
-        return len(cls), sum(1 for y in cls if y(alpha) == alpha)
-
     def minimal_block(self, alpha: int, beta: int) -> frozenset:
         """Smallest block of imprimitivity containing alpha and beta, which must
         lie in one orbit: the orbit of alpha under G_alpha and one h with h(alpha)
@@ -424,13 +394,6 @@ class PermGroup:
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, ngens={len(self.generators)})"
-
-
-def group_to_json_dict(group: PermGroup) -> dict:
-    return {
-        "degree": group.degree,
-        "generators": [g.cycle_string() for g in group.generators],
-    }
 
 
 def group_from_json_dict(data: dict, degree: int) -> PermGroup:

@@ -1,5 +1,6 @@
 """Slow, obviously correct reference routines that the tests compare the
-package against. Nothing in the package calls them."""
+package against, and the few helpers the tests share. Nothing in the package
+calls them."""
 
 from collections import Counter
 from itertools import permutations
@@ -7,8 +8,55 @@ from itertools import permutations
 from biplane.design import Design
 from biplane.diffset import DiffsetSearchStats, GroupTable
 from biplane.errors import InputError, ScaleError
-from biplane.fixcert import FixReport
-from biplane.perm import CycleType, PermGroup, Permutation, _cycles
+from biplane.fixcert import FAIL, NA, PASS, CertResult, Check, FixReport, fix_report
+from biplane.perm import CycleType, PermGroup, Permutation, _cycles, orbit
+
+
+def inverse(x: Permutation) -> Permutation:
+    """x^-1: the point that x maps to p, at place p."""
+    return Permutation(sorted(range(1, x.degree + 1), key=x))
+
+
+def check_named(result: CertResult, name: str) -> Check:
+    """The check of result with the given name."""
+    return next(c for c in result.checks if c.name == name)
+
+
+def group_to_json_dict(group: PermGroup) -> dict:
+    """The group file that `cart verify --group` reads."""
+    return {"degree": group.degree, "generators": [g.cycle_string() for g in group.generators]}
+
+
+def conjugacy_counts(group: PermGroup, x: Permutation, alpha: int) -> tuple[int, int]:
+    """(u, u1): the number of G-conjugates of an element x of G, and of those
+    that fix alpha. The class is the orbit of x under conjugation by the
+    generators (perm.orbit)."""
+    if x not in group:
+        raise InputError("element is not in the group")
+    pairs = [(g, inverse(g)) for g in group.generators]
+    cls = orbit(x, pairs, lambda gi, y: gi[0] * y * gi[1])
+    return len(cls), sum(1 for y in cls if y(alpha) == alpha)
+
+
+def certify_conjugacy_bound(d: Design, group: PermGroup, x: Permutation) -> CertResult:
+    """For x != 1 with f > 0 fixed points in a transitive automorphism group G
+    of a biplane d, with u conjugates of which u1 fix point 1: v u1 = f u
+    (both count the pairs of a conjugate and a point it fixes), and the
+    block-size bound k < (sqrt2+4)u/2 + 1 < 3u + 1. Both checks are n/a
+    otherwise."""
+    f = fix_report(d, x).f_points
+    if x.is_identity() or f == 0:
+        return CertResult((Check("orbit-ratio-identity", NA, "f = 0 or identity"),
+                           Check("conjugate-count-block-bound", NA, "f = 0 or identity")))
+    u, u1 = conjugacy_counts(group, x, 1)
+    k = d.k
+    lhs = 2 * (k - 1) - 4 * u
+    sharp = lhs < 0 or lhs * lhs < 2 * u * u  # k < (sqrt2+4)u/2 + 1, exactly
+    return CertResult((
+        Check("orbit-ratio-identity", PASS if d.v * u1 == f * u else FAIL,
+              f"v={d.v} f={f} u={u} u1={u1}"),
+        Check("conjugate-count-block-bound", PASS if sharp and k <= 3 * u else FAIL,
+              f"k={k} u={u}")))
 
 
 def closure(generators, degree: int, cap: int = 10**6) -> set[Permutation]:

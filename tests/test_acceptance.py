@@ -15,8 +15,7 @@ from biplane.design import (Design, DesignParams, brc_brute_force, brc_feasible,
 from biplane.diffset import lander_excluded
 from biplane.errors import InputError
 from biplane.fixcert import (admissible_cycle_types_121, certify_fix_lemmas,
-                             check_79_order, certify_79, sylow_bound_121,
-                             sylow_bounds_121)
+                             check_79_order, certify_79, sylow_bounds_121)
 from biplane.catalog import flag_orbit_count, primitive16_group
 from oracles import brute_force_automorphism_order
 
@@ -138,7 +137,7 @@ def test_criterion_5_121_pipeline():
             assert admissible_cycle_types_121(impossible) == ()
         for p in (17, 19, 23, 29, 31, 37, 101):
             assert admissible_cycle_types_121(p) == ()
-            assert sylow_bound_121(p) == (1, "trivial")
+            assert p not in sylow_bounds_121()  # a trivial Sylow p-subgroup
 
 
 def test_criterion_6_cartesian_decomposition(aut_results):

@@ -424,22 +424,30 @@ def test_jump_only_when_gamma_maps_the_path_onto_the_first_path():
     # Feed a finished search leaves whose points are the first leaf's under
     # h^-1 for a recorded automorphism h, so each gives gamma = h and the
     # first certificate, under prefixes that gamma does or does not map onto
-    # the first path down to where they leave it.
+    # the first path down to where they leave it. A search never makes the
+    # second kind: such a leaf is a named internal error, and nothing is
+    # recorded for it.
     s = _searched(catalog.build("fano_complement"))
     f0, f1 = s.first_prefix[:2]
-    nautos = len(s.autos)
-    for h in s.autos:
+    autos = dict(s.autos)
+    error = "automorphism does not map its leaf's path onto the first path"
+    for h in autos:
         inv = sorted(range(s.n), key=h.__getitem__)
         masks = [1 << inv[p] for p in s.first_order]
         if h[f0] != f0:
             y = next(u for u in range(s.v) if u not in (f0, inv[f0]))
-            assert s._leaf(masks, (inv[f0], f1)) == 0
-            assert s._leaf(masks, (y, f1)) is None
+            del s.autos[h]  # so that recording it again would show
+            with pytest.raises(AssertionError, match=error):
+                s._leaf(masks, (y, f1))
             if h[f1] != f1:  # the paths part at depth 1, but h moves f0
-                assert s._leaf(masks, (f0, inv[f1])) is None
+                with pytest.raises(AssertionError, match=error):
+                    s._leaf(masks, (f0, inv[f1]))
+            assert h not in s.autos
+            s.autos[h] = autos[h]
+            assert s._leaf(masks, (inv[f0], f1)) == 0
         elif h[f1] != f1:
             assert s._leaf(masks, (f0, inv[f1])) == 1
-    assert len(s.autos) == nautos  # returned again, not recorded again
+    assert s.autos == autos  # returned again, not recorded again
 
 
 def test_leaf_that_is_no_automorphic_image_is_scored_by_its_certificate(monkeypatch):

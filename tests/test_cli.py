@@ -12,7 +12,8 @@ from biplane.cartdecomp import CartesianDecomposition
 from biplane.cli import run
 from biplane.design import VERIFY_PAIR_CAP, Design, DesignParams
 from biplane.diffset import GROUP_ORDER_CAP
-from biplane.perm import PermGroup, Permutation, group_to_json_dict
+from biplane.perm import PermGroup, Permutation
+from oracles import group_to_json_dict
 
 OK, CHECK_FAILED, USAGE, INTERNAL = 0, 1, 2, 3
 
@@ -308,7 +309,6 @@ _BASE = {"design", "ntheory"}
         "cart-verify", "pell", "ds-search", "ds-lander"])
 def test_subcommand_loads_only_its_modules(tmp_path, argv, allowed):
     from biplane.cartdecomp import CartesianDecomposition
-    from biplane.perm import group_to_json_dict
     files = {"d16.json": catalog.build("biplane16_primitive").to_json_dict(),
              "cd.json": CartesianDecomposition(catalog.CART16_PARTITIONS).to_json_dict(),
              "g.json": group_to_json_dict(catalog.primitive16_group())}
@@ -347,7 +347,6 @@ def test_cart_verify(tmp_path, capsys):
     cd = CartesianDecomposition(catalog.CART16_PARTITIONS)
     cd_path = tmp_path / "cd.json"
     cd_path.write_text(json.dumps(cd.to_json_dict()))
-    from biplane.perm import group_to_json_dict
     g_path = tmp_path / "g.json"
     g_path.write_text(json.dumps(group_to_json_dict(catalog.primitive16_group())))
     code, out = _capture(capsys, ["cart", "verify", "--design", dpath,

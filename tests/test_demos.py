@@ -11,6 +11,10 @@ import biplane
 
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
+# Lines a demo must print: the claims of the paper it shows
+CLAIMS = {"06_cartesian_decomposition": ["order-1152 subgroup point-primitive: True",
+                                         "order-1152 subgroup orbits on flags: 1"]}
+
 
 def test_all_demos_found():
     assert len(DEMOS) == 8
@@ -24,3 +28,5 @@ def test_demo_runs(demo):
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout
+    lines = proc.stdout.splitlines()
+    assert all(claim in lines for claim in CLAIMS.get(demo.stem, ()))

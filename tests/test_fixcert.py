@@ -1,21 +1,20 @@
 import hashlib
 import random
-from math import lcm
+from math import lcm, prod
 
 import pytest
 
 from biplane import catalog
 from biplane.design import Design, DesignParams
 from biplane.errors import InputError
-from biplane.fixcert import (ALLOWED_79_ORDERS, AUT_ORDER_DIVISOR_121, LANDAU_121, Check,
-                             admissible_cycle_types_121, certify_79,
-                             certify_conjugacy_bound, certify_fix_lemmas,
+from biplane.fixcert import (ALLOWED_79_ORDERS, LANDAU_121, Check,
+                             admissible_cycle_types_121, certify_79, certify_fix_lemmas,
                              _bound_holds, _checks, _walk, check_79_order, fix_report,
-                             fixed_subdesign, sylow_bound_121, sylow_bounds_121)
+                             fixed_subdesign, sylow_bounds_121)
 from biplane.ntheory import is_prime
 from biplane.perm import CycleType, Permutation, cycle_type
-from oracles import (induced_block_permutation, landau, orbit_walk_fix_report,
-                     reference_walk)
+from oracles import (certify_conjugacy_bound, check_named, induced_block_permutation, inverse,
+                     landau, orbit_walk_fix_report, reference_walk)
 
 
 def test_fix_report_identity():
@@ -44,7 +43,7 @@ def test_fix_report_matches_orbit_walk(aut_results):
         images = list(range(1, d.v + 1))
         rng.shuffle(images)
         sigma = Permutation(images)
-        sigma_inv = sigma.inverse()
+        sigma_inv = inverse(sigma)
         relabeled = d.relabel(sigma)
         for g in result.group.elements():
             if g.is_identity():
@@ -74,7 +73,7 @@ def test_identity_certifies_on_every_catalog_design():
         assert result.ok, (name, result.failures())
         for check in ("fixed-substructure", "odd-order-fixed-count-branch",
                       "fixed-count-bound"):
-            assert result.by_name(check) == Check(check, "n/a", "identity"), name
+            assert check_named(result, check) == Check(check, "n/a", "identity"), name
 
 
 def test_fix_report_rejects_non_automorphism():
@@ -172,8 +171,8 @@ def test_certify_gates_report_na(aut_results):
     g = next(g for g in aut_results["biplane37_qr"].group.elements() if g.order() == 37)
     result = certify_fix_lemmas(d, g)
     assert result.ok
-    assert result.by_name("incident-two-orbit-counts").status == "n/a"
-    assert result.by_name("involution-point-pattern").status == "n/a"
+    assert check_named(result, "incident-two-orbit-counts").status == "n/a"
+    assert check_named(result, "involution-point-pattern").status == "n/a"
 
 
 def test_fixed_subdesign_identity():
@@ -216,7 +215,7 @@ def test_fixed_subdesign_degenerate_reason(aut_results):
     g = next(g for g in aut_results["fano_complement"].group.elements() if g.order() == 3)
     sub, reason = fixed_subdesign(d, g)
     assert sub is None and reason == "no subdesign: s=[1] f=1 constraint=True"
-    assert certify_fix_lemmas(d, g).by_name("fixed-substructure").status == "pass"
+    assert check_named(certify_fix_lemmas(d, g), "fixed-substructure").status == "pass"
 
 
 def test_conjugacy_bound_hadamard11(aut_results):
@@ -225,7 +224,7 @@ def test_conjugacy_bound_hadamard11(aut_results):
     inv = next(g for g in group.elements() if g.order() == 2)
     result = certify_conjugacy_bound(d, group, inv)
     assert result.ok
-    assert result.by_name("orbit-ratio-identity").status == "pass"
+    assert check_named(result, "orbit-ratio-identity").status == "pass"
 
 
 def test_conjugacy_bound_biplane16(aut_results):
@@ -358,17 +357,17 @@ def test_squaring_consistency():
 
 def test_sylow_bounds_product():
     bounds = sylow_bounds_121()
-    assert AUT_ORDER_DIVISOR_121 == 5765760 == 2**7 * 3**2 * 5 * 7 * 11 * 13
-    assert AUT_ORDER_DIVISOR_121 == catalog.entry("biplane121").expected["aut_order_divides"]
+    divisor = prod(bound for bound, _ in bounds.values())
+    assert divisor == 5765760 == 2**7 * 3**2 * 5 * 7 * 11 * 13
+    assert divisor == catalog.entry("biplane121").expected["aut_order_divides"]
     assert bounds[3] == (9, "elementary abelian")
     assert bounds[11] == (11, "cyclic")
 
 
 def test_sylow_bound_other_primes_trivial():
-    assert sylow_bound_121(17) == (1, "trivial")
-    assert sylow_bound_121(11) == (11, "cyclic")
-    with pytest.raises(InputError):
-        sylow_bound_121(12)
+    bounds = sylow_bounds_121()
+    assert sorted(bounds) == [2, 3, 5, 7, 11, 13]  # a Sylow 17-subgroup is trivial
+    assert bounds[11] == (11, "cyclic")
 
 
 # -- (79,13,2) ---------------------------------------------------------------

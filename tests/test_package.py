@@ -52,3 +52,37 @@ def test_internal_invariants_fail_by_name():
         PellSolution(n=1, family=0, x=2, y=1, u=3, v=1)
     with pytest.raises(AssertionError, match="Pell solution: u"):
         PellSolution(n=1, family=0, x=1, y=1, u=2, v=1)
+
+
+def _defined_names(tree) -> list[str]:
+    """The module-level functions, classes and assignments of a module, and
+    the methods of its classes, dunders left out."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            names += [m.name for m in node.body if isinstance(m, ast.FunctionDef)]
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def test_every_name_in_the_package_has_a_caller():
+    # a name that neither the package, a demo nor the benchmark loads, as a
+    # name, an attribute or an import, is API surface that nothing calls
+    root = Path(__file__).resolve().parents[1]
+    used = set()
+    for path in sorted(p for d in ("src", "demos", "bench") for p in (root / d).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name.rpartition(".")[2])
+    unused = [f"{path.name}:{name}" for path in sorted((root / "src" / "biplane").glob("*.py"))
+              for name in _defined_names(ast.parse(path.read_text())) if name not in used]
+    assert unused == []
