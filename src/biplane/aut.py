@@ -359,7 +359,12 @@ class _Search:
         so the individualized vertices sit at the same places of both leaves'
         orders. automorphism_group counts every recorded gamma as fixing
         f_1 ... f_d, so a gamma that does not is a named internal error
-        before it is recorded, not a wrong |Aut|."""
+        before it is recorded, not a wrong |Aut|. Gamma is never the
+        identity: point cells precede block cells, and an equitable partition
+        with singleton point cells is discrete (distinct blocks have distinct
+        point sets), so every individualized vertex is a point, and the points
+        p_d != f_d sit at one place of the two orders. The identity, which
+        maps p_d to itself, would fail the same named invariant."""
         self.leaves += 1
         points = 1 << self.v
         order = tuple(m.bit_length() - 1 for m in masks if m < points)
@@ -368,8 +373,6 @@ class _Search:
             cert = self._certificate(order)
             self.first_cert, self.first_order, self.first_prefix = cert, order, prefix
             self.best_cert, self.best_order = cert, order
-            return None
-        if order == first_order:  # gamma is the identity: nothing to record
             return None
         images = [q + 1 for _, q in sorted(zip(order, first_order))]
         blocks = self.d.block_action(images)

@@ -61,9 +61,6 @@ class CartesianDecomposition(_CartesianDecomposition):
     def part_counts(self) -> tuple[int, ...]:
         return tuple(len(p) for p in self.partitions)
 
-    def to_json_dict(self) -> dict:
-        return {"partitions": [[sorted(p) for p in part] for part in self.partitions]}
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "CartesianDecomposition":
         try:

@@ -29,8 +29,6 @@ from .design import Design, DesignParams
 from .errors import InputError
 
 if TYPE_CHECKING:  # constructions import diffset and perm, so `catalog list` loads neither
-    from collections.abc import Callable
-
     from .perm import PermGroup
 
 # Generators of the flag-transitive, point-primitive rank-3 subgroup (order
@@ -60,32 +58,16 @@ QR11 = (1, 3, 4, 5, 9)  # quadratic residues mod 11
 
 
 class CatalogEntry(NamedTuple):
-    """One catalog row; construct, the construction or None, takes no part in
-    equality and is left out of the repr."""
+    """One catalog row; its construction, if any, is _BUILDERS[name]."""
 
     name: str
     params: DesignParams
     examples_for_params: str
     expected: dict
-    construct: Callable[[], Design] | None = None
 
     @property
     def constructible(self) -> bool:
-        return self.construct is not None
-
-    def __eq__(self, other):
-        if isinstance(other, CatalogEntry):
-            return self[:4] == other[:4]
-        return NotImplemented
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
-    def __repr__(self):
-        return (f"CatalogEntry(name={self.name!r}, params={self.params!r}, "
-                f"examples_for_params={self.examples_for_params!r}, "
-                f"expected={self.expected!r})")
+        return self.name in _BUILDERS
 
 
 def primitive16_group() -> PermGroup:
@@ -107,10 +89,19 @@ def _development(tag: str, elements) -> Design:
     return develop(DifferenceSet(from_tag(tag), elements, 2))
 
 
+_BUILDERS = {
+    "fano_complement": _fano_complement,
+    "hadamard11": partial(_development, "c11", QR11),
+    "biplane16_primitive": partial(_development, "e16", tuple(p - 1 for p in BASE_BLOCK_16)),
+    "biplane16_c2c8": partial(_development, "c2xc8", (0, 1, 2, 4, 9, 14)),
+    "biplane16_q8c2": partial(_development, "q8xc2", (0, 1, 2, 4, 6, 9)),
+    "biplane37_qr": partial(_development, "c37", {pow(x, 4, 37) for x in range(1, 37)}),
+}
+
+
 _ENTRIES: tuple[CatalogEntry, ...] = (
     CatalogEntry(
         name="fano_complement",
-        construct=_fano_complement,
         params=DesignParams(7, 4, 2),
         examples_for_params="1",
         expected={"aut_order": 168, "transitive": True, "flag_transitive": True,
@@ -118,7 +109,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
     ),
     CatalogEntry(
         name="hadamard11",
-        construct=partial(_development, "c11", QR11),
         params=DesignParams(11, 5, 2),
         examples_for_params="1",
         expected={"aut_order": 660, "transitive": True, "flag_transitive": True,
@@ -126,7 +116,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
     ),
     CatalogEntry(
         name="biplane16_primitive",
-        construct=partial(_development, "e16", tuple(p - 1 for p in BASE_BLOCK_16)),
         params=DesignParams(16, 6, 2),
         examples_for_params="3",
         expected={"aut_order": 11520, "transitive": True, "flag_transitive": True,
@@ -136,7 +125,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
     ),
     CatalogEntry(
         name="biplane16_c2c8",
-        construct=partial(_development, "c2xc8", (0, 1, 2, 4, 9, 14)),
         params=DesignParams(16, 6, 2),
         examples_for_params="3",
         expected={"aut_order": 768, "transitive": True, "flag_transitive": True,
@@ -144,7 +132,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
     ),
     CatalogEntry(
         name="biplane16_q8c2",
-        construct=partial(_development, "q8xc2", (0, 1, 2, 4, 6, 9)),
         params=DesignParams(16, 6, 2),
         examples_for_params="3",
         expected={"aut_order": 384, "transitive": True, "flag_transitive": False,
@@ -152,7 +139,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
     ),
     CatalogEntry(
         name="biplane37_qr",
-        construct=partial(_development, "c37", {pow(x, 4, 37) for x in range(1, 37)}),
         params=DesignParams(37, 9, 2),
         examples_for_params="4",
         expected={"aut_order": 333, "transitive": True, "flag_transitive": True,
@@ -196,7 +182,7 @@ def build(name: str) -> Design:
     e = entry(name)
     if not e.constructible:
         raise InputError(f"catalog entry {name!r} is metadata-only; no construction available")
-    d = e.construct()
+    d = _BUILDERS[name]()
     if not d.verify_report.ok:
         raise AssertionError(f"catalog design {name} failed verification: "
                              f"{d.verify_report.violations[:3]}")

@@ -21,9 +21,8 @@ through a fixed point a. This is exact: a fixed block is x-invariant, so it
 is a union of cycles, and every 2-cycle that meets it lies inside it. The
 tail of a fixed block, its points off Fix, is one more mask operation.
 
-Per element, x is the identity exactly when f = v, every Check is one tuple
-construction, and an n/a check whose detail is fixed text is a shared
-instance from the table _NA.
+Per element, x is the identity exactly when f = v, and every Check, n/a
+ones included, is one tuple construction.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from __future__ import annotations
 from math import isqrt
 from typing import NamedTuple
 
-from .design import Design, restrict_subdesign, subdesign_constraint
+from .design import Design, DesignParams, subdesign_constraint
 from .errors import InputError
 from .ntheory import is_prime, is_prime_power, is_square
 from .perm import CycleType, Permutation, _cycles
@@ -56,45 +55,10 @@ class Check(NamedTuple):
 _INVOLUTION_CHECKS = ("involution-point-pattern", "involution-block-pattern",
                       "involution-square-branch", "involution-fixed-count-branch")
 
-# The n/a checks whose detail is fixed text, keyed by (name, detail): every
-# certificate shares these instances.
-_NA = {(name, detail): Check(name, NA, detail) for name, detail in (
-    ("incident-two-orbit-counts", "no incident fixed point/block pair"),
-    ("fixed-block-count-formula", "no fixed blocks"),
-    ("fixed-point-count-formula", "no fixed points"),
-    ("fixed-substructure", "identity"),
-    ("fixed-substructure", "no fixed blocks"),
-    ("fixed-substructure", "a fixed block carries a 2-orbit"),
-    ("fixed-substructure", "a fixed block carries no fixed point"),
-    ("no-two-cycle-tails", "no fixed blocks"),
-    ("no-two-cycle-tails", "cycle structure contains a 2-cycle"),
-    *((name, "no fixed points") for name in _INVOLUTION_CHECKS),
-    ("involution-square-branch", "k < 5"),
-    ("involution-fixed-count-branch", "k < 5"),
-    ("odd-order-fixed-count-branch", "identity"),
-    ("odd-order-fixed-count-branch", "no fixed points"),
-    ("fixed-count-bound", "identity"),
-    ("prime-square-fixed-point-free", "v is not p^2 with o(x) = p"),
-)}
-
-
 class CertResult(NamedTuple):
     checks: tuple[Check, ...]
-    # the fixed-point report the checks were computed from (certify_fix_lemmas);
-    # equality and hashing read the checks alone
+    # the fixed-point report the checks were computed from (certify_fix_lemmas)
     report: FixReport | None = None
-
-    def __eq__(self, other):
-        if isinstance(other, CertResult):
-            return self.checks == other.checks
-        return NotImplemented
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
-    def __hash__(self):
-        return hash((self.checks,))
 
     @property
     def ok(self) -> bool:
@@ -183,9 +147,7 @@ def certify_fix_lemmas(d: Design, x: Permutation) -> CertResult:
 
 def _checks(d: Design, x: Permutation) -> CertResult:
     """The checks of certify_fix_lemmas, on a d that is not verified here.
-
-    Each Check is one tuple construction, and an n/a check whose detail is
-    fixed text is the shared instance of _NA."""
+    Each Check is one tuple construction."""
     rep, tp, tb, fix_p, two_p = _report_and_cycle_types(d, x)
     f, f_blocks, fixed_points, fixed_blocks, s_point, r_point, s_block, r_block = rep
     k = d.k
@@ -210,7 +172,8 @@ def _checks(d: Design, x: Permutation) -> CertResult:
     # fixed blocks through a fixed point p number s_point[p]
     pairs = sum(s_point.values())
     if not pairs:
-        checks.append(_NA["incident-two-orbit-counts", "no incident fixed point/block pair"])
+        checks.append(_new(Check, ("incident-two-orbit-counts", NA,
+                                   "no incident fixed point/block pair")))
     else:
         bad = [(p, j) for p in fixed_points for j in fixed_blocks
                if points[j] >> p & 1 and r_point[p] != r_block[j]]
@@ -219,7 +182,7 @@ def _checks(d: Design, x: Permutation) -> CertResult:
 
     # f = s_B(s_B-1)/2 + r_B + 1 for every fixed block
     if not f_blocks:
-        checks.append(_NA["fixed-block-count-formula", "no fixed blocks"])
+        checks.append(_new(Check, ("fixed-block-count-formula", NA, "no fixed blocks")))
     else:
         bad = [j for j in fixed_blocks if f != s_block[j] * (s_block[j] - 1) // 2 + r_block[j] + 1]
         checks.append(_new(Check, ("fixed-block-count-formula", FAIL if bad else PASS,
@@ -227,21 +190,22 @@ def _checks(d: Design, x: Permutation) -> CertResult:
 
     # f = s_a(s_a-1)/2 + r_a + 1 for every fixed point
     if not f:
-        checks.append(_NA["fixed-point-count-formula", "no fixed points"])
+        checks.append(_new(Check, ("fixed-point-count-formula", NA, "no fixed points")))
     else:
         bad = [p for p in fixed_points if f != s_point[p] * (s_point[p] - 1) // 2 + r_point[p] + 1]
         checks.append(_new(Check, ("fixed-point-count-formula", FAIL if bad else PASS, f"f={f}")))
 
     # fixed substructure is a subdesign when no fixed block meets a 2-orbit
-    checks.append(_NA["fixed-substructure", "identity"] if identity
+    checks.append(_new(Check, ("fixed-substructure", NA, "identity")) if identity
                   else _fixed_substructure(d, rep)[0])
 
     # with no 2-cycles anywhere: tails of fixed blocks (their points off Fix)
     # are pairwise disjoint, s is constant, and v >= f (k - s + 1)
     if not f_blocks:
-        checks.append(_NA["no-two-cycle-tails", "no fixed blocks"])
+        checks.append(_new(Check, ("no-two-cycle-tails", NA, "no fixed blocks")))
     elif two_p:
-        checks.append(_NA["no-two-cycle-tails", "cycle structure contains a 2-cycle"])
+        checks.append(_new(Check, ("no-two-cycle-tails", NA,
+                                   "cycle structure contains a 2-cycle")))
     else:
         seen, disjoint = 0, True
         for j in fixed_blocks:
@@ -260,7 +224,7 @@ def _checks(d: Design, x: Permutation) -> CertResult:
     if order != 2:
         checks += [_new(Check, (name, NA, by_order)) for name in _INVOLUTION_CHECKS]
     elif not f:
-        checks += [_NA[name, "no fixed points"] for name in _INVOLUTION_CHECKS]
+        checks += [_new(Check, (name, NA, "no fixed points")) for name in _INVOLUTION_CHECKS]
     else:
         svals_p = set(s_point.values())
         pattern = len(svals_p) == 1 or svals_p <= {0, 2}
@@ -283,16 +247,16 @@ def _checks(d: Design, x: Permutation) -> CertResult:
             checks.append(_new(Check, ("involution-fixed-count-branch",
                                        PASS if branch else FAIL, f"f={f} k={k}")))
         else:
-            checks.append(_NA["involution-square-branch", "k < 5"])
-            checks.append(_NA["involution-fixed-count-branch", "k < 5"])
+            checks.append(_new(Check, ("involution-square-branch", NA, "k < 5")))
+            checks.append(_new(Check, ("involution-fixed-count-branch", NA, "k < 5")))
 
     # odd order: f = s_B(s_B-1)/2 + 1 and f <= k/2 unless k-2 is a square
     if order % 2 == 0:
         checks.append(_new(Check, ("odd-order-fixed-count-branch", NA, by_order)))
     elif identity:
-        checks.append(_NA["odd-order-fixed-count-branch", "identity"])
+        checks.append(_new(Check, ("odd-order-fixed-count-branch", NA, "identity")))
     elif not f:
-        checks.append(_NA["odd-order-fixed-count-branch", "no fixed points"])
+        checks.append(_new(Check, ("odd-order-fixed-count-branch", NA, "no fixed points")))
     else:
         svals = set(s_block.values())
         s = s_block[fixed_blocks[0]]
@@ -303,7 +267,7 @@ def _checks(d: Design, x: Permutation) -> CertResult:
 
     # global bound for any nontrivial automorphism
     if identity:
-        checks.append(_NA["fixed-count-bound", "identity"])
+        checks.append(_new(Check, ("fixed-count-bound", NA, "identity")))
     else:
         ok = _bound_holds(f, k) and (k < 6 or 3 * f <= 4 * k)
         checks.append(_new(Check, ("fixed-count-bound", PASS if ok else FAIL,
@@ -314,7 +278,8 @@ def _checks(d: Design, x: Permutation) -> CertResult:
         checks.append(_new(Check, ("prime-square-fixed-point-free", PASS if f == 0 else FAIL,
                                    f"f={f}")))
     else:
-        checks.append(_NA["prime-square-fixed-point-free", "v is not p^2 with o(x) = p"])
+        checks.append(_new(Check, ("prime-square-fixed-point-free", NA,
+                                   "v is not p^2 with o(x) = p")))
 
     return _new(CertResult, (tuple(checks), rep))
 
@@ -328,14 +293,17 @@ def _fixed_substructure(d: Design, rep: FixReport) -> tuple[Check, Design | None
     number s of fixed points, s satisfies subdesign_constraint with d's
     lambda, and for 2 <= s < f the f fixed points and fixed blocks form a
     symmetric (f, s, lambda) subdesign, which is returned; otherwise None.
+    The subdesign numbers the fixed points 1..f in ascending order, and its
+    blocks are the fixed points on each fixed block, in block order.
     """
     f, f_blocks, fixed_points, fixed_blocks, _, _, s_block, r_block = rep
     if not f_blocks:
-        return _NA["fixed-substructure", "no fixed blocks"], None
+        return _new(Check, ("fixed-substructure", NA, "no fixed blocks")), None
     if any(r_block.values()):
-        return _NA["fixed-substructure", "a fixed block carries a 2-orbit"], None
+        return _new(Check, ("fixed-substructure", NA, "a fixed block carries a 2-orbit")), None
     if not all(s_block.values()):
-        return _NA["fixed-substructure", "a fixed block carries no fixed point"], None
+        return _new(Check, ("fixed-substructure", NA,
+                            "a fixed block carries no fixed point")), None
     svals = set(s_block.values())
     ok = len(svals) == 1
     s = s_block[fixed_blocks[0]]
@@ -345,10 +313,14 @@ def _fixed_substructure(d: Design, rep: FixReport) -> tuple[Check, Design | None
         ok = subdesign_constraint(d.k, d.lam, s)
         detail += f" constraint={ok}"
     if ok and s >= 2 and f > s:
-        sub = restrict_subdesign(d, fixed_points, fixed_blocks)
-        ok = sub is not None
+        label = {p: i for i, p in enumerate(fixed_points, 1)}
+        blocks = [tuple(label[p] for p in d.blocks[j] if p in label) for j in fixed_blocks]
+        ok = len(set(blocks)) == len(blocks) == f
+        if ok:
+            sub = Design(DesignParams(f, s, d.lam), blocks)
+            ok = sub.verify_report.ok
         detail += f" subdesign={'yes' if ok else 'missing'}"
-    return _new(Check, ("fixed-substructure", PASS if ok else FAIL, detail)), sub
+    return _new(Check, ("fixed-substructure", PASS if ok else FAIL, detail)), sub if ok else None
 
 
 def fixed_subdesign(d: Design, x: Permutation) -> tuple[Design | None, str]:

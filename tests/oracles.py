@@ -5,7 +5,8 @@ calls them."""
 from collections import Counter
 from itertools import permutations
 
-from biplane.design import Design
+from biplane.cartdecomp import CartesianDecomposition
+from biplane.design import Design, DesignParams
 from biplane.diffset import DiffsetSearchStats, GroupTable
 from biplane.errors import InputError, ScaleError
 from biplane.fixcert import FAIL, NA, PASS, CertResult, Check, FixReport, fix_report
@@ -25,6 +26,42 @@ def check_named(result: CertResult, name: str) -> Check:
 def group_to_json_dict(group: PermGroup) -> dict:
     """The group file that `cart verify --group` reads."""
     return {"degree": group.degree, "generators": [g.cycle_string() for g in group.generators]}
+
+
+def cd_to_json_dict(cd: CartesianDecomposition) -> dict:
+    """The decomposition file that `cart verify` reads."""
+    return {"partitions": [[sorted(p) for p in part] for part in cd.partitions]}
+
+
+def restrict_subdesign(d: Design, points, block_indices) -> Design | None:
+    """Induced substructure on a point subset and block subset, if it is a design.
+
+    Returns the symmetric subdesign iff all restricted blocks have one common
+    size k' >= 2, the restricted structure has as many blocks as points, and
+    every point pair of the restriction is covered exactly lambda times.
+    """
+    points = sorted(set(points))
+    block_indices = sorted(set(block_indices))
+    if any(not 1 <= p <= d.v for p in points):
+        raise InputError("restriction points out of range")
+    if any(not 0 <= i < len(d.blocks) for i in block_indices):
+        raise InputError("restriction block indices out of range")
+    if not points or not block_indices:
+        return None
+    pset = set(points)
+    restricted = [tuple(sorted(set(d.blocks[i]) & pset)) for i in block_indices]
+    sizes = {len(b) for b in restricted}
+    if len(sizes) != 1:
+        return None
+    k_prime = sizes.pop()
+    if k_prime < 2 or len(restricted) != len(points) or k_prime >= len(points):
+        return None
+    if len(set(restricted)) != len(restricted):
+        return None
+    relabel = {p: i + 1 for i, p in enumerate(points)}
+    sub_blocks = [tuple(sorted(relabel[p] for p in b)) for b in restricted]
+    sub = Design(DesignParams(len(points), k_prime, d.lam), sub_blocks)
+    return sub if sub.verify_report.ok else None
 
 
 def conjugacy_counts(group: PermGroup, x: Permutation, alpha: int) -> tuple[int, int]:

@@ -447,6 +447,11 @@ def test_jump_only_when_gamma_maps_the_path_onto_the_first_path():
             assert s._leaf(masks, (inv[f0], f1)) == 0
         elif h[f1] != f1:
             assert s._leaf(masks, (f0, inv[f1])) == 1
+    # a leaf with the first leaf's order under another prefix gives the
+    # identity, which maps no path that leaves the first onto it
+    y = next(u for u in range(s.v) if u != f0)
+    with pytest.raises(AssertionError, match=error):
+        s._leaf([1 << p for p in s.first_order], (y, f1))
     assert s.autos == autos  # returned again, not recorded again
 
 

@@ -7,6 +7,7 @@ from biplane.cartdecomp import (PELL_N_CAP, PSP4_Q_CAP, CartesianDecomposition,
                                 verify_cartesian)
 from biplane.errors import InputError, ScaleError
 from biplane.perm import PermGroup, Permutation
+from oracles import cd_to_json_dict
 
 
 def _example_cd() -> CartesianDecomposition:
@@ -42,7 +43,7 @@ def test_malformed_partition_is_input_error():
 
 @pytest.mark.parametrize("point", [1.9, False, "1"])
 def test_from_json_dict_takes_json_integers_only(point):
-    data = _example_cd().to_json_dict()
+    data = cd_to_json_dict(_example_cd())
     data["partitions"][0][0][0] = point
     with pytest.raises(InputError, match=f"^bad decomposition file: partitions: {point!r}"):
         CartesianDecomposition.from_json_dict(data)

@@ -13,7 +13,7 @@ from biplane.cli import run
 from biplane.design import VERIFY_PAIR_CAP, Design, DesignParams
 from biplane.diffset import GROUP_ORDER_CAP
 from biplane.perm import PermGroup, Permutation
-from oracles import group_to_json_dict
+from oracles import cd_to_json_dict, group_to_json_dict
 
 OK, CHECK_FAILED, USAGE, INTERNAL = 0, 1, 2, 3
 
@@ -310,7 +310,7 @@ _BASE = {"design", "ntheory"}
 def test_subcommand_loads_only_its_modules(tmp_path, argv, allowed):
     from biplane.cartdecomp import CartesianDecomposition
     files = {"d16.json": catalog.build("biplane16_primitive").to_json_dict(),
-             "cd.json": CartesianDecomposition(catalog.CART16_PARTITIONS).to_json_dict(),
+             "cd.json": cd_to_json_dict(CartesianDecomposition(catalog.CART16_PARTITIONS)),
              "g.json": group_to_json_dict(catalog.primitive16_group())}
     for name, data in files.items():
         (tmp_path / name).write_text(json.dumps(data))
@@ -346,7 +346,7 @@ def test_cart_verify(tmp_path, capsys):
     dpath = _design_file(tmp_path, "biplane16_primitive")
     cd = CartesianDecomposition(catalog.CART16_PARTITIONS)
     cd_path = tmp_path / "cd.json"
-    cd_path.write_text(json.dumps(cd.to_json_dict()))
+    cd_path.write_text(json.dumps(cd_to_json_dict(cd)))
     g_path = tmp_path / "g.json"
     g_path.write_text(json.dumps(group_to_json_dict(catalog.primitive16_group())))
     code, out = _capture(capsys, ["cart", "verify", "--design", dpath,
@@ -361,8 +361,8 @@ def test_cart_verify_failures_exit_1(tmp_path, capsys, aut_results):
     # passes the input gates, but does not preserve the decomposition; a
     # partition listed twice fails the unique-intersection law.
     dpath = _design_file(tmp_path, "biplane16_primitive")
-    files = {"cd": CartesianDecomposition(catalog.CART16_PARTITIONS).to_json_dict(),
-             "dup": CartesianDecomposition([catalog.CART16_PARTITIONS[0]] * 2).to_json_dict(),
+    files = {"cd": cd_to_json_dict(CartesianDecomposition(catalog.CART16_PARTITIONS)),
+             "dup": cd_to_json_dict(CartesianDecomposition([catalog.CART16_PARTITIONS[0]] * 2)),
              "g": group_to_json_dict(aut_results["biplane16_primitive"].group)}
     for name, data in files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
@@ -398,7 +398,7 @@ def test_json_file_must_hold_an_object(tmp_path, capsys, content):
     # internal such as "list indices must be integers or slices, not str"
     design = _design_file(tmp_path, "biplane16_primitive")
     cd = tmp_path / "cd.json"
-    cd.write_text(json.dumps(CartesianDecomposition(catalog.CART16_PARTITIONS).to_json_dict()))
+    cd.write_text(json.dumps(cd_to_json_dict(CartesianDecomposition(catalog.CART16_PARTITIONS))))
     group = tmp_path / "g.json"
     group.write_text(json.dumps(group_to_json_dict(catalog.primitive16_group())))
     bad = tmp_path / "bad.json"
@@ -497,7 +497,7 @@ def _hostile_files(tmp_path):
              "d16_c2c8": catalog.build("biplane16_c2c8").to_json_dict(),
              "g16": g16,
              "g16_transposition": group_to_json_dict(PermGroup.from_cycles(16, ["(1,2)"])),
-             "cd16": CartesianDecomposition(catalog.CART16_PARTITIONS).to_json_dict(),
+             "cd16": cd_to_json_dict(CartesianDecomposition(catalog.CART16_PARTITIONS)),
              "cd16_empty_part": {"partitions": [[[], list(range(1, 17))],
                                                 [[j, j + 8] for j in range(1, 9)]]},
              "cd16_no_partitions": {"partitions": []},

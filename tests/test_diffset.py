@@ -136,8 +136,8 @@ def test_develop_regular_translation_action():
     g = cyclic(37)
     sets = [DifferenceSet(group=g, elements=tuple(sorted({pow(x, 4, 37) for x in range(1, 37)})),
                           lam=2)]
-    developments = [e.construct.args for e in catalog.list_known()
-                    if getattr(e.construct, "func", None) is catalog._development]
+    developments = [b.args for b in catalog._BUILDERS.values()
+                    if getattr(b, "func", None) is catalog._development]
     assert len(developments) == 5
     sets += [DifferenceSet(group=from_tag(tag), elements=tuple(elements), lam=2)
              for tag, elements in developments]

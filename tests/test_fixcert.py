@@ -14,7 +14,7 @@ from biplane.fixcert import (ALLOWED_79_ORDERS, LANDAU_121, Check,
 from biplane.ntheory import is_prime
 from biplane.perm import CycleType, Permutation, cycle_type
 from oracles import (certify_conjugacy_bound, check_named, induced_block_permutation, inverse,
-                     landau, orbit_walk_fix_report, reference_walk)
+                     landau, orbit_walk_fix_report, reference_walk, restrict_subdesign)
 
 
 def test_fix_report_identity():
@@ -202,6 +202,25 @@ def test_fixed_subdesign_nondegenerate(aut_results):
             break
     assert hit is not None
     assert hit[1].params.as_tuple() == (4, 3, 2)
+
+
+def test_fixed_subdesign_equals_the_oracle_restriction(aut_results):
+    # every subdesign the lemma finds for a non-identity element of the six
+    # catalog groups, fixed points and fixed blocks in the same order, is the
+    # reference restriction to them
+    found = 0
+    for name, result in aut_results.items():
+        d = catalog.build(name)
+        for g in result.group.elements():
+            if g.is_identity():
+                continue
+            sub, reason = fixed_subdesign(d, g)
+            if sub is not None:
+                rep = fix_report(d, g)
+                assert reason == "subdesign", (name, g)
+                assert sub == restrict_subdesign(d, rep.fixed_points, rep.fixed_blocks), (name, g)
+                found += 1
+    assert found == 192
 
 
 def test_fixed_subdesign_degenerate_reason(aut_results):

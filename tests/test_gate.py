@@ -13,7 +13,7 @@ from biplane.aut import automorphism_group, canonical_form, isomorphism
 from biplane.cartdecomp import CartesianDecomposition, block_coordinate_pairs, pell_solutions
 from biplane.catalog import flag_orbit_count
 from biplane.design import (Design, DesignParams, brc_brute_force, dual, k_for_point_power,
-                            restrict_subdesign, verify_symmetric_design)
+                            verify_symmetric_design)
 from biplane.diffset import cyclic, elementary_abelian, is_difference_set, lander_excluded
 from biplane.errors import InputError
 from biplane.fixcert import certify_79, certify_fix_lemmas, fix_report, fixed_subdesign
@@ -84,10 +84,6 @@ NOT_FEASIBLE = DesignParams(16, 5, 2)
 
 
 @pytest.mark.parametrize("call,message", [
-    pytest.param(lambda: restrict_subdesign(D16, [0, 1], [0]),
-                 "restriction points out of range", id="restrict_subdesign-point"),
-    pytest.param(lambda: restrict_subdesign(D16, [1, 2], [16]),
-                 "restriction block indices out of range", id="restrict_subdesign-block"),
     pytest.param(lambda: PermGroup(16, [Permutation.identity(15)]),
                  "generator degree 15 does not match group degree 16", id="PermGroup"),
     pytest.param(lambda: Permutation([1, 1, 2]),

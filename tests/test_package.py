@@ -54,6 +54,27 @@ def test_internal_invariants_fail_by_name():
         PellSolution(n=1, family=0, x=1, y=1, u=2, v=1)
 
 
+def test_named_tuples_keep_the_tuple_dunders():
+    # a record is a plain named tuple: equality, hashing and repr read every
+    # field, so none of them is overridden (Design, Permutation and PermGroup
+    # are plain classes and may define their own). A subclass of a named
+    # tuple, as DesignParams of _DesignParams, is a named tuple too.
+    package = Path(biplane.__file__).parent
+    found, overrides = set(), []
+    for path in sorted(package.glob("*.py")):
+        records = {"NamedTuple"}
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(base, ast.Name) and base.id in records for base in node.bases):
+                records.add(node.name)
+                overrides += [f"{path.name}:{node.name}.{m.name}" for m in node.body
+                              if isinstance(m, ast.FunctionDef)
+                              and m.name in ("__eq__", "__ne__", "__hash__", "__repr__")]
+        found |= records
+    assert {"CertResult", "CatalogEntry", "DesignParams", "CycleType"} <= found
+    assert overrides == []
+
+
 def _defined_names(tree) -> list[str]:
     """The module-level functions, classes and assignments of a module, and
     the methods of its classes, dunders left out."""

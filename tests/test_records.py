@@ -126,7 +126,7 @@ def test_no_shared_mutable_defaults():
     a, b = VerifyReport(ok=True), VerifyReport(ok=True)
     assert a.counts == b.counts == {} and a.counts is not b.counts
     assert FixReport._field_defaults == {}
-    assert catalog.CatalogEntry._field_defaults == {"construct": None}
+    assert catalog.CatalogEntry._field_defaults == {}
     entries = catalog.list_known()
     assert len({id(e.expected) for e in entries}) == len(entries)
 
@@ -143,13 +143,15 @@ def test_equality():
     same = Design(fano.params, fano.blocks)
     assert same == fano and hash(same) == hash(fano) and same is not fano
     assert fano != (fano.params, fano.blocks)
-    # the report and the construction take no part in equality
+    # CertResult and CatalogEntry compare and hash as plain tuples of all
+    # their fields: the report takes part, and its dicts make it unhashable
     checks = (Check("a", "pass"),)
     report = _records()["FixReport"]
-    assert CertResult(checks, report) == CertResult(checks)
-    assert not CertResult(checks, report) != CertResult(checks)
-    assert hash(CertResult(checks, report)) == hash(CertResult(checks))
-    assert CertResult(checks) != CertResult((Check("a", "fail"),))
+    assert CertResult(checks, report) == (checks, report) != CertResult(checks)
+    assert CertResult(checks) == (checks, None) != CertResult((Check("a", "fail"),))
+    assert hash(CertResult(checks)) == hash((checks, None))
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(CertResult(checks, report))
     e = catalog.entry("hadamard11")
-    assert e == e._replace(construct=None) and not e != e._replace(construct=None)
+    assert e == tuple(e) == ("hadamard11", DesignParams(11, 5, 2), "1", e.expected)
     assert e != e._replace(expected={})
